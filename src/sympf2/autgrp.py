@@ -1,8 +1,9 @@
 """Automorphism groups of symplectic (metric) spaces over GF(2).
 
-Closed-form orders on one side, exhaustive basis-image backtracking on the
-other; the test suite confirms they agree.  Orders are plain Python ints,
-so there is no overflow caveat anywhere.
+Closed-form orders on one side, basis-image backtracking (_ImageSearch) on
+the other: it counts a group by orbit-stabilizer or lists every element.
+The test suite confirms they agree.  Orders are plain Python ints, so there
+is no overflow caveat anywhere.
 """
 
 from __future__ import annotations
@@ -98,40 +99,44 @@ def order(spec: AutGroupSpec) -> GroupOrder:
     return GroupOrder(sp_vector_order(s, t))
 
 
-def _affine_solutions(functionals: list[int], targets: list[int], width: int) -> tuple[Optional[int], list[int]]:
-    """Solve parity(functionals[i] & w) = targets[i] over w in GF(2)^width.
+# A linear system over GF(2) in reduced echelon form, grown one constraint
+# parity(row & w) = rhs_i at a time: (pivots, dependencies).  Each pivot is
+# (row, combo, pivot bit), where the combo's bit i is set when constraint i
+# was added into the row, so the row's right-hand side is the parity of
+# combo & rhs for any right-hand-side vector rhs.  The dependencies are the
+# combos of added constraints that reduced to zero.
+_System = tuple[list[tuple[int, int, int]], list[int]]
 
-    Returns (particular solution, basis of the homogeneous solution space),
-    or (None, []) when inconsistent.
-    """
-    rows = list(zip(functionals, targets))
-    pivots: list[tuple[int, int, int]] = []  # (row, rhs, pivot bit)
-    for row, rhs in rows:
-        for prow, prhs, pbit in pivots:
-            if row & pbit:
-                row ^= prow
-                rhs ^= prhs
-        if row == 0:
-            if rhs:
-                return None, []
-            continue
-        pbit = row & -row
-        pivots.append((row, rhs, pbit))
-    # Back-substitute to reduced form.
-    for i in range(len(pivots) - 1, -1, -1):
-        row, rhs, pbit = pivots[i]
-        for j in range(i):
-            rj, bj, pj = pivots[j]
-            if rj & pbit:
-                pivots[j] = (rj ^ row, bj ^ rhs, pj)
-    pivot_mask = 0
-    for _, _, pbit in pivots:
-        pivot_mask |= pbit
-    # Rows are fully reduced, so each pivot bit occurs in exactly one row
-    # and the particular solution just copies the right-hand sides.
+
+def _add_constraint(system: _System, row: int, combo: int) -> _System:
+    pivots, deps = system
+    for prow, pcombo, pbit in pivots:
+        if row & pbit:
+            row ^= prow
+            combo ^= pcombo
+    if not row:
+        return pivots, deps + [combo]
+    pbit = row & -row
+    reduced = [
+        (prow ^ row, pcombo ^ combo, q) if prow & pbit else (prow, pcombo, q)
+        for prow, pcombo, q in pivots
+    ]
+    reduced.append((row, combo, pbit))
+    return reduced, deps
+
+
+def _solutions(system: _System, rhs: int, width: int) -> tuple[Optional[int], list[int]]:
+    """(particular solution, homogeneous basis) over GF(2)^width for the
+    right-hand sides rhs, or (None, []) when inconsistent."""
+    pivots, deps = system
+    for combo in deps:
+        if (combo & rhs).bit_count() & 1:
+            return None, []
     particular = 0
-    for _, rhs, pbit in pivots:
-        if rhs:
+    pivot_mask = 0
+    for _, combo, pbit in pivots:
+        pivot_mask |= pbit
+        if (combo & rhs).bit_count() & 1:
             particular |= pbit
     basis = []
     for b in range(width):
@@ -147,120 +152,175 @@ def _affine_solutions(functionals: list[int], targets: list[int], width: int) ->
 
 
 class _ImageSearch:
-    """Backtracking over basis images defining isomorphisms source -> target.
+    """The one backtracking core: basis images w_j = T e_j of maps source -> target.
 
-    A linear T preserves mu exactly when it preserves mu on a basis and the
-    pairing m on basis pairs, so each level only adds linear constraints on
-    the next image plus one mu-bit test.  Basis vectors in the radical of
-    the source are forced into the radical of the target up front, which is
-    what makes the search prune hard.
+    Level j picks w_j outside span(w_0..w_{j-1}) by one of two rules:
+
+    * Affine-solution rule (Gram matrices given): m(w_j, w_i) = m(e_j, e_i)
+      for i < j is a linear system in w_j, and a radical e_j must map into
+      the target's radical, which is what makes the search prune hard.
+      With mu tables given, w_j must also have mu(w_j) = mu(e_j); since
+      mu(x + y) = mu(x) + mu(y) + m(x, y), preserving m and mu on a basis
+      preserves mu everywhere.  Without mu tables only m is preserved.
+    * Span-check rule (mu tables only; mu need not be bilinear): w_j must
+      have mu(T v + w_j) = mu(v + e_j) for every v in span(e_0..e_{j-1}),
+      where T v is already fixed by the earlier levels.
+
+    tuples() enumerates every leaf, ascending by images.  order() counts the
+    automorphism group of a space searched against itself by orbit-
+    stabilizer: with w_i = e_i fixed for i < j, the automorphisms extending
+    that prefix form the pointwise stabilizer G_j, and the level-j
+    candidates that extend to at least one leaf are exactly the orbit of e_j
+    under G_j.  So |G| = |G_0| is the product over j of these orbit sizes,
+    and each candidate needs only an existence search that stops at its
+    first leaf.  The argument needs no Witt-type extension theorem.
     """
 
-    def __init__(self, source: SymplecticMetricSpace, target: SymplecticMetricSpace):
-        self.k = k = source.rank
-        self.compatible = k == target.rank
-        self.src_gram = source.gram().row_bits()
-        self.tgt_gram = target.gram().row_bits()
-        self.src_mu = [source.mu(1 << i) for i in range(k)]
-        self.mu_arr = bytes(target.mu(v) for v in range(1 << k))
-        self.rhs_bits = [[(self.src_gram[j] >> i) & 1 for i in range(j)] for j in range(k)]
+    def __init__(
+        self,
+        rank: int,
+        src_mu: Optional[bytes] = None,
+        tgt_mu: Optional[bytes] = None,
+        src_gram: Optional[list[int]] = None,
+        tgt_gram: Optional[list[int]] = None,
+    ):
+        self.k = k = rank
+        self.src_mu = src_mu
+        self.tgt_mu = tgt_mu
+        self.src_gram = src_gram
         self.images: list[int] = []
-        # functionals[i] encodes w -> m_target(w, images[i]) as a bit mask
-        self.functionals: list[int] = []
-        # pivot table of the chosen images, for O(k) independence tests
-        self.piv = [0] * k
+        # span[v] = T v for v in span(e_0..e_{j-1}); in_span marks the T v
+        self.span = [0] * (1 << k)
+        self.in_span = bytearray(1 << k)
+        self.in_span[0] = 1
+        if src_gram is None:
+            self.by_mu: tuple[list[int], list[int]] = ([], [])
+            for w in range(1, 1 << k):
+                self.by_mu[tgt_mu[w]].append(w)
+        else:
+            # systems[j]: m(w, images[i]) = m(e_j, e_i) for i < j, whose
+            # right-hand sides are the bits of src_gram[j]
+            self.systems: list[_System] = [([], [])]
+            radical: _System = ([], [])
+            for row in tgt_gram:
+                radical = _add_constraint(radical, row, 0)
+            self.tgt_radical = _solutions(radical, 0, k)[1]
+            # pairing[w] encodes x -> m_target(x, w) as a bit mask
+            self.pairing = [0] * (1 << k)
+            for w in range(1, 1 << k):
+                low = w & -w
+                self.pairing[w] = self.pairing[w ^ low] ^ tgt_gram[low.bit_length() - 1]
 
-    def _reduce(self, v: int) -> int:
-        piv = self.piv
-        while v:
-            b = piv[(v & -v).bit_length() - 1]
-            if not b:
-                return v
-            v ^= b
-        return 0
+    def _candidates(self, j: int) -> Iterator[int]:
+        if self.src_gram is None:
+            return self._span_candidates(j)
+        return self._affine_candidates(j)
 
-    def _functional_of(self, w: int) -> int:
-        out = 0
-        for b, row in enumerate(self.tgt_gram):
-            if (row & w).bit_count() & 1:
-                out |= 1 << b
-        return out
-
-    def _candidates(self, j: int) -> list[int]:
-        rows = self.functionals
-        rhs = self.rhs_bits[j]
+    def _affine_candidates(self, j: int) -> Iterator[int]:
         if self.src_gram[j] == 0:
-            # radical vector: its image must pair trivially with everything
-            rows = rows + self.tgt_gram
-            rhs = rhs + [0] * self.k
-        particular, hom_basis = _affine_solutions(rows, rhs, self.k)
-        if particular is None:
-            return []
-        want_mu = self.src_mu[j]
-        mu_arr = self.mu_arr
-        reduce = self._reduce
-        out = []
+            # a radical vector maps into the target's radical, where every
+            # pairing constraint reads 0 = 0
+            particular, hom_basis = 0, self.tgt_radical
+        else:
+            particular, hom_basis = _solutions(self.systems[-1], self.src_gram[j], self.k)
+            if particular is None:
+                return
+        mu = self.tgt_mu
+        want = self.src_mu[1 << j] if mu is not None else 0
+        in_span = self.in_span
         w = particular
-        if mu_arr[w] == want_mu and reduce(w):
-            out.append(w)
         gray = 0
-        for step in range(1, 1 << len(hom_basis)):
-            nxt = step ^ (step >> 1)
-            w ^= hom_basis[(gray ^ nxt).bit_length() - 1]
-            gray = nxt
-            if mu_arr[w] == want_mu and reduce(w):
-                out.append(w)
-        out.sort()
-        return out
+        for step in range(1 << len(hom_basis)):
+            if step:
+                nxt = step ^ (step >> 1)
+                w ^= hom_basis[(gray ^ nxt).bit_length() - 1]
+                gray = nxt
+            if not in_span[w] and (mu is None or mu[w] == want):
+                yield w
 
-    def _push(self, w: int) -> int:
-        rv = self._reduce(w)
-        slot = (rv & -rv).bit_length() - 1
-        self.piv[slot] = rv
-        self.functionals.append(self._functional_of(w))
-        return slot
+    def _span_candidates(self, j: int) -> Iterator[int]:
+        half = 1 << j
+        src_mu = self.src_mu
+        tgt_mu = self.tgt_mu
+        span = self.span
+        in_span = self.in_span
+        for w in self.by_mu[src_mu[half]]:
+            if in_span[w]:
+                continue
+            for v in range(1, half):
+                if tgt_mu[span[v] ^ w] != src_mu[half | v]:
+                    break
+            else:
+                yield w
 
-    def _pop(self, slot: int) -> None:
-        self.functionals.pop()
-        self.piv[slot] = 0
+    def _push(self, w: int) -> None:
+        half = 1 << len(self.images)
+        self.images.append(w)
+        span = self.span
+        in_span = self.in_span
+        for v in range(half):
+            x = span[v] ^ w
+            span[half | v] = x
+            in_span[x] = 1
+        if self.src_gram is not None:
+            self.systems.append(_add_constraint(self.systems[-1], self.pairing[w], half))
+
+    def _pop(self) -> None:
+        self.images.pop()
+        half = 1 << len(self.images)
+        span = self.span
+        in_span = self.in_span
+        for v in range(half, 2 * half):
+            in_span[span[v]] = 0
+        if self.src_gram is not None:
+            self.systems.pop()
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
-        if not self.compatible:
-            return
-        if self.k == 0:
+        """Every leaf (w_0, .., w_{k-1}), ascending."""
+        j = len(self.images)
+        if j == self.k:
             yield ()
             return
-        yield from self._descend(0)
-
-    def _descend(self, j: int) -> Iterator[tuple[int, ...]]:
-        last = j + 1 == self.k
-        for w in self._candidates(j):
-            self.images.append(w)
-            if last:
-                yield tuple(self.images)
-            else:
-                slot = self._push(w)
-                yield from self._descend(j + 1)
-                self._pop(slot)
-            self.images.pop()
-
-    def count(self) -> int:
-        if not self.compatible:
-            return 0
-        if self.k == 0:
-            return 1
-        return self._count_from(0)
-
-    def _count_from(self, j: int) -> int:
-        cands = self._candidates(j)
+        cands = sorted(self._candidates(j))
         if j + 1 == self.k:
-            return len(cands)
-        total = 0
+            prefix = tuple(self.images)
+            for w in cands:
+                yield prefix + (w,)
+            return
         for w in cands:
-            slot = self._push(w)
-            total += self._count_from(j + 1)
-            self._pop(slot)
+            self._push(w)
+            yield from self.tuples()
+            self._pop()
+
+    def _extends(self, w: int) -> bool:
+        """Whether the current prefix followed by w reaches at least one leaf."""
+        if len(self.images) + 1 == self.k:
+            return True
+        self._push(w)
+        found = any(self._extends(x) for x in self._candidates(len(self.images)))
+        self._pop()
+        return found
+
+    def order(self) -> int:
+        """|Aut| for source = target, as the product of the orbit sizes."""
+        total = 1
+        for j in range(self.k):
+            e = 1 << j
+            # the identity carries the prefix through e, so e needs no search
+            total *= 1 + sum(1 for w in self._candidates(j) if w != e and self._extends(w))
+            self._push(e)
+        for _ in range(self.k):
+            self._pop()
         return total
+
+
+def _space_search(source: SymplecticMetricSpace, target: SymplecticMetricSpace) -> _ImageSearch:
+    def tables(space: SymplecticMetricSpace) -> tuple[bytes, list[int]]:
+        return bytes(space.mu(v) for v in range(1 << space.rank)), space.gram().row_bits()
+
+    src = tables(source)
+    tgt = src if target is source else tables(target)
+    return _ImageSearch(source.rank, src[0], tgt[0], src[1], tgt[1])
 
 
 def enumerate_isomorphisms(
@@ -271,7 +331,9 @@ def enumerate_isomorphisms(
     require_valid(target)
     if source.rank > ENUMERATION_RANK_BOUND:
         raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
-    for images in _ImageSearch(source, target).tuples():
+    if source.rank != target.rank:
+        return
+    for images in _space_search(source, target).tuples():
         # images are the columns of T
         yield F2Matrix.from_row_bits(list(images), source.rank).transpose()
 
@@ -282,15 +344,15 @@ def enumerate_automorphisms(space: SymplecticMetricSpace) -> Iterator[F2Matrix]:
 
 
 def count_automorphisms(space: SymplecticMetricSpace) -> int:
-    """Leaf count of the same search that enumerate_automorphisms runs."""
+    """|Aut(space)| by the search core's orbit-stabilizer count.
+
+    An independent check on sp_full_order: the search knows nothing of the
+    formula, and the tests compare its count with the leaf enumeration.
+    """
     require_valid(space)
     if space.rank > ENUMERATION_RANK_BOUND:
         raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
-    return _ImageSearch(space, space).count()
-
-
-def count_automorphisms_of_tuple(t: InvariantTuple) -> int:
-    return count_automorphisms(canonical(t))
+    return _space_search(space, space).order()
 
 
 def plain_symplectic_space(s: int, t: int) -> SymplecticVectorSpace:
@@ -304,71 +366,15 @@ def plain_symplectic_space(s: int, t: int) -> SymplecticVectorSpace:
 
 
 def count_pairing_automorphisms(space: SymplecticVectorSpace) -> int:
-    """Invertible matrices preserving m alone, counted by the same search.
+    """|Sp(s;t)| of a pairing-only space: invertible matrices preserving m.
 
-    Verifies the Sp(s;t) order formula: candidates for each basis image
-    satisfy the linear pairing constraints and independence, with no mu
-    condition.  Bounded at rank <= 6 (|Sp(2;1)| = 11520 is the largest
-    group the tests exercise).
+    The search core's orbit-stabilizer count with the affine-solution rule
+    and no mu condition; it verifies the Sp(s;t) order formula.
     """
-    k = space.rank
-    if k > 6:
-        raise ValueError("pairing-automorphism counting is bounded at rank <= 6")
-    if k == 0:
-        return 1
+    if space.rank > ENUMERATION_RANK_BOUND:
+        raise ValueError(f"pairing-automorphism counting is bounded at rank <= {ENUMERATION_RANK_BOUND}")
     gram = space.gram.row_bits()
-    piv = [0] * k
-    functionals: list[int] = []
-
-    def reduce_vec(v: int) -> int:
-        while v:
-            b = piv[(v & -v).bit_length() - 1]
-            if not b:
-                return v
-            v ^= b
-        return 0
-
-    def functional_of(w: int) -> int:
-        out = 0
-        for b in range(k):
-            if (gram[b] & w).bit_count() & 1:
-                out |= 1 << b
-        return out
-
-    def count_from(j: int) -> int:
-        rows = functionals
-        rhs = [(gram[j] >> i) & 1 for i in range(j)]
-        if gram[j] == 0:
-            rows = rows + gram
-            rhs = rhs + [0] * k
-        particular, hom_basis = _affine_solutions(rows, rhs, k)
-        if particular is None:
-            return 0
-        cands = []
-        w = particular
-        if reduce_vec(w):
-            cands.append(w)
-        gray = 0
-        for step in range(1, 1 << len(hom_basis)):
-            nxt = step ^ (step >> 1)
-            w ^= hom_basis[(gray ^ nxt).bit_length() - 1]
-            gray = nxt
-            if reduce_vec(w):
-                cands.append(w)
-        if j + 1 == k:
-            return len(cands)
-        total = 0
-        for w in cands:
-            rv = reduce_vec(w)
-            slot = (rv & -rv).bit_length() - 1
-            piv[slot] = rv
-            functionals.append(functional_of(w))
-            total += count_from(j + 1)
-            functionals.pop()
-            piv[slot] = 0
-        return total
-
-    return count_from(0)
+    return _ImageSearch(space.rank, src_gram=gram, tgt_gram=gram).order()
 
 
 def mu_zero_nonzero_count(s: int) -> int:

@@ -18,7 +18,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .autgrp import sp_full_order, sp_metric_order, sp_order, sp_vector_order
+from .autgrp import (
+    ENUMERATION_RANK_BOUND,
+    _ImageSearch,
+    sp_full_order,
+    sp_metric_order,
+    sp_order,
+    sp_vector_order,
+)
 from .f2core import enumerate_gl, gl_order
 from .sms import InvariantTuple, SymplecticMetricSpace, canonical, validate
 
@@ -684,54 +691,17 @@ def count_label_automorphisms(model: LabelModel) -> int:
 
 
 def count_mu_automorphisms(model: LabelModel) -> int:
-    """Backtracking count of invertible matrices preserving the mu table.
+    """Invertible matrices preserving the mu table, counted by search.
 
-    Works for non-bilinear tables too: a candidate image for the next basis
-    vector is checked against every sum with the span built so far, which
-    prunes far ahead of full enumeration.  Labels are functions of mu, so
+    The autgrp search core's orbit-stabilizer count with the span-check
+    rule, so non-bilinear tables work too.  Labels are functions of mu, so
     this counts the same group as count_label_automorphisms.
     """
     k = model.rank
-    if k > 6:
-        raise ValueError("mu automorphism counting is bounded at rank <= 6")
-    if k == 0:
-        return 1
-    size = 1 << k
-    mu = bytes(model.mu_bit(v) for v in range(size))
-    by_mu = ([], [])
-    for w in range(1, size):
-        by_mu[mu[w]].append(w)
-
-    img = [0] * size  # images of the span of the first j basis vectors
-    in_image = bytearray(size)
-    in_image[0] = 1
-
-    def descend(j: int) -> int:
-        half = 1 << j
-        total = 0
-        for w in by_mu[mu[half]]:
-            if in_image[w]:
-                continue
-            ok = True
-            for v in range(1, half):
-                if mu[img[v] ^ w] != mu[half | v]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if j + 1 == k:
-                total += 1
-                continue
-            for v in range(half):
-                iw = img[v] ^ w
-                img[half | v] = iw
-                in_image[iw] = 1
-            total += descend(j + 1)
-            for v in range(half):
-                in_image[img[half | v]] = 0
-        return total
-
-    return descend(0)
+    if k > ENUMERATION_RANK_BOUND:
+        raise ValueError(f"mu automorphism counting is bounded at rank <= {ENUMERATION_RANK_BOUND}")
+    mu = bytes(model.mu_bit(v) for v in range(1 << k))
+    return _ImageSearch(k, src_mu=mu, tgt_mu=mu).order()
 
 
 # --- distinctness audit ---------------------------------------------------------

@@ -47,11 +47,6 @@ class F2Vector:
             raise ValueError("width mismatch")
         return F2Vector(self.width, self.bits ^ other.bits)
 
-    def dot(self, other: "F2Vector") -> int:
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -117,12 +112,6 @@ class F2Matrix:
         for i, r in enumerate(self.row_data):
             out |= ((r.bits & v.bits).bit_count() & 1) << i
         return F2Vector(self.rows, out)
-
-    def apply_bits(self, v: int) -> int:
-        out = 0
-        for i, r in enumerate(self.row_data):
-            out |= ((r.bits & v).bit_count() & 1) << i
-        return out
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:

@@ -1,9 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from sympf2.autgrp import (
+    ENUMERATION_RANK_BOUND,
     AutGroupSpec,
+    _ImageSearch,
+    _space_search,
     count_automorphisms,
     count_pairing_automorphisms,
     enumerate_automorphisms,
@@ -91,9 +95,75 @@ def test_count_matches_enumeration_and_formula():
         assert n == sp_full_order(eps, delta, r, s)
 
 
+def _admissible_tuples(max_rank):
+    for eps, delta in ((0, 0), (1, 0), (0, 1)):
+        for r in range(max_rank + 1):
+            for s in range(max_rank // 2 + 1):
+                t = InvariantTuple(eps, delta, r, s)
+                if t.ambient_rank <= max_rank:
+                    yield t
+
+
+def _leaf_count(search):
+    return sum(1 for _ in search.tuples())
+
+
+def _random_invertible(rng, k):
+    while True:
+        mat = F2Matrix.from_row_bits([rng.getrandbits(k) for _ in range(k)], k)
+        if mat.is_invertible():
+            return mat
+
+
+def test_orbit_stabilizer_order_matches_leaf_count():
+    # V_{5,0;0,0} is left out: its 9,999,360 leaves take about ten seconds
+    checked = 0
+    for t in _admissible_tuples(5):
+        if (t.eps, t.delta, t.r) == (0, 0, 5):
+            continue
+        space = canonical(t)
+        order = _space_search(space, space).order()
+        assert order == _leaf_count(_space_search(space, space)), t
+        assert order == sp_full_order(t.eps, t.delta, t.r, t.s), t
+        checked += 1
+    assert checked == 26
+
+
+def test_orbit_stabilizer_order_matches_leaf_count_after_basis_change():
+    # a non-canonical basis reorders the levels and moves the radical, so
+    # the prefix stabilizers differ from those of the canonical basis
+    rng = random.Random(2)
+    checked = 0
+    for t in _admissible_tuples(6):
+        order = sp_full_order(t.eps, t.delta, t.r, t.s)
+        if t.ambient_rank == 0 or order >= 1 << 17:
+            continue
+        space = canonical(t)
+        for _ in range(3):
+            moved = transport(space, _random_invertible(rng, space.rank))
+            assert _space_search(moved, moved).order() == order, t
+            assert _leaf_count(_space_search(moved, moved)) == order, t
+            checked += 1
+    assert checked == 3 * 28
+
+
+def test_count_reaches_enumeration_rank_bound():
+    checked = 0
+    for t in _admissible_tuples(ENUMERATION_RANK_BOUND):
+        assert count_automorphisms(canonical(t)) == sp_full_order(t.eps, t.delta, t.r, t.s), t
+        checked += 1
+    assert checked == 61
+    for s in range(ENUMERATION_RANK_BOUND // 2 + 1):
+        for t in range(ENUMERATION_RANK_BOUND - 2 * s + 1):
+            space = plain_symplectic_space(s, t)
+            assert count_pairing_automorphisms(space) == sp_vector_order(s, t), (s, t)
+
+
 def test_enumeration_rank_bound():
     with pytest.raises(ValueError):
         count_automorphisms(canonical(InvariantTuple(0, 0, 9, 0)))
+    with pytest.raises(ValueError):
+        count_pairing_automorphisms(plain_symplectic_space(0, 9))
 
 
 def test_isomorphism_search_between_transported_spaces():
@@ -176,7 +246,9 @@ def test_rank_zero_group_is_trivial():
 )
 def test_plain_symplectic_orders_by_enumeration(s, t):
     space = plain_symplectic_space(s, t)
-    assert count_pairing_automorphisms(space) == sp_vector_order(s, t)
+    gram = space.gram.row_bits()
+    leaves = _leaf_count(_ImageSearch(space.rank, src_gram=gram, tgt_gram=gram))
+    assert count_pairing_automorphisms(space) == leaves == sp_vector_order(s, t)
 
 
 def test_plain_symplectic_space_shape():

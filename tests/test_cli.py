@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
 
 
@@ -91,6 +93,19 @@ def test_aut_beyond_search_bound(capsys):
     code, out, _ = run(capsys, "aut", "--r", "9")
     assert code == 0
     assert "order (formula): " in out
+    assert "enumeration skipped" in out
+
+
+def test_aut_far_beyond_search_bound(capsys):
+    # neither the 2^600-bit canonical table nor the 4300-digit str() limit
+    # may turn into a traceback
+    code, out, _ = run(capsys, "aut", "--r", "200", "--s", "200")
+    assert code == 0
+    digits = re.search(r"^order \(formula\): (\d+)$", out, re.M).group(1)
+    formula = sp_full_order(0, 0, 200, 200)
+    assert len(digits) > 4300
+    assert int(digits[:50]) == formula // 10 ** (len(digits) - 50)
+    assert digits[-1000:] == f"{formula % 10**1000:01000d}"
     assert "enumeration skipped" in out
 
 
