@@ -8,13 +8,14 @@ should multiply back to |GL(k, 2)|, which the table prints for inspection.
 """
 
 import argparse
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from sympf2.autgrp import sp_full_order
-from sympf2.cli import _census
 from sympf2.f2core import gl_order
+from sympf2.sms import census
 
 
 def main() -> int:
@@ -23,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
     k = args.rank
 
-    valid, classes, orbit_sizes = _census(k)
+    valid, classes, orbit_sizes = census(k)
     total = 1 << ((1 << k) - 1)
     print(f"rank {k}: {total} tables with mu(0)=0, {len(valid)} valid, "
           f"{total - len(valid)} rejected")

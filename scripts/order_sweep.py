@@ -5,18 +5,18 @@ Prints one line per verified spec with the formula value, the backtracking
 count and the runtime, ending with the comparison identities.
 """
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from sympf2.autgrp import verify_comparisons
-from sympf2.cli import _orders_sweep
+from sympf2.autgrp import orders_sweep, verify_comparisons
 
 
 def main() -> int:
     t0 = time.monotonic()
-    rows = _orders_sweep()
+    rows = orders_sweep()
     for t, formula, counted in rows:
         mark = "ok" if formula == counted else "MISMATCH"
         print(

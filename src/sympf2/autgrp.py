@@ -3,7 +3,9 @@
 Closed-form orders on one side, basis-image backtracking (_ImageSearch) on
 the other: it counts a group by orbit-stabilizer or lists every element.
 The test suite confirms they agree.  Orders are plain Python ints, so there
-is no overflow caveat anywhere.
+is no overflow caveat anywhere.  The search's linear algebra (the pairing
+systems and the span tables) is f2core's one elimination routine and span
+table; this module holds no elimination of its own.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .f2core import F2Matrix, gl_order
+from .f2core import F2Matrix, _add_constraint, _eliminate, _solutions, _span, _System, gl_order
 from .sms import (
     InvariantTuple,
     SymplecticMetricSpace,
@@ -21,34 +23,6 @@ from .sms import (
 )
 
 ENUMERATION_RANK_BOUND = 8
-
-
-@dataclass(frozen=True)
-class GroupOrder:
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError("group order must be positive")
-
-
-@dataclass(frozen=True)
-class AutGroupSpec:
-    """Descriptor of either Sp(r,s;eps,delta) or the plain Sp(s;t)."""
-
-    kind: str  # "metric" or "plain"
-    params: tuple[int, ...]
-
-    @classmethod
-    def metric(cls, eps: int, delta: int, r: int, s: int) -> "AutGroupSpec":
-        InvariantTuple(eps, delta, r, s)  # parameter admissibility check
-        return cls("metric", (eps, delta, r, s))
-
-    @classmethod
-    def plain(cls, s: int, t: int = 0) -> "AutGroupSpec":
-        if s < 0 or t < 0:
-            raise ValueError("inadmissible parameters")
-        return cls("plain", (s, t))
 
 
 def sp_order(s: int) -> int:
@@ -91,66 +65,6 @@ def sp_vector_order(s: int, t: int) -> int:
     return (1 << (2 * s * t)) * gl_order(t) * sp_order(s)
 
 
-def order(spec: AutGroupSpec) -> GroupOrder:
-    if spec.kind == "metric":
-        eps, delta, r, s = spec.params
-        return GroupOrder(sp_full_order(eps, delta, r, s))
-    s, t = spec.params
-    return GroupOrder(sp_vector_order(s, t))
-
-
-# A linear system over GF(2) in reduced echelon form, grown one constraint
-# parity(row & w) = rhs_i at a time: (pivots, dependencies).  Each pivot is
-# (row, combo, pivot bit), where the combo's bit i is set when constraint i
-# was added into the row, so the row's right-hand side is the parity of
-# combo & rhs for any right-hand-side vector rhs.  The dependencies are the
-# combos of added constraints that reduced to zero.
-_System = tuple[list[tuple[int, int, int]], list[int]]
-
-
-def _add_constraint(system: _System, row: int, combo: int) -> _System:
-    pivots, deps = system
-    for prow, pcombo, pbit in pivots:
-        if row & pbit:
-            row ^= prow
-            combo ^= pcombo
-    if not row:
-        return pivots, deps + [combo]
-    pbit = row & -row
-    reduced = [
-        (prow ^ row, pcombo ^ combo, q) if prow & pbit else (prow, pcombo, q)
-        for prow, pcombo, q in pivots
-    ]
-    reduced.append((row, combo, pbit))
-    return reduced, deps
-
-
-def _solutions(system: _System, rhs: int, width: int) -> tuple[Optional[int], list[int]]:
-    """(particular solution, homogeneous basis) over GF(2)^width for the
-    right-hand sides rhs, or (None, []) when inconsistent."""
-    pivots, deps = system
-    for combo in deps:
-        if (combo & rhs).bit_count() & 1:
-            return None, []
-    particular = 0
-    pivot_mask = 0
-    for _, combo, pbit in pivots:
-        pivot_mask |= pbit
-        if (combo & rhs).bit_count() & 1:
-            particular |= pbit
-    basis = []
-    for b in range(width):
-        fb = 1 << b
-        if fb & pivot_mask:
-            continue
-        v = fb
-        for row, _, pbit in pivots:
-            if row & fb:
-                v |= pbit
-        basis.append(v)
-    return particular, basis
-
-
 class _ImageSearch:
     """The one backtracking core: basis images w_j = T e_j of maps source -> target.
 
@@ -174,6 +88,11 @@ class _ImageSearch:
     under G_j.  So |G| = |G_0| is the product over j of these orbit sizes,
     and each candidate needs only an existence search that stops at its
     first leaf.  The argument needs no Witt-type extension theorem.
+
+    The pairing systems are f2core _System values, grown by one
+    _add_constraint per level and read with _solutions; the pairing table
+    is f2core's _span of the target Gram rows.  Only the span of the
+    current images is kept here, pushed and popped with the search.
     """
 
     def __init__(
@@ -201,15 +120,9 @@ class _ImageSearch:
             # systems[j]: m(w, images[i]) = m(e_j, e_i) for i < j, whose
             # right-hand sides are the bits of src_gram[j]
             self.systems: list[_System] = [([], [])]
-            radical: _System = ([], [])
-            for row in tgt_gram:
-                radical = _add_constraint(radical, row, 0)
-            self.tgt_radical = _solutions(radical, 0, k)[1]
+            self.tgt_radical = _solutions(_eliminate(tgt_gram), 0, k)[1]
             # pairing[w] encodes x -> m_target(x, w) as a bit mask
-            self.pairing = [0] * (1 << k)
-            for w in range(1, 1 << k):
-                low = w & -w
-                self.pairing[w] = self.pairing[w ^ low] ^ tgt_gram[low.bit_length() - 1]
+            self.pairing = _span(tgt_gram)
 
     def _candidates(self, j: int) -> Iterator[int]:
         if self.src_gram is None:
@@ -353,6 +266,33 @@ def count_automorphisms(space: SymplecticMetricSpace) -> int:
     if space.rank > ENUMERATION_RANK_BOUND:
         raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
     return _space_search(space, space).order()
+
+
+def orders_sweep() -> list[tuple[InvariantTuple, int, int]]:
+    """(tuple, formula order, enumerated order) for the order verification.
+
+    Covers every metric spec with r = 0 and ambient rank <= 6, the rank-7
+    case Sp(3;1,0), and every r > 0 spec of ambient rank <= 6 whose order
+    stays below 2^21.  The search counts by orbit-stabilizer, so the 2^21
+    cap no longer reflects its cost; it only keeps `verify --suite orders`
+    output fixed.
+    """
+    todo = []
+    for eps, delta in ((0, 0), (1, 0), (0, 1)):
+        for r in range(0, 7):
+            for s in range(0, 4):
+                try:
+                    t = InvariantTuple(eps, delta, r, s)
+                except ValueError:
+                    continue
+                if t.ambient_rank > 6:
+                    continue
+                order = sp_full_order(eps, delta, r, s)
+                if r > 0 and order > (1 << 21):
+                    continue
+                todo.append((t, order))
+    todo.append((InvariantTuple(1, 0, 0, 3), sp_order(3)))
+    return [(t, order, count_automorphisms(canonical(t))) for t, order in todo]
 
 
 def plain_symplectic_space(s: int, t: int) -> SymplecticVectorSpace:

@@ -26,7 +26,7 @@ from .autgrp import (
     sp_order,
     sp_vector_order,
 )
-from .f2core import enumerate_gl, gl_order
+from .f2core import _span, enumerate_gl, gl_order
 from .sms import InvariantTuple, SymplecticMetricSpace, canonical, validate
 
 LIE_TYPES = ("G2", "F4", "E6", "E7", "E8")
@@ -490,24 +490,6 @@ def enumerate_all() -> list[FamilyEntry]:
     return out
 
 
-def invariants_of(entry: FamilyEntry) -> FamilyEntry:
-    """Recompute the invariant fields of an entry from its family formulas.
-
-    Entries come out of enumerate_type already completed, so this is the
-    identity on them; it exists so the formula layer can be re-driven (and
-    regression-tested) from (lie_type, family, params) alone.
-    """
-    for cand in enumerate_type(entry.lie_type):
-        if cand.family == entry.family and cand.params == entry.params:
-            return cand
-    raise ValueError(f"unknown entry {entry.family}{entry.params} in {entry.lie_type}")
-
-
-def automizer_order(entry: FamilyEntry) -> int:
-    """Automizer group order, multiplied out of the semidirect components."""
-    return invariants_of(entry).automizer_order
-
-
 # --- label models ------------------------------------------------------------
 
 
@@ -670,23 +652,14 @@ def count_label_automorphisms(model: LabelModel) -> int:
     """Brute force over GL(rank, 2): matrices preserving the label table."""
     if model.rank > 4:
         raise ValueError("label automorphism brute force is bounded at rank <= 4")
-    size = 1 << model.rank
+    labels = model.labels
+    want = list(labels)
     count = 0
     for mat in enumerate_gl(model.rank):
         cols = mat.column_bits()
-        ok = True
-        for v in range(size):
-            img = 0
-            m = v
-            while m:
-                j = (m & -m).bit_length() - 1
-                img ^= cols[j]
-                m &= m - 1
-            if model.labels[img] != model.labels[v]:
-                ok = False
-                break
-        if ok:
-            count += 1
+        # the basis images rule out most matrices before the table is built
+        if all(labels[c] == labels[1 << i] for i, c in enumerate(cols)):
+            count += [labels[x] for x in _span(cols)] == want
     return count
 
 

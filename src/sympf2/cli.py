@@ -45,45 +45,33 @@ def _classify_space(space: sms.SymplecticMetricSpace, out) -> int:
     return EXIT_OK
 
 
+def _load(path: str, parse: Callable, what: str):
+    """parse() of the file's text, or None after saying on stderr why not."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return parse(text)
+    except OSError as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(
+            f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+            file=sys.stderr,
+        )
+    except ValueError as exc:
+        print(f"invalid {what} document: {exc}", file=sys.stderr)
+    return None
+
+
 def _cmd_classify(args, out) -> int:
     if bool(args.mu_table) == bool(args.generators):
         print("classify needs exactly one of --mu-table or --generators", file=sys.stderr)
         return EXIT_INPUT
     if args.mu_table:
-        try:
-            with open(args.mu_table, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            space = sms.parse_mu_table(text)
-        except OSError as exc:
-            print(f"cannot read {args.mu_table}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        except json.JSONDecodeError as exc:
-            print(
-                f"parse error in {args.mu_table} at line {exc.lineno}, column {exc.colno}: "
-                f"{exc.msg}",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
-        except ValueError as exc:
-            print(f"invalid mu-table document: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        return _classify_space(space, out)
-    try:
-        with open(args.generators, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        group = matgrp.parse_generators(text)
-    except OSError as exc:
-        print(f"cannot read {args.generators}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(
-            f"parse error in {args.generators} at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"invalid generator document: {exc}", file=sys.stderr)
+        space = _load(args.mu_table, sms.parse_mu_table, "mu-table")
+        return EXIT_INPUT if space is None else _classify_space(space, out)
+    group = _load(args.generators, matgrp.parse_generators, "generator")
+    if group is None:
         return EXIT_INPUT
     print(f"group order: {group.order()}", file=out)
     try:
@@ -192,39 +180,9 @@ def _suite_counts(out) -> bool:
     return ok
 
 
-def _orders_sweep() -> list[tuple[sms.InvariantTuple, int, int]]:
-    """(tuple, formula order, enumerated order) for the order verification.
-
-    Covers every metric spec with r = 0 and ambient rank <= 6, the rank-7
-    case Sp(3;1,0), and every r > 0 spec of ambient rank <= 6 whose order
-    stays below 2^21.  The search counts by orbit-stabilizer, so the 2^21
-    cap no longer reflects its cost; it only keeps the suite's output fixed.
-    """
-    todo = []
-    for eps, delta in ((0, 0), (1, 0), (0, 1)):
-        for r in range(0, 7):
-            for s in range(0, 4):
-                try:
-                    t = sms.InvariantTuple(eps, delta, r, s)
-                except ValueError:
-                    continue
-                if t.ambient_rank > 6:
-                    continue
-                order = autgrp.sp_full_order(eps, delta, r, s)
-                if r > 0 and order > (1 << 21):
-                    continue
-                todo.append((t, order))
-    todo.append((sms.InvariantTuple(1, 0, 0, 3), autgrp.sp_order(3)))
-    out = []
-    for t, order in todo:
-        counted = autgrp.count_automorphisms(sms.canonical(t))
-        out.append((t, order, counted))
-    return out
-
-
 def _suite_orders(out) -> bool:
     ok = True
-    for t, order, counted in _orders_sweep():
+    for t, order, counted in autgrp.orders_sweep():
         ok &= _check(
             f"|Sp({t.r},{t.s};{t.eps},{t.delta})| enumeration",
             counted == order,
@@ -258,53 +216,10 @@ def _suite_defect(out) -> bool:
     )
 
 
-def _census(k: int):
-    """(valid tables, class map, orbit sizes) for the rank-k mu census."""
-    valid = []
-    for table in range(0, 1 << (1 << k), 2):
-        space = sms.SymplecticMetricSpace(k, table)
-        if sms.validate(space)[0]:
-            valid.append(space)
-    classes: dict[sms.InvariantTuple, int] = {}
-    for space in valid:
-        inv = sms.invariants(space)
-        classes[inv] = classes.get(inv, 0) + 1
-    # orbit partition under basis transport, by breadth-first closure over
-    # the elementary transvection generators of GL(k, 2)
-    from .f2core import F2Matrix
-
-    gens = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                rows = [1 << a for a in range(k)]
-                rows[i] |= 1 << j
-                gens.append(F2Matrix.from_row_bits(rows, k))
-    seen: set[int] = set()
-    orbit_sizes = []
-    for space in valid:
-        if space.table in seen:
-            continue
-        orbit = {space.table}
-        frontier = [space]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for g in gens:
-                    moved = sms.transport(cur, g)
-                    if moved.table not in orbit:
-                        orbit.add(moved.table)
-                        nxt.append(moved)
-            frontier = nxt
-        seen |= orbit
-        orbit_sizes.append(len(orbit))
-    return valid, classes, sorted(orbit_sizes)
-
-
 def _suite_exhaustive(out) -> bool:
     ok = True
     for k in range(0, 5):
-        valid, classes, orbit_sizes = _census(k)
+        valid, classes, orbit_sizes = sms.census(k)
         expected_classes = len(
             [
                 (e, d, r, s)

@@ -137,29 +137,77 @@ class F2Matrix:
     def inverse(self) -> "F2Matrix":
         if self.rows != self.cols:
             raise ValueError("not square")
-        n = self.rows
-        work = self.row_bits()
-        aug = [1 << i for i in range(n)]
-        row = 0
-        for col in range(n):
-            piv = None
-            for i in range(row, n):
-                if (work[i] >> col) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            work[row], work[piv] = work[piv], work[row]
-            aug[row], aug[piv] = aug[piv], aug[row]
-            for i in range(n):
-                if i != row and ((work[i] >> col) & 1):
-                    work[i] ^= work[row]
-                    aug[i] ^= aug[row]
-            row += 1
-        return F2Matrix.from_row_bits(aug, n)
+        # full rank leaves unit rows e_p = combo_p . M: the combos are the rows of M^-1
+        pivots, deps = _eliminate(self.row_bits(), combos=True)
+        if deps:
+            raise ValueError("matrix is singular")
+        return F2Matrix.from_row_bits([c for _, c, _ in sorted(pivots, key=lambda p: p[2])], self.rows)
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.row_data)
+
+
+# A linear system over GF(2) in reduced echelon form, grown one constraint
+# parity(row & w) = rhs_i at a time: (pivots, dependencies).  Each pivot is
+# (row, combo, pivot bit), where the combo's bit i is set when constraint i
+# was added into the row, so the row's right-hand side is the parity of
+# combo & rhs for any right-hand-side vector rhs.  The dependencies are the
+# combos of added constraints that reduced to zero; a zero combo constrains
+# nothing and is not kept.  This is the package's one elimination routine:
+# the automorphism search grows and drops such systems level by level, and
+# everything else builds one with _eliminate.
+_System = tuple[list[tuple[int, int, int]], list[int]]
+
+
+def _add_constraint(system: _System, row: int, combo: int) -> _System:
+    pivots, deps = system
+    for prow, pcombo, pbit in pivots:
+        if row & pbit:
+            row ^= prow
+            combo ^= pcombo
+    if not row:
+        return pivots, deps + [combo] if combo else deps
+    pbit = row & -row
+    reduced = [
+        (prow ^ row, pcombo ^ combo, q) if prow & pbit else (prow, pcombo, q)
+        for prow, pcombo, q in pivots
+    ]
+    reduced.append((row, combo, pbit))
+    return reduced, deps
+
+
+def _solutions(system: _System, rhs: int, width: int) -> tuple[Optional[int], list[int]]:
+    """(particular solution, homogeneous basis) over GF(2)^width for the
+    right-hand sides rhs, or (None, []) when inconsistent."""
+    pivots, deps = system
+    for combo in deps:
+        if (combo & rhs).bit_count() & 1:
+            return None, []
+    particular = 0
+    pivot_mask = 0
+    for _, combo, pbit in pivots:
+        pivot_mask |= pbit
+        if (combo & rhs).bit_count() & 1:
+            particular |= pbit
+    basis = []
+    for b in range(width):
+        fb = 1 << b
+        if fb & pivot_mask:
+            continue
+        v = fb
+        for row, _, pbit in pivots:
+            if row & fb:
+                v |= pbit
+        basis.append(v)
+    return particular, basis
+
+
+def _eliminate(rows: Sequence[int], combos: bool = False) -> _System:
+    """The system of the constraints rows[i], with combos only when asked."""
+    system: _System = ([], [])
+    for i, row in enumerate(rows):
+        system = _add_constraint(system, row, 1 << i if combos else 0)
+    return system
 
 
 def _echelonize(row_bits: list[int]) -> list[int]:
@@ -168,18 +216,15 @@ def _echelonize(row_bits: list[int]) -> list[int]:
     Pivots taken at the lowest set bit, rows sorted by pivot.  The result is
     the unique canonical basis of the row space.
     """
-    basis: list[int] = []
-    for v in row_bits:
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        if v:
-            low = v & -v
-            basis = [b ^ v if b & low else b for b in basis]
-            basis.append(v)
-    basis.sort(key=lambda b: b & -b)
-    return basis
+    return [row for row, _, _ in sorted(_eliminate(row_bits)[0], key=lambda p: p[2])]
+
+
+def _span(vectors: Sequence[int]) -> list[int]:
+    """All subset sums: entry v is the XOR of vectors[i] over the set bits i of v."""
+    table = [0]
+    for w in vectors:
+        table += [x ^ w for x in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -221,72 +266,26 @@ class Subspace:
 
     def elements(self) -> Iterator[F2Vector]:
         """All 2^dim elements, in subset order of the basis."""
-        base = [v.bits for v in self.basis]
-        for mask in range(1 << len(base)):
-            acc = 0
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                acc ^= base[i]
-                m &= m - 1
-            yield F2Vector(self.ambient_width, acc)
+        for x in _span([v.bits for v in self.basis]):
+            yield F2Vector(self.ambient_width, x)
 
 
 def rank(m: F2Matrix) -> int:
     """Row rank over GF(2)."""
-    return len(_echelonize(m.row_bits()))
+    return len(_eliminate(m.row_bits())[0])
 
 
 def nullspace(m: F2Matrix) -> Subspace:
     """Echelon basis of {v : M v = 0}."""
-    n = m.cols
-    # Eliminate on columns of the transpose so kernel vectors fall out of the
-    # augmented identity.
-    work = m.column_bits()
-    aug = [1 << j for j in range(n)]
-    kernel = []
-    pivots: list[tuple[int, int]] = []  # (row word, position in aug) pairs
-    for j in range(n):
-        v, a = work[j], aug[j]
-        for pv, pa in pivots:
-            low = pv & -pv
-            if v & low:
-                v ^= pv
-                a ^= pa
-        if v == 0:
-            kernel.append(a)
-        else:
-            pivots.append((v, a))
-    return Subspace.spanned_by(kernel, n)
+    return Subspace.spanned_by(_solutions(_eliminate(m.row_bits()), 0, m.cols)[1], m.cols)
 
 
 def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
     """Some x with M x = b, or None if the system is inconsistent."""
     if b.width != m.rows:
         raise ValueError("right-hand side width mismatch")
-    n = m.cols
-    # Row-reduce [M^T | I] and match b against the column space.
-    cols = m.column_bits()
-    pivots: list[tuple[int, int]] = []
-    for j in range(n):
-        v, a = cols[j], 1 << j
-        for pv, pa in pivots:
-            low = pv & -pv
-            if v & low:
-                v ^= pv
-                a ^= pa
-        if v:
-            pivots.append((v, a))
-    x = 0
-    r = b.bits
-    for pv, pa in pivots:
-        low = pv & -pv
-        if r & low:
-            r ^= pv
-            x ^= pa
-    if r:
-        return None
-    return F2Vector(n, x)
+    x = _solutions(_eliminate(m.row_bits(), combos=True), b.bits, m.cols)[0]
+    return None if x is None else F2Vector(m.cols, x)
 
 
 def gl_order(n: int) -> int:

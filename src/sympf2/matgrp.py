@@ -121,8 +121,8 @@ class MonomialMatrix:
             raise ValueError("size or mode mismatch")
         sp, se, op, oe = self.perm, self.entries, other.perm, other.entries
         mul = UNIT_MUL
-        perm = tuple(sp[op[c]] for c in range(self.n))
-        entries = tuple(mul[se[op[c]]][oe[c]] for c in range(self.n))
+        perm = tuple([sp[p] for p in op])
+        entries = tuple([mul[se[p]][e] for p, e in zip(op, oe)])
         return MonomialMatrix._unchecked(self.n, perm, entries, self.field_mode)
 
     def inverse(self) -> "MonomialMatrix":
@@ -147,7 +147,7 @@ class MonomialMatrix:
         )
 
     def is_scalar(self) -> bool:
-        return all(self.perm[c] == c for c in range(self.n)) and len(set(self.entries)) <= 1
+        return self.perm == tuple(range(self.n)) and len(set(self.entries)) <= 1
 
     def scalar_value(self) -> int:
         if not self.is_scalar():
@@ -155,15 +155,18 @@ class MonomialMatrix:
         return self.entries[0] if self.n else 0
 
 
+# Left multiplication by distinct units gives distinct first entries, so the
+# first entry alone decides which scalar multiple has the smallest entry
+# tuple: _BEST_SCALAR[mode][e] is the mode scalar minimizing lam * e.
+_BEST_SCALAR = {
+    mode: tuple(min(scalars, key=lambda lam: UNIT_MUL[lam][e]) for e in range(8))
+    for mode, scalars in _MODE_SCALARS.items()
+}
+
+
 def _canonical_scalar_form(m: MonomialMatrix) -> MonomialMatrix:
-    best = None
-    best_key = None
-    for lam in _MODE_SCALARS[m.field_mode]:
-        cand = m if lam == 0 else m.scale(lam)
-        key = cand.entries
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    lam = _BEST_SCALAR[m.field_mode][m.entries[0]] if m.n else 0
+    return m if lam == 0 else m.scale(lam)
 
 
 @dataclass(frozen=True)
@@ -609,8 +612,3 @@ def parse_generators(text: str) -> GeneratedSubgroup:
     if not gens:
         return GeneratedSubgroup.trivial(n, mode)
     return GeneratedSubgroup.generate(gens)
-
-
-def load_generators(path: str) -> GeneratedSubgroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_generators(fh.read())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .f2core import F2Matrix, Subspace, nullspace
+from .f2core import F2Matrix, Subspace, _span, nullspace
 
 
 @dataclass(frozen=True)
@@ -228,18 +228,9 @@ def transport(space: SymplecticMetricSpace, t: F2Matrix) -> SymplecticMetricSpac
         raise ValueError("basis change has wrong shape")
     if not t.is_invertible():
         raise ValueError("basis change is singular")
-    cols = t.column_bits()
-    table = 0
-    for v in range(1 << k):
-        img = 0
-        m = v
-        while m:
-            j = (m & -m).bit_length() - 1
-            img ^= cols[j]
-            m &= m - 1
-        if space.mu(img):
-            table |= 1 << v
-    return SymplecticMetricSpace(k, table)
+    mu = format(space.table, f"0{1 << k}b")[::-1]  # mu[v] is mu(v) as "0"/"1"
+    moved = "".join([mu[img] for img in _span(t.column_bits())])  # moved[v] is mu(T v)
+    return SymplecticMetricSpace(k, int(moved[::-1], 2))
 
 
 def is_isomorphic(a: SymplecticMetricSpace, b: SymplecticMetricSpace) -> bool:
@@ -259,12 +250,6 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     k = space.rank
     size = 1 << k
 
-    def span_closure(vecs: list[int]) -> set[int]:
-        out = {0}
-        for v in vecs:
-            out |= {w ^ v for w in out}
-        return out
-
     a_basis = [v.bits for v in translation_subgroup(space).basis]
     ker = kernel(space)
     z = None
@@ -280,7 +265,7 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
         return v
 
     while len(fixed) + 2 * len(pairs) < k:
-        used = span_closure(fixed + [c for p in pairs for c in p])
+        used = set(_span(fixed + [c for p in pairs for c in p]))
         x = clear_cross_pairings(min(v for v in range(1, size) if v not in used))
         # x is now orthogonal to every earlier pair, so correcting y below
         # cannot disturb m(x, y).
@@ -329,6 +314,52 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     return t
 
 
+def census(k: int):
+    """(valid tables, class map, orbit sizes) for the rank-k mu census.
+
+    Every table with mu(0) = 0 is validated, the valid ones are counted per
+    invariant tuple and split into orbits under basis change; 2^(2^k - 1)
+    tables, so k <= 4 in practice.
+    """
+    valid = []
+    for table in range(0, 1 << (1 << k), 2):
+        space = SymplecticMetricSpace(k, table)
+        if validate(space)[0]:
+            valid.append(space)
+    classes: dict[InvariantTuple, int] = {}
+    for space in valid:
+        inv = invariants(space)
+        classes[inv] = classes.get(inv, 0) + 1
+    # orbit partition under basis transport, by breadth-first closure over
+    # the elementary transvection generators of GL(k, 2)
+    gens = []
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                rows = [1 << a for a in range(k)]
+                rows[i] |= 1 << j
+                gens.append(F2Matrix.from_row_bits(rows, k))
+    seen: set[int] = set()
+    orbit_sizes = []
+    for space in valid:
+        if space.table in seen:
+            continue
+        orbit = {space.table}
+        frontier = [space]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for g in gens:
+                    moved = transport(cur, g)
+                    if moved.table not in orbit:
+                        orbit.add(moved.table)
+                        nxt.append(moved)
+            frontier = nxt
+        seen |= orbit
+        orbit_sizes.append(len(orbit))
+    return valid, classes, sorted(orbit_sizes)
+
+
 # mu-table file format: JSON with fields "rank" and "mu" (length 2^rank,
 # index v's binary expansion gives coordinates, LSB = basis vector 1).
 
@@ -349,8 +380,3 @@ def parse_mu_table(text: str) -> SymplecticMetricSpace:
         raise ValueError(f"'mu' must have length 2^rank = {1 << rank_field}, got {len(mu)}")
     space = SymplecticMetricSpace.from_mu_list(mu)
     return space
-
-
-def load_mu_table(path: str) -> SymplecticMetricSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_mu_table(fh.read())

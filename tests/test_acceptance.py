@@ -8,7 +8,6 @@ or through `sympf2 verify --suite all`).  Every tolerance is exact.
 import time
 
 from sympf2 import autgrp, catalog, matgrp, sms
-from sympf2.cli import _census, _orders_sweep
 from sympf2.sms import InvariantTuple
 
 
@@ -55,7 +54,7 @@ def test_criterion_2_e6_partition():
 
 def test_criterion_3_order_formulas_vs_enumeration():
     with _Criterion(3, "order formulas vs backtracking enumeration", 60.0):
-        results = _orders_sweep()
+        results = autgrp.orders_sweep()
         for t, formula, counted in results:
             assert counted == formula, (t, formula, counted)
         verified = {
@@ -98,7 +97,7 @@ def test_criterion_5_defect_closed_form():
 def test_criterion_6_exhaustive_census():
     with _Criterion(6, "exhaustive mu census at rank <= 4", 60.0):
         for k in range(5):
-            valid, classes, orbit_sizes = _census(k)
+            valid, classes, orbit_sizes = sms.census(k)
             total_tables = 1 << ((1 << k) - 1)
             rejected = total_tables - len(valid)
             assert rejected + len(valid) == total_tables

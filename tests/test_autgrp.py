@@ -5,7 +5,6 @@ import pytest
 
 from sympf2.autgrp import (
     ENUMERATION_RANK_BOUND,
-    AutGroupSpec,
     _ImageSearch,
     _space_search,
     count_automorphisms,
@@ -13,7 +12,6 @@ from sympf2.autgrp import (
     enumerate_automorphisms,
     enumerate_isomorphisms,
     mu_zero_nonzero_count,
-    order,
     plain_symplectic_space,
     sp_full_order,
     sp_metric_order,
@@ -34,14 +32,8 @@ def test_order_examples():
     assert sp_metric_order(3, 0, 0) == 40320
     assert sp_metric_order(1, 0, 1) == 120
     assert sp_metric_order(2, 0, 1) == 51840
-
-
-def test_order_spec_interface():
-    assert order(AutGroupSpec.metric(1, 0, 0, 3)).value == 1451520
-    assert order(AutGroupSpec.plain(1, 0)).value == 6
-    assert order(AutGroupSpec.plain(1, 2)).value == sp_vector_order(1, 2) == 2 ** 4 * 6 * 6
-    with pytest.raises(ValueError):
-        AutGroupSpec.metric(1, 1, 0, 0)
+    assert sp_vector_order(1, 0) == 6
+    assert sp_vector_order(1, 2) == 2 ** 4 * 6 * 6 == 576
 
 
 def test_enumerate_small_spaces():

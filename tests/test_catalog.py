@@ -228,12 +228,6 @@ def test_export_text_marks_conventions():
     assert "counting convention" in text
 
 
-def test_invariants_of_idempotent():
-    for e in enumerate_all():
-        assert catalog.invariants_of(e) == e
-        assert catalog.automizer_order(e) == e.automizer_order
-
-
 def test_e6_inner_family_realized_by_matrix_model():
     # the (eps, delta, r, s) inner family lives in the quaternionic
     # projective quotient at n <= 4; its stored defect and rank must match

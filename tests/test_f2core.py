@@ -6,6 +6,7 @@ from sympf2.f2core import (
     F2Matrix,
     F2Vector,
     Subspace,
+    _span,
     enumerate_gl,
     gl_order,
     nullspace,
@@ -112,3 +113,42 @@ def test_subspace_canonical_form():
 @given(matrices)
 def test_transpose_involution(m):
     assert m.transpose().transpose() == m
+
+
+@given(matrices)
+def test_inverse_exactly_when_full_rank(m):
+    if m.rows != m.cols:
+        with pytest.raises(ValueError):
+            m.inverse()
+    # the leading square block, so singular and invertible cases both occur
+    n = min(m.rows, m.cols)
+    sq = F2Matrix.from_row_bits([r & ((1 << n) - 1) for r in m.row_bits()[:n]], n)
+    if rank(sq) < n:
+        with pytest.raises(ValueError):
+            sq.inverse()
+        return
+    inv = sq.inverse()
+    assert sq @ inv == inv @ sq == F2Matrix.identity(n)
+
+
+@given(matrices, st.data())
+def test_spanned_by_ignores_order_and_sums(m, data):
+    rows = m.row_bits()
+    base = Subspace.spanned_by(rows, m.cols)
+    order = data.draw(st.permutations(rows))
+    assert Subspace.spanned_by(order, m.cols) == base
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows) - 1))
+    assert Subspace.spanned_by(rows + [rows[i] ^ rows[j]], m.cols) == base
+
+
+@given(st.lists(st.integers(0, (1 << 9) - 1), max_size=6))
+def test_span_table_is_subset_sums(vs):
+    table = _span(vs)
+    assert len(table) == 1 << len(vs)
+    for v, x in enumerate(table):
+        acc = 0
+        for i, w in enumerate(vs):
+            if (v >> i) & 1:
+                acc ^= w
+        assert x == acc
