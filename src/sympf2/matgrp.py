@@ -5,13 +5,16 @@ j, -j, k, -k}, optionally twisted by an antilinear conjugation flag, and
 taken modulo the scalar unit group of the field mode (real: +-1, complex:
 +-1 and +-i, quaternion: the central +-1 only).  Products, inverses,
 squares and commutators stay monomial, so all arithmetic is exact.
+Canonical constructions are kept as tensor-slot words (q, x, z) and become
+matrices only on request; generator files take the general matrix path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 from .sms import InvariantTuple, SymplecticMetricSpace, require_valid
 
@@ -262,6 +265,10 @@ def _mu_bit(scalar: int) -> int:
     raise ValueError("scalar is not +-1; element has no mu value")
 
 
+def _element_key(e: ProjectiveElement) -> tuple:
+    return e.conj, e.matrix.perm, e.matrix.entries
+
+
 @dataclass(frozen=True)
 class GeneratedSubgroup:
     """Closure of a generator list inside the projective unitary quotient."""
@@ -290,33 +297,7 @@ class GeneratedSubgroup:
                         seen.add(prod)
                         nxt.append(prod)
             frontier = nxt
-        ordered = sorted(seen, key=lambda e: (e.conj, e.matrix.perm, e.matrix.entries))
-        return cls(gens, tuple(ordered))
-
-    @classmethod
-    def from_commuting_involutions(
-        cls, generators: Iterable[ProjectiveElement]
-    ) -> "GeneratedSubgroup":
-        """Closure by subset products, for independent commuting involutions.
-
-        One product per element via Gray code instead of a breadth-first
-        search; the assumptions are enforced (distinct subset products,
-        scalar squares and scalar pairwise commutators), so the result is
-        the same subgroup generate() would return.
-        """
-        gens = tuple(generators)
-        if not gens:
-            raise ValueError("no generators; use trivial() for the trivial group")
-        for i, x in enumerate(gens):
-            square_scalar(x)
-            for y in gens[i + 1:]:
-                commutator_scalar(x, y)
-        elems = _subset_products(gens, gens[0].n, gens[0].field_mode)
-        distinct = set(elems)
-        if len(distinct) != len(elems):
-            raise ValueError("generators are not independent")
-        ordered = sorted(distinct, key=lambda e: (e.conj, e.matrix.perm, e.matrix.entries))
-        return cls(gens, tuple(ordered))
+        return cls(gens, tuple(sorted(seen, key=_element_key)))
 
     @classmethod
     def trivial(cls, n: int, field_mode: str) -> "GeneratedSubgroup":
@@ -368,7 +349,7 @@ def _greedy_basis(group: GeneratedSubgroup) -> list[ProjectiveElement]:
 
 
 def extract_sms(
-    group: GeneratedSubgroup, basis: Optional[list[ProjectiveElement]] = None
+    group: GeneratedSubgroup | CanonicalSubgroup, basis: Optional[list[ProjectiveElement]] = None
 ) -> SymplecticMetricSpace:
     """Tabulate mu over an F2 basis of an elementary abelian subgroup.
 
@@ -376,35 +357,128 @@ def extract_sms(
     two must satisfy m = polarization of mu, and a mismatch is raised as a
     modeling bug.  The basis defaults to the generator list when it is
     independent, so canonical constructions reproduce canonical tables bit
-    for bit.  Groups containing antilinear elements are rejected; their
+    for bit; their generators are tensor-slot words, tabulated without
+    matrices.  Groups containing antilinear elements are rejected; their
     inner parts classify through the twisted comparison identities instead.
     """
+    if isinstance(group, CanonicalSubgroup) and basis is None:
+        return _tabulate(group.words, group._products, _word_square, _word_commutator)
     if any(e.conj for e in group.elements):
         raise ValueError("antilinear elements present: extract the inner part instead")
     if basis is None:
         basis = list(group.generators)
         if (1 << len(basis)) != group.order():
             basis = _greedy_basis(group)
-    k = len(basis)
-    if (1 << k) != group.order():
+    if (1 << len(basis)) != group.order():
         raise ValueError("basis does not span the subgroup")
-    n = group.elements[0].n
-    mode = group.elements[0].field_mode
-    elem_of = _subset_products(basis, n, mode)
+    elem_of = _subset_products(basis, group.elements[0].n, group.elements[0].field_mode)
     if len(set(elem_of)) != len(elem_of):
         raise ValueError("basis is not independent")
+    return _tabulate(basis, elem_of, square_scalar, commutator_scalar)
+
+
+def _tabulate(
+    basis: Sequence, elem_of: Sequence, square: Callable, commutator: Callable
+) -> SymplecticMetricSpace:
+    """mu from square(elem_of[v]), checked against commutator() on the basis."""
+    k = len(basis)
     table = 0
-    for v in range(1 << k):
-        if _mu_bit(square_scalar(elem_of[v])):
+    for v, e in enumerate(elem_of):
+        if _mu_bit(square(e)):
             table |= 1 << v
     space = SymplecticMetricSpace(k, table)
     require_valid(space)
     for i in range(k):
         for j in range(k):
-            got = _mu_bit(commutator_scalar(basis[i], basis[j]))
+            got = _mu_bit(commutator(basis[i], basis[j]))
             if got != space.m(1 << i, 1 << j):
                 raise ValueError("mu/m compatibility violation: modeling bug")
     return space
+
+
+# --- tensor-slot words ----------------------------------------------------------
+#
+# Every generator of a canonical construction is q X^x Z^z on n = 2^slots
+# coordinates: column c holds q (-1)^{|z & c|} at row c ^ x.  The word
+# (q, x, z) is the binary symplectic form of a Pauli operator (Aaronson and
+# Gottesman, PRA 70, 052328, 2004), so products, square scalars and
+# commutator scalars are a unit-table lookup plus popcount parities.
+
+_Word = tuple[int, int, int]
+
+
+def _word_mul(a: _Word, b: _Word) -> _Word:
+    """The word of the matrix product a b."""
+    q1, x1, z1 = a
+    q2, x2, z2 = b
+    return UNIT_MUL[q1][q2] ^ ((z1 & x2).bit_count() & 1) << 2, x1 ^ x2, z1 ^ z2
+
+
+def _word_square(a: _Word) -> int:
+    q, x, z = a
+    return UNIT_MUL[q][q] ^ ((x & z).bit_count() & 1) << 2
+
+
+def _word_commutator(a: _Word, b: _Word) -> int:
+    q1, x1, z1 = a
+    q2, x2, z2 = b
+    units = UNIT_MUL[UNIT_MUL[q1][q2]][UNIT_MUL[unit_conj(q1)][unit_conj(q2)]]
+    return units ^ (((z1 & x2).bit_count() ^ (z2 & x1).bit_count()) & 1) << 2
+
+
+def _word_matrix(a: _Word, n: int, mode: str) -> MonomialMatrix:
+    q, x, z = a
+    neg = q ^ 4
+    perm = tuple([c ^ x for c in range(n)])
+    entries = tuple([neg if (z & c).bit_count() & 1 else q for c in range(n)])
+    return MonomialMatrix(n, perm, entries, mode)
+
+
+@dataclass(frozen=True)
+class CanonicalSubgroup:
+    """The subgroup generated by independent tensor-slot words.
+
+    Offers what callers of GeneratedSubgroup use; generators and elements
+    become matrices on first access, in the order generate() gives them.
+    """
+
+    n: int
+    field_mode: str
+    words: tuple[_Word, ...]
+
+    @cached_property
+    def _products(self) -> list[_Word]:
+        """All 2^k subset products in canonical scalar form; index v is the
+        characteristic vector of the subset.  Raises unless they are distinct."""
+        table = [(0, 0, 0)]
+        for w in self.words:
+            table += [_word_mul(p, w) for p in table]
+        best = _BEST_SCALAR[self.field_mode]
+        table = [(UNIT_MUL[best[q]][q], x, z) for q, x, z in table]
+        if len(set(table)) != len(table):
+            raise ValueError("generators are not independent")
+        return table
+
+    def _element(self, w: _Word) -> ProjectiveElement:
+        return ProjectiveElement(_word_matrix(w, self.n, self.field_mode))
+
+    @cached_property
+    def generators(self) -> tuple[ProjectiveElement, ...]:
+        return tuple(self._element(w) for w in self.words)
+
+    @cached_property
+    def elements(self) -> tuple[ProjectiveElement, ...]:
+        return tuple(sorted(map(self._element, self._products), key=_element_key))
+
+    def order(self) -> int:
+        return len(self._products)
+
+    def rank(self) -> int:
+        return self.order().bit_length() - 1
+
+    def is_elementary_abelian(self) -> bool:
+        # words square to scalars and commute up to scalars
+        return True
 
 
 # --- canonical subgroup constructions ---------------------------------------
@@ -414,50 +488,15 @@ SYMPLECTIC = "symplectic"
 AMBIENT_SIZE_CAP = 64
 
 
-def _diag_sign_pattern(n: int, bit: int, mode: str) -> ProjectiveElement:
-    """Diagonal with -1 exactly where the given bit of the column index is set."""
-    units = tuple(4 if (c >> bit) & 1 else 0 for c in range(n))
-    return ProjectiveElement(MonomialMatrix.diagonal(units, mode))
-
-
-def _bitflip_pattern(n: int, bit: int, mode: str) -> ProjectiveElement:
-    """Swap the two halves of one tensor slot: a J'-style block, squares to I."""
-    perm = tuple(c ^ (1 << bit) for c in range(n))
-    return ProjectiveElement(MonomialMatrix(n, perm, (0,) * n, mode))
-
-
-def _j_pattern(n: int, bit: int, mode: str) -> ProjectiveElement:
-    """A J-style block on one tensor slot: squares to -I."""
-    perm = tuple(c ^ (1 << bit) for c in range(n))
-    entries = tuple(0 if (c >> bit) & 1 else 4 for c in range(n))
-    return ProjectiveElement(MonomialMatrix(n, perm, entries, mode))
-
-
-def _k_pattern(n: int, bit_lo: int, mode: str) -> ProjectiveElement:
-    """A K-style block on two tensor slots (4 blocks of n/4).
-
-    Flips the low slot with signs split by the high slot, so it squares to
-    -I and anticommutes with the J block that flips the high slot.
-    """
-    lo, hi = 1 << bit_lo, 1 << (bit_lo + 1)
-    perm = tuple(c ^ lo for c in range(n))
-    entries = []
-    for c in range(n):
-        if c & hi:
-            entries.append(4 if c & lo else 0)
-        else:
-            entries.append(0 if c & lo else 4)
-    return ProjectiveElement(MonomialMatrix(n, perm, tuple(entries), mode))
-
-
-def canonical_subgroup(target: str, t: InvariantTuple) -> GeneratedSubgroup:
+def canonical_subgroup(target: str, t: InvariantTuple) -> CanonicalSubgroup:
     """Generators realizing the invariant tuple inside O(n)/<-I> or Sp(n)/<-I>.
 
     Generator order matches the canonical basis layout (kernel | eps |
     delta-pair | s-pairs), and extract_sms of the result reproduces
     canonical(t) bit for bit.  Orthogonal targets spend one tensor slot on
     the eps block (a J) and two on the delta pair (a J and a K); symplectic
-    targets realize those blocks as the quaternion scalars iI and jI.
+    targets realize those blocks as the quaternion scalars iI and jI.  The
+    kernel and s-pair slots carry Z (diagonal signs) and X (bit flips).
     """
     if target not in (ORTHOGONAL, SYMPLECTIC):
         raise ValueError(f"unknown target {target!r}")
@@ -471,33 +510,26 @@ def canonical_subgroup(target: str, t: InvariantTuple) -> GeneratedSubgroup:
     if n > AMBIENT_SIZE_CAP:
         raise ValueError(f"ambient size {n} exceeds the cap {AMBIENT_SIZE_CAP}")
 
-    gens: list[ProjectiveElement] = []
-    for i in range(t.r):
-        gens.append(_diag_sign_pattern(n, i, mode))
+    words = [(0, 0, 1 << i) for i in range(t.r)]  # Z_i
     pair_base = t.r
     if target == SYMPLECTIC:
-        if t.eps:
-            gens.append(ProjectiveElement(MonomialMatrix.scalar(n, UNIT_CODES["i"], mode)))
-        if t.delta:
-            gens.append(ProjectiveElement(MonomialMatrix.scalar(n, UNIT_CODES["i"], mode)))
-            gens.append(ProjectiveElement(MonomialMatrix.scalar(n, UNIT_CODES["j"], mode)))
+        i, j = UNIT_CODES["i"], UNIT_CODES["j"]
+        words += [(i, 0, 0)] * t.eps + [(i, 0, 0), (j, 0, 0)] * t.delta  # iI, jI
     else:
         if t.eps:
-            gens.append(_j_pattern(n, pair_base, mode))
+            b = 1 << pair_base
+            words.append((4, b, b))  # J
             pair_base += 1
         if t.delta:
-            gens.append(_j_pattern(n, pair_base + 1, mode))
-            gens.append(_k_pattern(n, pair_base, mode))
+            lo, hi = 1 << pair_base, 1 << (pair_base + 1)
+            words += [(4, hi, hi), (4, lo, lo | hi)]  # J on the high slot, K
             pair_base += 2
-    for p in range(t.s):
-        gens.append(_diag_sign_pattern(n, pair_base + p, mode))
-        gens.append(_bitflip_pattern(n, pair_base + p, mode))
-    if not gens:
-        return GeneratedSubgroup.trivial(n, mode)
-    return GeneratedSubgroup.from_commuting_involutions(gens)
+    for p in range(pair_base, pair_base + t.s):
+        words += [(0, 0, 1 << p), (0, 1 << p, 0)]  # Z_p, X_p
+    return CanonicalSubgroup(n, mode, tuple(words))
 
 
-def block_partition(group: GeneratedSubgroup) -> list[tuple[int, ...]]:
+def block_partition(group: GeneratedSubgroup | CanonicalSubgroup) -> list[tuple[int, ...]]:
     """Column partition of a +-1-diagonal subgroup by column character.
 
     Requires every nonzero element to be diagonal with exactly n/2 entries
@@ -584,11 +616,16 @@ def twisted_mu_identity_check(z: ProjectiveElement, x: ProjectiveElement) -> Twi
 # --- generator file format ----------------------------------------------------
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_generators(text: str) -> GeneratedSubgroup:
     """Generator file: JSON with field_mode, n, and a generator list.
 
     Each generator is {"perm": [...], "entries": ["1", "-1", "i", ...]} with
-    an optional boolean "conj" flag (complex mode only).
+    an optional boolean "conj" flag (complex mode only).  perm holds n
+    integers and entries n unit names; anything else raises ValueError.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -596,19 +633,26 @@ def parse_generators(text: str) -> GeneratedSubgroup:
     for key in ("field_mode", "n", "generators"):
         if key not in doc:
             raise ValueError(f"generator document needs field {key!r}")
-    mode = doc["field_mode"]
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    mode, n, raw = doc["field_mode"], doc["n"], doc["generators"]
+    if not isinstance(mode, str) or mode not in _MODE_AXES:
+        raise ValueError(f"unknown field mode {mode!r}")
+    if not _is_int(n) or n < 1:
         raise ValueError("'n' must be a positive integer")
+    if not isinstance(raw, list) or not all(isinstance(g, dict) for g in raw):
+        raise ValueError("'generators' must be a list of objects")
     gens = []
-    for idx, g in enumerate(doc["generators"]):
-        try:
-            perm = tuple(int(v) for v in g["perm"])
-            entries = tuple(UNIT_CODES[e] for e in g["entries"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"generator {idx}: {exc}") from exc
-        conj = bool(g.get("conj", False))
-        gens.append(ProjectiveElement(MonomialMatrix(n, perm, entries, mode), conj))
+    for idx, g in enumerate(raw):
+        perm, entries, conj = g.get("perm"), g.get("entries"), g.get("conj", False)
+        if not isinstance(perm, list) or len(perm) != n or not all(map(_is_int, perm)):
+            raise ValueError(f"generator {idx}: 'perm' must be a list of {n} integers")
+        if not isinstance(entries, list) or not all(
+            isinstance(e, str) and e in UNIT_CODES for e in entries
+        ):
+            raise ValueError(f"generator {idx}: 'entries' must be a list of unit names")
+        if not isinstance(conj, bool):
+            raise ValueError(f"generator {idx}: 'conj' must be true or false")
+        matrix = MonomialMatrix(n, tuple(perm), tuple(UNIT_CODES[e] for e in entries), mode)
+        gens.append(ProjectiveElement(matrix, conj))
     if not gens:
         return GeneratedSubgroup.trivial(n, mode)
     return GeneratedSubgroup.generate(gens)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .f2core import F2Matrix, Subspace, _span, nullspace
+from .f2core import F2Matrix, Subspace, _echelonize, _span, nullspace
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     require_valid(space)
     inv = invariants(space)
     k = space.rank
-    size = 1 << k
+    gram = space.gram().row_bits()
 
     a_basis = [v.bits for v in translation_subgroup(space).basis]
     ker = kernel(space)
@@ -265,11 +265,16 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
         return v
 
     while len(fixed) + 2 * len(pairs) < k:
-        used = set(_span(fixed + [c for p in pairs for c in p]))
-        x = clear_cross_pairings(min(v for v in range(1, size) if v not in used))
+        # The least vector outside a subspace is a basis vector e_i, since
+        # every smaller vector is a sum of smaller basis vectors; so is the
+        # least v with m(x, v) = 1.  And e_i lies in a subspace exactly when
+        # it is a row of the subspace's reduced echelon basis.
+        spanned = set(_echelonize(fixed + [c for p in pairs for c in p]))
+        x = clear_cross_pairings(next(1 << i for i in range(k) if 1 << i not in spanned))
         # x is now orthogonal to every earlier pair, so correcting y below
         # cannot disturb m(x, y).
-        y = clear_cross_pairings(min(v for v in range(1, size) if space.m(x, v) == 1))
+        row = sum(((g & x).bit_count() & 1) << i for i, g in enumerate(gram))  # m(e_i, x)
+        y = clear_cross_pairings(row & -row)
         if space.m(x, y) != 1:
             raise AssertionError("pair reduction lost the pairing")
         # Normalize the mu pattern on the pair to (0, 0) when possible.

@@ -24,10 +24,11 @@ class _Criterion:
 
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.monotonic() - self.start
-        status = "PASS" if exc_type is None else "FAIL"
+        in_time = elapsed < self.bound
+        status = "PASS" if exc_type is None and in_time else "FAIL"
         print(f"[{status}] criterion {self.num}: {self.desc} [{elapsed:.2f}s / {self.bound}s]")
         if exc_type is None:
-            assert elapsed < self.bound, f"criterion {self.num} exceeded {self.bound}s"
+            assert in_time, f"criterion {self.num} exceeded {self.bound}s"
         return False
 
 

@@ -56,6 +56,24 @@ def test_classify_generators_gamma0(tmp_path, capsys):
     assert "m(g0,g1)=-1" in out
 
 
+@pytest.mark.parametrize(
+    "generators",
+    [
+        5,
+        [{"perm": [1, 0], "entries": ["1", "1"], "conj": "false"}],
+        [{"perm": [0.9, 1.2], "entries": ["1", "-1"]}],
+    ],
+    ids=["generators-not-a-list", "conj-string", "perm-floats"],
+)
+def test_classify_generators_rejects_malformed(tmp_path, capsys, generators):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field_mode": "complex", "n": 2, "generators": generators}))
+    code, out, err = run(capsys, "classify", "--generators", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid generator document: ")
+
+
 def test_canonical_round_trips_through_classify(tmp_path, capsys):
     code, out, _ = run(capsys, "canonical", "--eps", "0", "--delta", "1")
     assert code == 0
