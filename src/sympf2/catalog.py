@@ -27,7 +27,7 @@ from .autgrp import (
     sp_vector_order,
 )
 from .f2core import _span, enumerate_gl, gl_order
-from .sms import InvariantTuple, SymplecticMetricSpace, canonical, validate
+from .sms import InvariantTuple, SymplecticMetricSpace, _pack, canonical, validate
 
 LIE_TYPES = ("G2", "F4", "E6", "E7", "E8")
 
@@ -61,11 +61,7 @@ class LabelModel:
         return 1 if self.labels[v] in _MU_NEGATIVE_TAGS else 0
 
     def mu_table(self) -> int:
-        table = 0
-        for v in range(1 << self.rank):
-            if self.mu_bit(v):
-                table |= 1 << v
-        return table
+        return _pack([self.mu_bit(v) for v in range(1 << self.rank)])
 
     def m_bit(self, x: int, y: int) -> int:
         return self.mu_bit(x) ^ self.mu_bit(y) ^ self.mu_bit(x ^ y)
@@ -90,8 +86,7 @@ class LabelModel:
         return n.bit_length() - 1
 
     def polarization_is_bilinear(self) -> bool:
-        space = SymplecticMetricSpace(self.rank, self.mu_table())
-        return validate(space)[0]
+        return validate(SymplecticMetricSpace(self.rank, self.mu_table()))[0]
 
 
 def _labels_from_mu(rank: int, table: int, sigma_tag: str = "s1") -> LabelModel:
@@ -102,14 +97,9 @@ def _labels_from_mu(rank: int, table: int, sigma_tag: str = "s1") -> LabelModel:
     return LabelModel(rank, labels)
 
 
-def _block(table_bits: Iterable[int]) -> tuple[int, int]:
+def _block(bits: list[int]) -> tuple[int, int]:
     """(rank, mu table) from an explicit 0/1 list."""
-    bits = list(table_bits)
-    rank = len(bits).bit_length() - 1
-    table = 0
-    for v, b in enumerate(bits):
-        table |= b << v
-    return rank, table
+    return len(bits).bit_length() - 1, _pack(bits)
 
 
 # Standard blocks: A (one s2), B_s (all nonzero s1), C (a Klein four with

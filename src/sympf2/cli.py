@@ -8,6 +8,8 @@ error.  Output is deterministic: byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 from typing import Callable, Optional
@@ -79,26 +81,23 @@ def _cmd_classify(args, out) -> int:
     except ValueError as exc:
         print(f"extraction failed: {exc}", file=out)
         return EXIT_VERIFY
-    if group.generators:
-        pairs = []
-        for i, x in enumerate(group.generators):
-            for j, y in enumerate(group.generators):
-                if i < j:
-                    lam = matgrp.commutator_scalar(x, y)
-                    pairs.append(f"m(g{i},g{j})={'-1' if lam == 4 else '+1'}")
-        if pairs:
-            print("pairings: " + ", ".join(pairs), file=out)
+    gens = group.generators
+    pairs = [
+        f"m(g{i},g{j})={'-1' if matgrp.commutator_scalar(gens[i], gens[j]) == 4 else '+1'}"
+        for i, j in itertools.combinations(range(len(gens)), 2)
+    ]
+    if pairs:
+        print("pairings: " + ", ".join(pairs), file=out)
     print(f"mu-table: {space.mu_list()}", file=out)
     return _classify_space(space, out)
 
 
 def _cmd_canonical(args, out) -> int:
     try:
-        t = sms.InvariantTuple(args.eps, args.delta, args.r, args.s)
+        space = sms.canonical(sms.InvariantTuple(args.eps, args.delta, args.r, args.s))
     except ValueError as exc:
         print(f"invalid invariant tuple: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    space = sms.canonical(t)
     print(sms.to_mu_table_json(space), file=out)
     return EXIT_OK
 
@@ -436,9 +435,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use; parse_args keeps no state."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return _COMMANDS[args.command](args, sys.stdout)
 
 

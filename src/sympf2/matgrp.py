@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .sms import InvariantTuple, SymplecticMetricSpace, require_valid
+from .sms import InvariantTuple, SymplecticMetricSpace, _pack, require_valid
 
 # Units are encoded 0..7 as axis | sign<<2 with axes (1, i, j, k); the code
 # order (+1, +i, +j, +k, -1, -i, -j, -k) is also the canonicalization order.
@@ -382,16 +382,11 @@ def _tabulate(
 ) -> SymplecticMetricSpace:
     """mu from square(elem_of[v]), checked against commutator() on the basis."""
     k = len(basis)
-    table = 0
-    for v, e in enumerate(elem_of):
-        if _mu_bit(square(e)):
-            table |= 1 << v
-    space = SymplecticMetricSpace(k, table)
+    space = SymplecticMetricSpace(k, _pack([_mu_bit(square(e)) for e in elem_of]))
     require_valid(space)
     for i in range(k):
         for j in range(k):
-            got = _mu_bit(commutator(basis[i], basis[j]))
-            if got != space.m(1 << i, 1 << j):
+            if _mu_bit(commutator(basis[i], basis[j])) != space.m(1 << i, 1 << j):
                 raise ValueError("mu/m compatibility violation: modeling bug")
     return space
 

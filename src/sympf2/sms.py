@@ -13,10 +13,13 @@ s = (dim V/ker m)/2 - delta.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 from .f2core import F2Matrix, Subspace, _echelonize, _span, nullspace
+
+MAX_RANK = 16  # a rank-16 mu-table has 2^16 bits
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,8 @@ class SymplecticMetricSpace:
     table: int
 
     def __post_init__(self) -> None:
-        if self.rank < 0 or self.rank > 16:
-            raise ValueError("rank outside supported range 0..16")
+        if self.rank < 0 or self.rank > MAX_RANK:
+            raise ValueError(f"rank outside supported range 0..{MAX_RANK}")
         if self.table < 0 or self.table >> (1 << self.rank):
             raise ValueError(f"mu-table does not have length 2^{self.rank}")
 
@@ -93,65 +96,83 @@ class SymplecticMetricSpace:
         n = len(mu)
         if n == 0 or n & (n - 1):
             raise ValueError(f"mu-table length {n} is not a power of two")
-        table = 0
-        for v, bit in enumerate(mu):
-            if bit not in (0, 1):
-                raise ValueError("mu values must be 0 or 1")
-            table |= bit << v
-        return cls(n.bit_length() - 1, table)
+        if not set(map(type, mu)) <= {int} or not set(mu) <= {0, 1}:
+            raise ValueError("mu values must be 0 or 1")
+        return cls(n.bit_length() - 1, _pack(mu))
 
     def mu(self, v: int) -> int:
         return (self.table >> v) & 1
 
     def mu_list(self) -> list[int]:
-        return [self.mu(v) for v in range(1 << self.rank)]
+        return list(map(int, format(self.table, f"0{1 << self.rank}b")[::-1]))
 
     def m(self, x: int, y: int) -> int:
         """Polarized pairing m(x, y) = mu(x) + mu(y) + mu(x+y)."""
         return self.mu(x) ^ self.mu(y) ^ self.mu(x ^ y)
 
     def gram(self) -> F2Matrix:
+        """Entries m(e_i, e_j), read from one bit string of the table."""
         k = self.rank
-        rows = []
-        for i in range(k):
-            bits = 0
-            for j in range(k):
-                bits |= self.m(1 << i, 1 << j) << j
-            rows.append(bits)
+        mu = format(self.table, f"0{1 << k}b")[::-1]  # mu[v] is mu(v) as "0"/"1"
+
+        def shifted(x: int) -> int:  # bit j is mu(x + e_j)
+            return int("".join([mu[x ^ 1 << j] for j in reversed(range(k))]) or "0", 2)
+
+        basis, ones = shifted(0), (1 << k) - 1
+        rows = [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] == "1" else 0) for i in range(k)]
         return F2Matrix.from_row_bits(rows, k)
 
 
-def _table_from_basis_data(k: int, basis_mu: list[int], gram_rows: list[int]) -> int:
-    """Fill a full mu-table from basis values by polarization.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-    mu(v + e_i) = mu(v) + mu(e_i) + m(v, e_i) with m(v, e_i) linear in v.
+
+def _pack(bits: list[int]) -> int:
+    """The table whose bit v is bits[v], for a nonempty list of 0s and 1s."""
+    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+
+
+@functools.cache
+def _coordinates(k: int) -> tuple[int, ...]:
+    """C_0..C_{k-1}, cached for k <= MAX_RANK: bit v of C_i is bit i of v.
+
+    With h = 2^i, ALL = 2^(2^k) - 1 is (2^h - 1)(2^h + 1)(1 + 2^(2h) + ...),
+    so ALL // (2^h + 1) repeats h ones, h zeros; shifted by h it is C_i.
     """
-    size = 1 << k
-    vals = bytearray(size)
-    for v in range(1, size):
-        i = (v & -v).bit_length() - 1
-        rest = v ^ (1 << i)
-        m_bit = (gram_rows[i] & rest).bit_count() & 1
-        vals[v] = vals[rest] ^ basis_mu[i] ^ m_bit
+    ones = (1 << (1 << k)) - 1
+    return tuple(ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k))
+
+
+def _table_from_basis_data(k: int, basis_mu: list[int], gram_rows: list[int]) -> int:
+    """The table of mu(v) = sum_i v_i mu(e_i) + sum_{i<j} v_i v_j g_ij.
+
+    That is the XOR over i of C_i & (mu(e_i) ALL ^ XOR_{j>i, g_ij=1} C_j),
+    O(k^2) operations on 2^k-bit ints.  Only the upper triangle of g is
+    read, so mu polarizes back to g only if g is symmetric with zero
+    diagonal: gram() gives such a g when mu(0) = 0, and canonical() builds one.
+    """
+    coords = _coordinates(k)
+    ones = (1 << (1 << k)) - 1
     table = 0
-    for v in range(size):
-        if vals[v]:
-            table |= 1 << v
+    for i in range(k):
+        acc = ones if basis_mu[i] else 0
+        for j in range(i + 1, k):
+            if gram_rows[i] >> j & 1:
+                acc ^= coords[j]
+        table ^= coords[i] & acc
     return table
 
 
 def validate(space: SymplecticMetricSpace) -> tuple[bool, str]:
     """Check mu(0) = 0 and that the polarization is bilinear.
 
-    The polarization is bilinear exactly when the table is reproduced from
-    its basis values and basis Gram matrix by the polarization identity.
+    The polarization is bilinear exactly when mu is the quadratic form
+    mu(v) = sum_i v_i mu(e_i) + sum_{i<j} v_i v_j m(e_i, e_j), which
+    _table_from_basis_data builds from the basis values and the Gram matrix.
     """
     if space.mu(0):
         return False, "mu(0) must be 0"
-    k = space.rank
-    basis_mu = [space.mu(1 << i) for i in range(k)]
-    gram_rows = space.gram().row_bits()
-    if _table_from_basis_data(k, basis_mu, gram_rows) != space.table:
+    basis_mu = [space.mu(1 << i) for i in range(space.rank)]
+    if _table_from_basis_data(space.rank, basis_mu, space.gram().row_bits()) != space.table:
         return False, "polarization of mu is not bilinear"
     return True, "valid symplectic metric space"
 
@@ -206,6 +227,8 @@ def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
 def canonical(t: InvariantTuple) -> SymplecticMetricSpace:
     """The canonical model with basis layout (A^r | eps | delta-pair | s-pairs)."""
     k = t.ambient_rank
+    if k > MAX_RANK:
+        raise ValueError(f"ambient rank {k} outside supported range 0..{MAX_RANK}")
     basis_mu = [0] * k
     gram_rows = [0] * k
     pos = t.r
@@ -250,13 +273,8 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     k = space.rank
     gram = space.gram().row_bits()
 
-    a_basis = [v.bits for v in translation_subgroup(space).basis]
-    ker = kernel(space)
-    z = None
-    if inv.eps:
-        z = min(v.bits for v in ker.elements() if space.mu(v.bits))
-
-    fixed = a_basis + ([z] if z is not None else [])
+    z = min(v.bits for v in kernel(space).elements() if space.mu(v.bits)) if inv.eps else None
+    fixed = [v.bits for v in translation_subgroup(space).basis] + ([z] if inv.eps else [])
     pairs: list[tuple[int, int]] = []
 
     def clear_cross_pairings(v: int) -> int:
@@ -309,9 +327,7 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     if len(ones) != inv.delta:
         raise AssertionError("Arf count disagrees with invariants")
 
-    ordered = list(fixed)
-    for e, f in ones + zeros:
-        ordered.extend([e, f])
+    ordered = fixed + [c for p in ones + zeros for c in p]
     # Columns of T are the constructed basis in the space's coordinates.
     t = F2Matrix.from_row_bits(ordered, k).transpose()
     if transport(space, t).table != canonical(inv).table:
@@ -335,31 +351,25 @@ def census(k: int):
     for space in valid:
         inv = invariants(space)
         classes[inv] = classes.get(inv, 0) + 1
-    # orbit partition under basis transport, by breadth-first closure over
+    # orbit partition under basis transport, by closure over
     # the elementary transvection generators of GL(k, 2)
-    gens = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                rows = [1 << a for a in range(k)]
-                rows[i] |= 1 << j
-                gens.append(F2Matrix.from_row_bits(rows, k))
+    gens = [
+        F2Matrix.from_row_bits([1 << a | (a == i) << j for a in range(k)], k)
+        for i in range(k) for j in range(k) if i != j
+    ]
     seen: set[int] = set()
     orbit_sizes = []
     for space in valid:
         if space.table in seen:
             continue
-        orbit = {space.table}
-        frontier = [space]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for g in gens:
-                    moved = transport(cur, g)
-                    if moved.table not in orbit:
-                        orbit.add(moved.table)
-                        nxt.append(moved)
-            frontier = nxt
+        orbit, todo = {space.table}, [space]
+        while todo:
+            cur = todo.pop()
+            for g in gens:
+                moved = transport(cur, g)
+                if moved.table not in orbit:
+                    orbit.add(moved.table)
+                    todo.append(moved)
         seen |= orbit
         orbit_sizes.append(len(orbit))
     return valid, classes, sorted(orbit_sizes)
@@ -377,11 +387,11 @@ def parse_mu_table(text: str) -> SymplecticMetricSpace:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "rank" not in doc or "mu" not in doc:
         raise ValueError("mu-table document needs fields 'rank' and 'mu'")
-    rank_field = doc["rank"]
-    mu = doc["mu"]
-    if not isinstance(rank_field, int) or not isinstance(mu, list):
+    rank_field, mu = doc["rank"], doc["mu"]
+    if type(rank_field) is not int or not isinstance(mu, list):
         raise ValueError("'rank' must be an integer and 'mu' an array")
+    if not 0 <= rank_field <= MAX_RANK:
+        raise ValueError(f"rank outside supported range 0..{MAX_RANK}")
     if len(mu) != 1 << rank_field:
         raise ValueError(f"'mu' must have length 2^rank = {1 << rank_field}, got {len(mu)}")
-    space = SymplecticMetricSpace.from_mu_list(mu)
-    return space
+    return SymplecticMetricSpace.from_mu_list(mu)

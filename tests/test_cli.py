@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from sympf2 import cli
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
 
@@ -74,6 +75,27 @@ def test_classify_generators_rejects_malformed(tmp_path, capsys, generators):
     assert err.startswith("invalid generator document: ")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rank": True, "mu": [0, 0]},
+        {"rank": 1, "mu": [False, True]},
+        {"rank": 1, "mu": [0, 1.0]},
+        {"rank": -1, "mu": []},
+        {"rank": 17, "mu": [0]},
+        {"rank": 10**12, "mu": [0]},
+    ],
+    ids=["bool-rank", "bool-bits", "float-bit", "negative-rank", "rank-17", "huge-rank"],
+)
+def test_classify_mu_table_rejects_malformed(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--mu-table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid mu-table document: ")
+
+
 def test_canonical_round_trips_through_classify(tmp_path, capsys):
     code, out, _ = run(capsys, "canonical", "--eps", "0", "--delta", "1")
     assert code == 0
@@ -91,6 +113,16 @@ def test_canonical_rejects_bad_tuple(capsys):
     code, _, err = run(capsys, "canonical", "--eps", "1", "--delta", "1")
     assert code == 2
     assert "invalid" in err
+
+
+@pytest.mark.parametrize("argv", [["--r", "17"], ["--r", "30", "--s", "5"], ["--r", "10000000000"]])
+def test_canonical_refuses_rank_above_bound(capsys, argv):
+    # refused before any table is built, with no traceback
+    code, out, err = run(capsys, "canonical", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid invariant tuple: ambient rank ")
+    assert "outside supported range 0..16" in err
 
 
 def test_aut_command(capsys):
@@ -166,3 +198,32 @@ def test_missing_input_is_an_error(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 2
     assert "exactly one" in err
+
+
+def test_reused_parser_matches_fresh_parser(capsys):
+    # main() builds its parser once; no state may carry over between calls
+    calls = [
+        ["catalog", "--unknown-flag"],
+        ["canonical", "--s", "1"],
+        ["aut", "--eps", "1", "--list"],
+        ["verify", "--suite", "nope"],
+        ["canonical", "--delta", "1"],
+        ["classify"],
+        ["catalog", "--type", "G2", "--format", "csv"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0, 2, 0]

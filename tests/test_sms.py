@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympf2.f2core import F2Matrix
 from sympf2.sms import (
+    MAX_RANK,
     InvariantTuple,
     SymplecticMetricSpace,
+    _table_from_basis_data,
     canonical,
     defect,
     invariants,
@@ -240,3 +243,143 @@ def test_rank_zero_space():
     assert validate(empty)[0]
     assert invariants(empty) == InvariantTuple(0, 0, 0, 0)
     assert defect(empty).value == 1
+
+
+# --- the word-parallel table kernel against the per-entry recurrence ---------
+
+
+def recurrence(k, basis_mu, gram_rows):
+    """Oracle: fill the table entry by entry by polarization,
+    mu(v + e_i) = mu(v) + mu(e_i) + m(v, e_i) with e_i the lowest bit of v."""
+    vals = bytearray(1 << k)
+    for v in range(1, 1 << k):
+        i = (v & -v).bit_length() - 1
+        rest = v ^ (1 << i)
+        vals[v] = vals[rest] ^ basis_mu[i] ^ ((gram_rows[i] & rest).bit_count() & 1)
+    return int("".join(map(str, reversed(vals))), 2)
+
+
+def recurrence_validates(space):
+    """Oracle for validate(): mu(0) = 0 and the table equals the recurrence
+    fed with its own basis values and m(e_i, e_j) from the definition."""
+    if space.mu(0):
+        return False
+    k = space.rank
+    basis_mu = [space.mu(1 << i) for i in range(k)]
+    rows = [sum(space.m(1 << i, 1 << j) << j for j in range(k)) for i in range(k)]
+    return recurrence(k, basis_mu, rows) == space.table
+
+
+def symmetric_basis_data(rng_bits, k):
+    """(basis mu, symmetric zero-diagonal Gram rows) from a bit source."""
+    basis_mu = [rng_bits(1) for _ in range(k)]
+    upper = [rng_bits(k) >> (i + 1) << (i + 1) for i in range(k)]  # bits j > i
+    rows = [upper[i] | sum(((upper[j] >> i) & 1) << j for j in range(i)) for i in range(k)]
+    return basis_mu, rows
+
+
+@st.composite
+def basis_data(draw, max_rank=10):
+    k = draw(st.integers(0, max_rank))
+    return (k, *symmetric_basis_data(lambda n: draw(st.integers(0, (1 << n) - 1)), k))
+
+
+@given(basis_data())
+def test_word_parallel_build_matches_recurrence(data):
+    k, basis_mu, rows = data
+    table = _table_from_basis_data(k, basis_mu, rows)
+    assert table == recurrence(k, basis_mu, rows)
+    # a symmetric zero-diagonal Gram polarizes back to itself
+    space = SymplecticMetricSpace(k, table)
+    assert validate(space)[0]
+    assert space.gram().row_bits() == rows
+    assert [space.mu(1 << i) for i in range(k)] == basis_mu
+
+
+@pytest.mark.parametrize("k", [0, MAX_RANK])
+def test_word_parallel_build_matches_recurrence_at_range_ends(k):
+    basis_mu, rows = symmetric_basis_data(random.Random(k).getrandbits, k)
+    assert _table_from_basis_data(k, basis_mu, rows) == recurrence(k, basis_mu, rows)
+
+
+tables_rank_le_5 = st.integers(0, 5).flatmap(
+    lambda k: st.builds(SymplecticMetricSpace, st.just(k), st.integers(0, (1 << (1 << k)) - 1))
+)
+
+
+@given(tables_rank_le_5)
+def test_validate_matches_recurrence(space):
+    assert validate(space)[0] == recurrence_validates(space)
+
+
+def rank6_tuples():
+    return [
+        InvariantTuple(eps, delta, r, s)
+        for eps, delta in ((0, 0), (1, 0), (0, 1))
+        for r in range(7)
+        for s in range(4)
+        if r + eps + 2 * delta + 2 * s == 6
+    ]
+
+
+@settings(max_examples=20)
+@given(
+    st.sampled_from(rank6_tuples()),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])),
+)
+def test_validate_every_single_bit_flip_rank6(t, moves):
+    rows = [1 << i for i in range(6)]
+    for i, j in moves:
+        rows[i] ^= rows[j]
+    space = transport(canonical(t), F2Matrix.from_row_bits(rows, 6))
+    assert validate(space)[0] and recurrence_validates(space)
+    for v in range(64):
+        flipped = SymplecticMetricSpace(6, space.table ^ (1 << v))
+        assert validate(flipped)[0] == recurrence_validates(flipped)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.builds(SymplecticMetricSpace, st.just(k), st.integers(0, (1 << (1 << k)) - 1))
+))
+def test_gram_is_the_pairing_of_basis_vectors(space):
+    k = space.rank
+    gram = space.gram()
+    assert (gram.rows, gram.cols) == (k, k)
+    assert all(gram.entry(i, j) == space.m(1 << i, 1 << j) for i in range(k) for j in range(k))
+
+
+def test_canonical_refuses_rank_above_bound():
+    assert canonical(InvariantTuple(0, 0, MAX_RANK, 0)).rank == MAX_RANK
+    for t in (InvariantTuple(0, 0, MAX_RANK + 1, 0), InvariantTuple(1, 0, 10**9, 10**9)):
+        with pytest.raises(ValueError, match="outside supported range"):
+            canonical(t)
+
+
+@given(st.integers(0, 8).flatmap(lambda k: st.lists(st.integers(0, 1), min_size=1 << k, max_size=1 << k)))
+def test_from_mu_list_packs_bit_v(mu):
+    space = space_of(mu)
+    assert space.mu_list() == mu
+    assert space.table == sum(bit << v for v, bit in enumerate(mu))
+
+
+@pytest.mark.parametrize(
+    "mu", [[False, True], [0, True], [0, 2], [0, -1], [0, 1.0], [0, "1"], [0, None], [0, 256]]
+)
+def test_from_mu_list_rejects_non_bits(mu):
+    with pytest.raises(ValueError, match="mu values must be 0 or 1"):
+        SymplecticMetricSpace.from_mu_list(mu)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"rank": true, "mu": [0, 0]}',
+        '{"rank": 1.0, "mu": [0, 0]}',
+        '{"rank": -1, "mu": []}',
+        '{"rank": 17, "mu": []}',
+        '{"rank": 1000000000000, "mu": [0]}',
+    ],
+)
+def test_parse_mu_table_checks_rank_before_length(doc):
+    with pytest.raises(ValueError, match="'rank' must be an integer|outside supported range"):
+        parse_mu_table(doc)
