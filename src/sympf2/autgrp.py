@@ -18,8 +18,9 @@ from .sms import (
     InvariantTuple,
     SymplecticMetricSpace,
     SymplecticVectorSpace,
+    _analyze,
+    _unpack,
     canonical,
-    require_valid,
 )
 
 ENUMERATION_RANK_BOUND = 8
@@ -228,11 +229,11 @@ class _ImageSearch:
 
 
 def _space_search(source: SymplecticMetricSpace, target: SymplecticMetricSpace) -> _ImageSearch:
-    def tables(space: SymplecticMetricSpace) -> tuple[bytes, list[int]]:
-        return bytes(space.mu(v) for v in range(1 << space.rank)), space.gram().row_bits()
-
-    src = tables(source)
-    tgt = src if target is source else tables(target)
+    """The search for maps source -> target, after one validation of each."""
+    src = _unpack(source.rank, source.table), _analyze(source).gram
+    tgt = src if target is source else (_unpack(target.rank, target.table), _analyze(target).gram)
+    if source.rank > ENUMERATION_RANK_BOUND:
+        raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
     return _ImageSearch(source.rank, src[0], tgt[0], src[1], tgt[1])
 
 
@@ -240,13 +241,10 @@ def enumerate_isomorphisms(
     source: SymplecticMetricSpace, target: SymplecticMetricSpace
 ) -> Iterator[F2Matrix]:
     """All invertible T with target.mu(T v) = source.mu(v), ascending by images."""
-    require_valid(source)
-    require_valid(target)
-    if source.rank > ENUMERATION_RANK_BOUND:
-        raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
+    search = _space_search(source, target)
     if source.rank != target.rank:
         return
-    for images in _space_search(source, target).tuples():
+    for images in search.tuples():
         # images are the columns of T
         yield F2Matrix.from_row_bits(list(images), source.rank).transpose()
 
@@ -262,9 +260,6 @@ def count_automorphisms(space: SymplecticMetricSpace) -> int:
     An independent check on sp_full_order: the search knows nothing of the
     formula, and the tests compare its count with the leaf enumeration.
     """
-    require_valid(space)
-    if space.rank > ENUMERATION_RANK_BOUND:
-        raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
     return _space_search(space, space).order()
 
 

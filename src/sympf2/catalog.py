@@ -27,15 +27,18 @@ from .autgrp import (
     sp_vector_order,
 )
 from .f2core import _span, enumerate_gl, gl_order
-from .sms import InvariantTuple, SymplecticMetricSpace, _pack, canonical, validate
+from .sms import (
+    InvariantTuple,
+    SymplecticMetricSpace,
+    _pack,
+    _translate,
+    _unpack,
+    canonical,
+    defect,
+    validate,
+)
 
 LIE_TYPES = ("G2", "F4", "E6", "E7", "E8")
-
-# Involution class tags.  The identity is "1"; "s1"/"s2" are the two class
-# tags entering mu (G2 has a single class, tagged "s").  mu = -1 on the tags
-# listed here, +1 on everything else.
-_MU_NEGATIVE_TAGS = frozenset({"s1", "s"})
-
 
 def hom_order(a: int, b: int) -> int:
     return 1 << (a * b)
@@ -48,37 +51,36 @@ def p_order(r: int, s: int) -> int:
 
 @dataclass(frozen=True)
 class LabelModel:
-    """Conjugacy-class tags for all 2^rank elements of a subgroup."""
+    """A subgroup's mu table; the conjugacy-class tags are a view of it.
+
+    The identity is tagged "1", elements with mu = 1 (mu = -1 as a sign)
+    sigma_tag, the others "s2".  sigma_tag is "s1", or "s" for G2, whose
+    involutions form a single class.
+    """
 
     rank: int
-    labels: tuple[str, ...]
+    table: int
+    sigma_tag: str = "s1"
 
     def __post_init__(self) -> None:
-        if len(self.labels) != 1 << self.rank or self.labels[0] != "1":
-            raise ValueError("label table must start at the identity")
+        if self.table & 1 or self.table >> (1 << self.rank):
+            raise ValueError("mu table must have 2^rank bits and vanish at the identity")
 
-    def mu_bit(self, v: int) -> int:
-        return 1 if self.labels[v] in _MU_NEGATIVE_TAGS else 0
-
-    def mu_table(self) -> int:
-        return _pack([self.mu_bit(v) for v in range(1 << self.rank)])
-
-    def m_bit(self, x: int, y: int) -> int:
-        return self.mu_bit(x) ^ self.mu_bit(y) ^ self.mu_bit(x ^ y)
+    @property
+    def labels(self) -> tuple[str, ...]:
+        tags = ("s2", self.sigma_tag)
+        return ("1",) + tuple(tags[b] for b in _unpack(self.rank, self.table)[1:])
 
     def defect(self) -> int:
-        return (1 << self.rank) - 2 * sum(self.mu_bit(v) for v in range(1 << self.rank))
+        return defect(SymplecticMetricSpace(self.rank, self.table)).value
 
     def translation_subgroup(self) -> list[int]:
-        """A_F = {x : mu(x) = +1 and m(x, y) = +1 for all y}, listed fully."""
-        size = 1 << self.rank
-        out = []
-        for x in range(size):
-            if self.mu_bit(x):
-                continue
-            if all(self.m_bit(x, y) == 0 for y in range(size)):
-                out.append(x)
-        return out
+        """A_F = {x : mu(x) = +1 and m(x, y) = +1 for all y}, listed fully.
+
+        That is mu(x + y) = mu(y) for all y: one table comparison per x.
+        """
+        k, table = self.rank, self.table
+        return [x for x in range(1 << k) if _translate(k, table, x) == table]
 
     def translation_rank(self) -> int:
         n = len(self.translation_subgroup())
@@ -86,15 +88,7 @@ class LabelModel:
         return n.bit_length() - 1
 
     def polarization_is_bilinear(self) -> bool:
-        return validate(SymplecticMetricSpace(self.rank, self.mu_table()))[0]
-
-
-def _labels_from_mu(rank: int, table: int, sigma_tag: str = "s1") -> LabelModel:
-    labels = tuple(
-        "1" if v == 0 else (sigma_tag if (table >> v) & 1 else "s2")
-        for v in range(1 << rank)
-    )
-    return LabelModel(rank, labels)
+        return validate(SymplecticMetricSpace(self.rank, self.table))[0]
 
 
 def _block(bits: list[int]) -> tuple[int, int]:
@@ -117,15 +111,10 @@ def _orthogonal_product(blocks: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """Concatenate blocks; mu is the sum of the block values."""
     rank, table = 0, 0
     for brank, btable in blocks:
-        if brank == 0:
-            continue
-        new_rank = rank + brank
-        new_table = 0
-        for hi in range(1 << brank):
-            hi_bit = (btable >> hi) & 1
-            chunk = table if not hi_bit else (~table & ((1 << (1 << rank)) - 1))
-            new_table |= chunk << (hi << rank)
-        rank, table = new_rank, new_table
+        # the entries with block coordinates hi are table, complemented where mu(hi) = 1
+        ones = (1 << (1 << rank)) - 1
+        table = sum((table ^ ones * (btable >> hi & 1)) << (hi << rank) for hi in range(1 << brank))
+        rank += brank
     return rank, table
 
 
@@ -137,10 +126,6 @@ class GraphInvariant:
     edges: frozenset[frozenset[int]]
     shape: str
     part_sizes: Optional[tuple[int, int]]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -493,21 +478,14 @@ def build_label_model(entry: FamilyEntry) -> Optional[LabelModel]:
     """
     fam, p = entry.family, entry.params
     if entry.lie_type == "G2":
-        rank, table = _block_b(p[0])
-        return _labels_from_mu(rank, table, sigma_tag="s")
-    if entry.lie_type == "F4":
+        return LabelModel(*_block_b(p[0]), sigma_tag="s")
+    if entry.lie_type == "F4" or (entry.lie_type, fam) == ("E6", "F'_{r,s}"):
         r, s = p
-        rank, table = _orthogonal_product([_BLOCK_A] * r + [_block_b(s)])
-        return _labels_from_mu(rank, table)
+        return LabelModel(*_orthogonal_product([_BLOCK_A] * r + [_block_b(s)]))
     if entry.lie_type == "E6":
-        if fam == "F'_{r,s}":
-            r, s = p
-            rank, table = _orthogonal_product([_BLOCK_A] * r + [_block_b(s)])
-            return _labels_from_mu(rank, table)
         if fam == "F'_{eps,delta,r,s}":
-            e, d, r, s = p
-            space = canonical(InvariantTuple(e, d, r, s))
-            return _labels_from_mu(space.rank, space.table)
+            space = canonical(InvariantTuple(*p))
+            return LabelModel(space.rank, space.table)
         return None
     if entry.lie_type == "E8":
         if fam == "F_{r,s}":
@@ -529,8 +507,7 @@ def build_label_model(entry: FamilyEntry) -> Optional[LabelModel]:
             blocks = [_BLOCK_A] * p[0]
         else:
             return None
-        rank, table = _orthogonal_product(blocks)
-        return _labels_from_mu(rank, table)
+        return LabelModel(*_orthogonal_product(blocks))
     return None
 
 
@@ -585,34 +562,28 @@ def cross_check(entry: FamilyEntry) -> CrossCheckReport:
 
 def graph_of(entry: FamilyEntry) -> Optional[GraphInvariant]:
     """Quotient graph on translation cosets of s1-elements (E8 only)."""
-    if entry.lie_type != "E8":
-        return None
-    model = build_label_model(entry)
-    if model is None:
-        return None
-    size = 1 << model.rank
-    a_f = set(model.translation_subgroup())
-    xs = [v for v in range(size) if model.labels[v] == "s1"]
-    coset_rep = {}
-    for x in xs:
-        coset_rep[x] = min(x ^ a for a in a_f)
-    vertices = sorted(set(coset_rep.values()))
-    edges = set()
-    for x, y in itertools.combinations(xs, 2):
-        if coset_rep[x] == coset_rep[y]:
-            continue
-        if model.labels[x ^ y] == "s2":
-            edges.add(frozenset((coset_rep[x], coset_rep[y])))
-    # well-definedness: the verdict must be constant on coset pairs
-    for x in xs:
-        for y in xs:
-            if coset_rep[x] == coset_rep[y]:
-                continue
-            is_edge = frozenset((coset_rep[x], coset_rep[y])) in edges
-            if (model.labels[x ^ y] == "s2") != is_edge:
-                raise AssertionError(f"graph not constant on cosets for {entry}")
-    shape, parts = _classify_graph(vertices, edges)
-    return GraphInvariant(tuple(vertices), frozenset(edges), shape, parts)
+    model = build_label_model(entry) if entry.lie_type == "E8" else None
+    return None if model is None else _quotient_graph(model)
+
+
+def _quotient_graph(model: LabelModel) -> GraphInvariant:
+    """Vertices: the least element of each A_F-coset of s1 elements.
+
+    Reps a and b are joined when a + b is tagged s2, that is mu(a + b) = 0.
+    """
+    k, table = model.rank, model.table
+    a_f = model.translation_subgroup()
+    s1 = [x for x in range(1 << k) if table >> x & 1] if model.sigma_tag == "s1" else []
+    rep = {x: min(x ^ a for a in a_f) for x in s1}
+    # mu(x + y) = mu(rep(x) + y) for all y makes the verdict constant on coset pairs
+    if any(_translate(k, table, x) != _translate(k, table, a) for x, a in rep.items()):
+        raise AssertionError(f"graph not constant on cosets of {model}")
+    reps = sorted(set(rep.values()))
+    edges = {
+        frozenset((a, b)) for a, b in itertools.combinations(reps, 2) if not table >> (a ^ b) & 1
+    }
+    shape, parts = _classify_graph(reps, edges)
+    return GraphInvariant(tuple(reps), frozenset(edges), shape, parts)
 
 
 def _classify_graph(
@@ -625,16 +596,11 @@ def _classify_graph(
     neigh = {v: frozenset(w for w in vertices if frozenset((v, w)) in edges) for v in vertices}
     if not edges:
         return "complete_bipartite", (0, len(vertices))
-    classes = sorted(set(neigh.values()), key=sorted)
+    classes = set(neigh.values())
     if len(classes) == 2:
-        part_a = [v for v in vertices if neigh[v] == classes[0]]
-        part_b = [v for v in vertices if neigh[v] == classes[1]]
-        complete = all(
-            frozenset((a, b)) in edges for a in part_a for b in part_b
-        ) and len(edges) == len(part_a) * len(part_b)
-        if complete:
-            a, b = sorted((len(part_a), len(part_b)))
-            return "complete_bipartite", (a, b)
+        # No vertex is its own neighbour, so with edges present each of the
+        # two neighbourhoods is the set of vertices having the other one.
+        return "complete_bipartite", tuple(sorted(map(len, classes)))
     return "other", None
 
 
@@ -663,7 +629,7 @@ def count_mu_automorphisms(model: LabelModel) -> int:
     k = model.rank
     if k > ENUMERATION_RANK_BOUND:
         raise ValueError(f"mu automorphism counting is bounded at rank <= {ENUMERATION_RANK_BOUND}")
-    mu = bytes(model.mu_bit(v) for v in range(1 << k))
+    mu = _unpack(k, model.table)
     return _ImageSearch(k, src_mu=mu, tgt_mu=mu).order()
 
 
@@ -749,15 +715,11 @@ def e8_lift_entries() -> list[FamilyEntry]:
     they biject with the 13 pure-s1 classes of E7 (families F'''_{r,s}
     and F''_{r}).
     """
-    out = []
-    for e in enumerate_type("E8"):
-        if e.family in ("F_{r,s}", "F'_{r,s}") and e.params[1] == 1:
-            out.append(e)
-        elif e.family == "F'_{eps,delta,r,s}" and e.params[:2] == (1, 0):
-            out.append(e)
-        elif e.family == "F''_{r,s}" and e.params[1] == 1:
-            out.append(e)
-    return out
+    return [
+        e for e in enumerate_type("E8")
+        if (e.family in ("F_{r,s}", "F'_{r,s}", "F''_{r,s}") and e.params[1] == 1)
+        or (e.family == "F'_{eps,delta,r,s}" and e.params[:2] == (1, 0))
+    ]
 
 
 def e7_pure_s1_entries() -> list[FamilyEntry]:
@@ -765,15 +727,14 @@ def e7_pure_s1_entries() -> list[FamilyEntry]:
 
 
 def model_has_full_hx(model: LabelModel) -> bool:
-    """True when some s1 element x satisfies H_x = F in the label model."""
-    size = 1 << model.rank
-    for x in range(size):
-        if model.labels[x] != "s1":
-            continue
-        hx = [y for y in range(size) if model.labels[x ^ y] != model.labels[y]]
-        if len(hx) == size:
-            return True
-    return False
+    """True when some s1 element x satisfies H_x = F in the label model.
+
+    H_x = {y : tag(x + y) != tag(y)} is all of F exactly when
+    mu(x + y) = mu(y) + 1 for every y.
+    """
+    k, table = model.rank, model.table
+    flipped = table ^ ((1 << (1 << k)) - 1)
+    return model.sigma_tag == "s1" and any(_translate(k, table, x) == flipped for x in range(1 << k))
 
 
 # --- export -------------------------------------------------------------------
@@ -792,7 +753,7 @@ def _graph_summary(entry: FamilyEntry) -> str:
         a, b = g.part_sizes
         return f"complete_bipartite({a},{b})"
     if g.shape == "other":
-        return f"other(v={g.vertex_count},e={len(g.edges)})"
+        return f"other(v={len(g.vertices)},e={len(g.edges)})"
     return g.shape
 
 

@@ -481,6 +481,7 @@ class CanonicalSubgroup:
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 AMBIENT_SIZE_CAP = 64
+GENERATOR_SIZE_CAP = 1 << 12  # generator files: n is checked before anything is built
 
 
 def canonical_subgroup(target: str, t: InvariantTuple) -> CanonicalSubgroup:
@@ -619,8 +620,9 @@ def parse_generators(text: str) -> GeneratedSubgroup:
     """Generator file: JSON with field_mode, n, and a generator list.
 
     Each generator is {"perm": [...], "entries": ["1", "-1", "i", ...]} with
-    an optional boolean "conj" flag (complex mode only).  perm holds n
-    integers and entries n unit names; anything else raises ValueError.
+    an optional boolean "conj" flag (complex mode only).  n is at most
+    GENERATOR_SIZE_CAP, perm holds n integers and entries n unit names;
+    anything else raises ValueError.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -633,6 +635,8 @@ def parse_generators(text: str) -> GeneratedSubgroup:
         raise ValueError(f"unknown field mode {mode!r}")
     if not _is_int(n) or n < 1:
         raise ValueError("'n' must be a positive integer")
+    if n > GENERATOR_SIZE_CAP:
+        raise ValueError(f"'n' = {n} exceeds the generator size cap {GENERATOR_SIZE_CAP}")
     if not isinstance(raw, list) or not all(isinstance(g, dict) for g in raw):
         raise ValueError("'generators' must be a list of objects")
     gens = []

@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from .f2core import F2Matrix, Subspace, _echelonize, _span, nullspace
+from .f2core import F2Matrix, Subspace, _echelonize, _eliminate, _solutions, _span, nullspace
 
 MAX_RANK = 16  # a rank-16 mu-table has 2^16 bits
 
@@ -104,31 +105,37 @@ class SymplecticMetricSpace:
         return (self.table >> v) & 1
 
     def mu_list(self) -> list[int]:
-        return list(map(int, format(self.table, f"0{1 << self.rank}b")[::-1]))
+        return list(_unpack(self.rank, self.table))
 
     def m(self, x: int, y: int) -> int:
         """Polarized pairing m(x, y) = mu(x) + mu(y) + mu(x+y)."""
         return self.mu(x) ^ self.mu(y) ^ self.mu(x ^ y)
 
     def gram(self) -> F2Matrix:
-        """Entries m(e_i, e_j), read from one bit string of the table."""
+        """Entries m(e_i, e_j), read from one unpacking of the table."""
         k = self.rank
-        mu = format(self.table, f"0{1 << k}b")[::-1]  # mu[v] is mu(v) as "0"/"1"
+        mu = _unpack(k, self.table)
 
         def shifted(x: int) -> int:  # bit j is mu(x + e_j)
-            return int("".join([mu[x ^ 1 << j] for j in reversed(range(k))]) or "0", 2)
+            return sum([mu[x ^ 1 << j] << j for j in range(k)])
 
         basis, ones = shifted(0), (1 << k) - 1
-        rows = [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] == "1" else 0) for i in range(k)]
+        rows = [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] else 0) for i in range(k)]
         return F2Matrix.from_row_bits(rows, k)
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _pack(bits: list[int]) -> int:
-    """The table whose bit v is bits[v], for a nonempty list of 0s and 1s."""
-    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+def _pack(bits: list[int] | bytes) -> int:
+    """The table whose bit v is bits[v], for a sequence of 0s and 1s."""
+    return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
+
+
+def _unpack(k: int, table: int) -> bytes:
+    """The inverse of _pack for a 2^k-bit table: byte v is bit v."""
+    return format(table, f"0{1 << k}b")[::-1].encode().translate(_BITS)
 
 
 @functools.cache
@@ -162,19 +169,37 @@ def _table_from_basis_data(k: int, basis_mu: list[int], gram_rows: list[int]) ->
     return table
 
 
-def validate(space: SymplecticMetricSpace) -> tuple[bool, str]:
-    """Check mu(0) = 0 and that the polarization is bilinear.
+def _translate(k: int, table: int, x: int) -> int:
+    """The table of y -> mu(x + y): one block swap per set bit i of x."""
+    for i, c in enumerate(_coordinates(k)):
+        if x >> i & 1:
+            h = 1 << i
+            table = (table >> h) & ~c | (table << h) & c
+    return table
+
+
+_VALID = "valid symplectic metric space"
+
+
+def _validity(space: SymplecticMetricSpace, gram: list[int]) -> str:
+    """validate's message for a space whose Gram rows are gram.
 
     The polarization is bilinear exactly when mu is the quadratic form
     mu(v) = sum_i v_i mu(e_i) + sum_{i<j} v_i v_j m(e_i, e_j), which
     _table_from_basis_data builds from the basis values and the Gram matrix.
     """
     if space.mu(0):
-        return False, "mu(0) must be 0"
+        return "mu(0) must be 0"
     basis_mu = [space.mu(1 << i) for i in range(space.rank)]
-    if _table_from_basis_data(space.rank, basis_mu, space.gram().row_bits()) != space.table:
-        return False, "polarization of mu is not bilinear"
-    return True, "valid symplectic metric space"
+    if _table_from_basis_data(space.rank, basis_mu, gram) != space.table:
+        return "polarization of mu is not bilinear"
+    return _VALID
+
+
+def validate(space: SymplecticMetricSpace) -> tuple[bool, str]:
+    """Check mu(0) = 0 and that the polarization is bilinear."""
+    reason = _validity(space, space.gram().row_bits())
+    return reason == _VALID, reason
 
 
 def require_valid(space: SymplecticMetricSpace) -> None:
@@ -201,12 +226,29 @@ def defect(space: SymplecticMetricSpace) -> DefectIndex:
     return DefectIndex((1 << space.rank) - 2 * ones)
 
 
-def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
-    require_valid(space)
-    ker = kernel(space)
-    d = ker.dim
-    eps = 1 if any(space.mu(v.bits) for v in ker.elements()) else 0
-    r = d - eps
+class _Analysis(NamedTuple):
+    reason: str  # validate's message
+    gram: list[int]  # bit j of row i is m(e_i, e_j)
+    ker: Optional[list[int]]  # a basis of ker m; None, like inv, for an invalid space
+    inv: Optional[InvariantTuple]
+
+
+def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
+    """Validate once, then read ker m and (eps, delta, r, s) off the same Gram rows.
+
+    An invalid space raises ValueError as require_valid does, or with
+    strict=False gives validate's reason.  mu is linear on ker m, so it is
+    nonzero there (eps = 1) exactly when it is nonzero on a basis vector.
+    """
+    rows = space.gram().row_bits()
+    reason = _validity(space, rows)
+    if reason != _VALID:
+        if strict:
+            raise ValueError(f"not a symplectic metric space: {reason}")
+        return _Analysis(reason, rows, None, None)
+    ker = _solutions(_eliminate(rows), 0, space.rank)[1]
+    d = len(ker)
+    eps = 1 if any(space.mu(v) for v in ker) else 0
     t = (space.rank - d) // 2
     if eps:
         delta = 0
@@ -221,7 +263,11 @@ def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
             delta = 0
         else:
             raise AssertionError("descended form is not nondegenerate")
-    return InvariantTuple(eps, delta, r, t - delta)
+    return _Analysis(reason, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta))
+
+
+def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
+    return _analyze(space).inv
 
 
 def canonical(t: InvariantTuple) -> SymplecticMetricSpace:
@@ -251,9 +297,8 @@ def transport(space: SymplecticMetricSpace, t: F2Matrix) -> SymplecticMetricSpac
         raise ValueError("basis change has wrong shape")
     if not t.is_invertible():
         raise ValueError("basis change is singular")
-    mu = format(space.table, f"0{1 << k}b")[::-1]  # mu[v] is mu(v) as "0"/"1"
-    moved = "".join([mu[img] for img in _span(t.column_bits())])  # moved[v] is mu(T v)
-    return SymplecticMetricSpace(k, int(moved[::-1], 2))
+    mu = _unpack(k, space.table)
+    return SymplecticMetricSpace(k, _pack([mu[img] for img in _span(t.column_bits())]))
 
 
 def is_isomorphic(a: SymplecticMetricSpace, b: SymplecticMetricSpace) -> bool:
@@ -268,13 +313,12 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     then the eps vector, then hyperbolic pairs with mu normalized to (0, 0)
     on each pair, the unique (1, 1) pair (if any) routed to the delta slot.
     """
-    require_valid(space)
-    inv = invariants(space)
+    _, gram, ker, inv = _analyze(space)
     k = space.rank
-    gram = space.gram().row_bits()
-
-    z = min(v.bits for v in kernel(space).elements() if space.mu(v.bits)) if inv.eps else None
-    fixed = [v.bits for v in translation_subgroup(space).basis] + ([z] if inv.eps else [])
+    z = min(v for v in _span(ker) if space.mu(v)) if inv.eps else None
+    # x -> x + mu(x) z projects ker m onto the translation subgroup
+    trans = Subspace.spanned_by([v ^ z if space.mu(v) else v for v in ker], k)
+    fixed = [v.bits for v in trans.basis] + ([z] if inv.eps else [])
     pairs: list[tuple[int, int]] = []
 
     def clear_cross_pairings(v: int) -> int:
@@ -343,14 +387,13 @@ def census(k: int):
     tables, so k <= 4 in practice.
     """
     valid = []
+    classes: dict[InvariantTuple, int] = {}
     for table in range(0, 1 << (1 << k), 2):
         space = SymplecticMetricSpace(k, table)
-        if validate(space)[0]:
+        inv = _analyze(space, strict=False).inv
+        if inv is not None:
             valid.append(space)
-    classes: dict[InvariantTuple, int] = {}
-    for space in valid:
-        inv = invariants(space)
-        classes[inv] = classes.get(inv, 0) + 1
+            classes[inv] = classes.get(inv, 0) + 1
     # orbit partition under basis transport, by closure over
     # the elementary transvection generators of GL(k, 2)
     gens = [

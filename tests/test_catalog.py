@@ -1,7 +1,12 @@
+import itertools
+
+import pytest
+
 from sympf2 import catalog
 from sympf2.autgrp import count_automorphisms
 from sympf2.catalog import (
     EXPECTED_COUNTS,
+    LabelModel,
     build_label_model,
     count_label_automorphisms,
     cross_check,
@@ -16,7 +21,7 @@ from sympf2.catalog import (
     model_has_full_hx,
     p_order,
 )
-from sympf2.sms import SymplecticMetricSpace
+from sympf2.sms import SymplecticMetricSpace, _translate
 
 
 def by_key(lie_type, family, params):
@@ -207,7 +212,7 @@ def test_e6_inner_sms_automizers():
         if e.family != "F'_{eps,delta,r,s}":
             continue
         model = build_label_model(e)
-        space = SymplecticMetricSpace(model.rank, model.mu_table())
+        space = SymplecticMetricSpace(model.rank, model.table)
         assert count_automorphisms(space) == e.automizer_order
 
 
@@ -248,3 +253,124 @@ def test_e6_inner_family_realized_by_matrix_model():
         assert defect(space).value == e.defe
         got = invariants(space)
         assert (got.eps, got.delta, got.r, got.s) == e.params
+
+
+# --- string-label oracles for the table paths -----------------------------------
+#
+# The per-element loops that read the label tuple; the library answers the
+# same questions with one table comparison per element.
+
+
+def _label_models():
+    return [m for m in map(build_label_model, enumerate_all()) if m is not None]
+
+
+def _oracle_translation_subgroup(model):
+    """A_F from the tags over 4^k pairs: mu(x) = 0 and m(x, y) = 0 for all y."""
+    labels = model.labels
+
+    def mu(v):
+        return labels[v] in ("s1", "s")
+
+    size = 1 << model.rank
+    return [
+        x for x in range(size)
+        if not mu(x) and all(mu(x) == (mu(y) != mu(x ^ y)) for y in range(size))
+    ]
+
+
+def _oracle_full_hx(model):
+    labels = model.labels
+    size = 1 << model.rank
+    return any(
+        labels[x] == "s1" and all(labels[x ^ y] != labels[y] for y in range(size))
+        for x in range(size)
+    )
+
+
+def _oracle_graph(model):
+    """Vertices and edges from tag comparisons over all pairs of s1 elements."""
+    labels = model.labels
+    a_f = _oracle_translation_subgroup(model)
+    xs = [v for v in range(1 << model.rank) if labels[v] == "s1"]
+    rep = {x: min(x ^ a for a in a_f) for x in xs}
+    edges = set()
+    for x, y in itertools.combinations(xs, 2):
+        if rep[x] != rep[y] and labels[x ^ y] == "s2":
+            edges.add(frozenset((rep[x], rep[y])))
+    for x in xs:
+        for y in xs:
+            if rep[x] != rep[y]:
+                assert (labels[x ^ y] == "s2") == (frozenset((rep[x], rep[y])) in edges)
+    return tuple(sorted(set(rep.values()))), frozenset(edges)
+
+
+def test_label_models_are_tables():
+    checked = 0
+    for e in enumerate_all():
+        m = build_label_model(e)
+        if m is None:
+            continue
+        assert m.sigma_tag == ("s" if e.lie_type == "G2" else "s1")
+        assert m.labels[0] == "1" and len(m.labels) == 1 << m.rank
+        assert all((tag == m.sigma_tag) == (m.table >> v & 1) for v, tag in enumerate(m.labels))
+        checked += 1
+    assert checked == 85
+    with pytest.raises(ValueError):
+        LabelModel(1, 3)  # mu(identity) = 1
+    with pytest.raises(ValueError):
+        LabelModel(1, 4)  # more than 2^rank bits
+
+
+def test_translation_subgroup_matches_label_oracle():
+    for model in _label_models():
+        assert model.translation_subgroup() == _oracle_translation_subgroup(model), model
+
+
+def test_full_hx_matches_label_oracle():
+    for model in _label_models():
+        assert model_has_full_hx(model) == _oracle_full_hx(model), model
+    # the table test alone passes G2 F_{1}: mu(x + y) = mu(y) + 1 for x = 1;
+    # its involutions are tagged s, not s1, so H_x = F fails
+    g2 = build_label_model(by_key("G2", "F_{r}", (1,)))
+    assert g2.sigma_tag == "s" and not model_has_full_hx(g2)
+    assert _translate(1, g2.table, 1) == g2.table ^ 0b11
+
+
+def test_quotient_graph_matches_label_oracle():
+    for model in _label_models():
+        g = catalog._quotient_graph(model)
+        assert (g.vertices, g.edges) == _oracle_graph(model), model
+
+
+def _oracle_shape(vertices, edges):
+    """Graph shape, with complete bipartiteness checked on every pair of the two parts."""
+    if len(vertices) <= 1:
+        return ("empty", "single_vertex")[len(vertices)], None
+    if not edges:
+        return "complete_bipartite", (0, len(vertices))
+    neigh = {v: frozenset(w for w in vertices if frozenset((v, w)) in edges) for v in vertices}
+    classes = sorted(set(neigh.values()), key=sorted)
+    if len(classes) == 2:
+        part_a = [v for v in vertices if neigh[v] == classes[0]]
+        part_b = [v for v in vertices if neigh[v] == classes[1]]
+        if len(edges) == len(part_a) * len(part_b) and all(
+            frozenset((a, b)) in edges for a in part_a for b in part_b
+        ):
+            return "complete_bipartite", tuple(sorted((len(part_a), len(part_b))))
+    return "other", None
+
+
+def test_classify_graph_matches_pairwise_check_on_small_graphs():
+    # every graph on at most 5 vertices: two neighbourhood classes always
+    # mean complete bipartite, which the library uses without the pair check
+    shapes = set()
+    for n in range(6):
+        vertices = list(range(n))
+        pairs = list(itertools.combinations(vertices, 2))
+        for mask in range(1 << len(pairs)):
+            edges = {frozenset(p) for i, p in enumerate(pairs) if mask >> i & 1}
+            got = catalog._classify_graph(vertices, edges)
+            assert got == _oracle_shape(vertices, edges), (n, edges)
+            shapes.add(got[0])
+    assert shapes == {"empty", "single_vertex", "complete_bipartite", "other"}

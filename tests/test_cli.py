@@ -1,9 +1,16 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympf2 import cli
+from sympf2 import cli, matgrp
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
 
@@ -227,3 +234,127 @@ def test_reused_parser_matches_fresh_parser(capsys):
         fresh.append(outcome(argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--r", "601"], ["--s", "1000"], ["--r", "1000000", "--s", "1"], ["--r", "10000000000"]],
+)
+def test_aut_refuses_rank_above_cap(capsys, argv):
+    # refused before the order formula is multiplied out
+    code, out, err = run(capsys, "aut", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid invariant tuple: ambient rank ")
+    assert f"outside supported range 0..{cli.AUT_RANK_CAP}" in err
+
+
+def test_aut_cap_admits_rank_600(capsys):
+    assert cli.AUT_RANK_CAP == 600
+    code, out, _ = run(capsys, "aut", "--r", "599", "--eps", "1")
+    assert code == 0
+    assert "(ambient rank 600)" in out and "enumeration skipped" in out
+
+
+@pytest.mark.parametrize("n", [matgrp.GENERATOR_SIZE_CAP + 1, 10**9, 10**12])
+def test_classify_generators_refuses_size_above_cap(tmp_path, capsys, n):
+    # the cap is checked before the n-entry identity of the trivial group is built
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field_mode": "real", "n": n, "generators": []}))
+    code, out, err = run(capsys, "classify", "--generators", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"invalid generator document: 'n' = {n} exceeds the generator "
+        f"size cap {matgrp.GENERATOR_SIZE_CAP}\n"
+    )
+
+
+def test_generator_size_cap_admits_the_canonical_sizes(tmp_path, capsys):
+    assert matgrp.GENERATOR_SIZE_CAP >= matgrp.AMBIENT_SIZE_CAP
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"field_mode": "real", "n": 64, "generators": []}))
+    code, out, _ = run(capsys, "classify", "--generators", str(path))
+    assert code == 0
+    assert "group order: 1\n" in out and "V_{0,0;0,0}" in out
+
+
+# sha256 of the outputs at the commit before label models became mu tables;
+# the catalog and its checks must not move
+_GOLDEN = {
+    ("catalog", "--type", "all", "--format", "csv"):
+        "c76dc00b1f15b7ae82ce78d42f55711e8cfff27ddc20760385d178b27bfc6c39",
+    ("catalog", "--type", "all", "--format", "text"):
+        "612202fb3d8d947148604222bb5cb068e1bbe71c4fcf17c9dfff69ff2ae2c461",
+    ("verify", "--suite", "catalog"):
+        "0080cfcf388e3d3fca7fe05a690a7aa3911c8ae36429f199b2db574d2d62ff73",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN), ids=" ".join)
+def test_golden_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[argv]
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats(-2, 2) | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_BITS = st.lists(st.sampled_from([0, 1, 0, 1, 2, True, 0.0, "1"]), max_size=17)
+_MU_DOCS = st.integers(0, 4).flatmap(
+    lambda k: st.fixed_dictionaries(
+        {"rank": st.just(k), "mu": st.lists(st.integers(0, 1), min_size=1 << k, max_size=1 << k)}
+    )
+) | st.fixed_dictionaries({}, optional={"rank": st.integers(-2, 5) | _JSON, "mu": _BITS | _JSON})
+_UNITS = st.sampled_from(["1", "-1", "i", "-i", "j", "-j", "k", "-k", "x"]) | _JSON
+_GENERATOR = st.fixed_dictionaries(
+    {},
+    optional={
+        "perm": st.permutations(range(4)) | st.lists(st.integers(-1, 4), max_size=5) | _JSON,
+        "entries": st.lists(_UNITS, min_size=4, max_size=4) | _JSON,
+        "conj": st.booleans() | _JSON,
+    },
+)
+_WELL_FORMED_GENERATOR_DOCS = st.fixed_dictionaries({
+    "field_mode": st.sampled_from(["real", "complex", "quaternion"]),
+    "n": st.just(4),
+    "generators": st.lists(
+        st.fixed_dictionaries({
+            "perm": st.permutations(range(4)),
+            "entries": st.lists(st.sampled_from(["1", "-1", "i", "j"]), min_size=4, max_size=4),
+        }, optional={"conj": st.booleans()}),
+        max_size=3,
+    ),
+})
+_GENERATOR_DOCS = _WELL_FORMED_GENERATOR_DOCS | st.fixed_dictionaries(
+    {},
+    optional={
+        "field_mode": st.sampled_from(["real", "complex", "quaternion", "octonion"]) | _JSON,
+        "n": st.sampled_from([4, 4, 1, 0, -4, True, 4.0, 10**9]) | _JSON,
+        "generators": st.lists(_GENERATOR | _JSON, max_size=3) | _JSON,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flag=st.sampled_from(["--mu-table", "--generators"]),
+    doc=_MU_DOCS | _GENERATOR_DOCS | _JSON,
+)
+def test_classify_any_json_document_exits_cleanly(flag, doc):
+    # whatever the document, classify ends with exit 0, 1 or 2 and no exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", flag, path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

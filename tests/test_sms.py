@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympf2 import cli, sms
+from sympf2.autgrp import count_automorphisms
 from sympf2.f2core import F2Matrix
 from sympf2.sms import (
     MAX_RANK,
     InvariantTuple,
     SymplecticMetricSpace,
+    _pack,
     _table_from_basis_data,
+    _translate,
+    _unpack,
     canonical,
     defect,
     invariants,
@@ -383,3 +389,70 @@ def test_from_mu_list_rejects_non_bits(mu):
 def test_parse_mu_table_checks_rank_before_length(doc):
     with pytest.raises(ValueError, match="'rank' must be an integer|outside supported range"):
         parse_mu_table(doc)
+
+
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, (1 << (1 << k)) - 1), st.integers(0, (1 << k) - 1)
+)))
+def test_translate_is_the_table_of_y_to_mu_x_plus_y(data):
+    k, table, x = data
+    space = SymplecticMetricSpace(k, table)
+    moved = _translate(k, table, x)
+    assert moved == sum(space.mu(x ^ y) << y for y in range(1 << k))
+    assert _translate(k, moved, x) == table
+
+
+@given(st.integers(0, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, (1 << (1 << k)) - 1))))
+def test_unpack_inverts_pack(data):
+    k, table = data
+    bits = _unpack(k, table)
+    assert list(bits) == [table >> v & 1 for v in range(1 << k)]
+    assert _pack(bits) == _pack(list(bits)) == table
+
+
+@given(basis_data(max_rank=6))
+def test_translate_radical_is_the_translation_subgroup(data):
+    # x with mu(x + y) = mu(y) for all y are the x in ker m with mu(x) = 0
+    k, basis_mu, rows = data
+    space = SymplecticMetricSpace(k, _table_from_basis_data(k, basis_mu, rows))
+    radical = [x for x in range(1 << k) if _translate(k, space.table, x) == space.table]
+    assert radical == sorted(v.bits for v in translation_subgroup(space).elements())
+
+
+def _rebased(t, seed):
+    space = canonical(t)
+    rng = random.Random(seed)
+    while True:
+        m = F2Matrix.from_row_bits([rng.getrandbits(space.rank) for _ in range(space.rank)], space.rank)
+        if m.is_invertible():
+            return transport(space, m)
+
+
+def test_one_gram_and_one_validity_check_per_call(monkeypatch, tmp_path):
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(SymplecticMetricSpace, "gram", counted("gram", SymplecticMetricSpace.gram))
+    monkeypatch.setattr(sms, "_validity", counted("validity", sms._validity))
+
+    def per_call(fn, *args):
+        counts.clear()
+        fn(*args)
+        return dict(counts)
+
+    one_each = {"gram": 1, "validity": 1}
+    for t in (InvariantTuple(0, 1, 2, 1), InvariantTuple(1, 0, 1, 2), InvariantTuple(0, 0, 2, 2)):
+        space = _rebased(t, 5)
+        assert per_call(sms.isomorphism_to_canonical, space) == one_each, t
+        assert per_call(count_automorphisms, space) == one_each, t
+        path = tmp_path / "space.json"
+        path.write_text(to_mu_table_json(space))
+        assert per_call(cli.main, ["classify", "--mu-table", str(path)]) == one_each, t
+        path.write_text(to_mu_table_json(SymplecticMetricSpace(space.rank, space.table ^ 2)))
+        assert per_call(cli.main, ["classify", "--mu-table", str(path)]) == one_each, t
