@@ -280,23 +280,41 @@ class GeneratedSubgroup:
     def generate(
         cls, generators: Iterable[ProjectiveElement], cap: int = 1 << 13
     ) -> "GeneratedSubgroup":
+        """Closure of the generators, built coset by coset.
+
+        This is Dimino's algorithm (as in Butler, Fundamental Algorithms for
+        Permutation Groups, LNCS 559, 1991).  Let H be the group generated
+        by the generators before g, and K the group generated with g; g is
+        skipped when it lies in H.  K is a union of right cosets H r, and
+        right multiplication by a generator s of K maps H r onto H (r s).
+        H together with the cosets reached from H g through the products
+        r s, one per coset representative r and generator s of K, is closed
+        under right multiplication by every generator, so it is K.  Each
+        new coset costs |H| - 1 products.  Raises ValueError exactly when
+        the closure has more than cap elements, before adding the coset
+        that would pass it.
+        """
         gens = tuple(generators)
         if not gens:
             raise ValueError("no generators; use trivial() for the trivial group")
-        ident = identity(gens[0].n, gens[0].field_mode)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for g in gens:
-                    prod = multiply(cur, g)
-                    if prod not in seen:
-                        if len(seen) >= cap:
-                            raise ValueError("closure exceeds the size cap")
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
+        elements = [identity(gens[0].n, gens[0].field_mode)]
+        seen = set(elements)
+        used: list[ProjectiveElement] = []
+        for g in gens:
+            if g in seen:
+                continue
+            used.append(g)
+            subgroup = elements[1:]  # H without its identity
+            reps = [g]
+            for r in reps:  # grows while it is scanned
+                if r in seen:  # its coset is in, and that coset's products are queued
+                    continue
+                if len(seen) + len(subgroup) >= cap:
+                    raise ValueError("closure exceeds the size cap")
+                coset = [r] + [multiply(h, r) for h in subgroup]
+                elements += coset
+                seen.update(coset)
+                reps += [multiply(r, s) for s in used]
         return cls(gens, tuple(sorted(seen, key=_element_key)))
 
     @classmethod

@@ -358,3 +358,66 @@ def test_classify_any_json_document_exits_cleanly(flag, doc):
             code = main(["classify", flag, path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Argument vectors for canonical, aut, catalog and verify, with negative,
+# huge, non-integer and unknown values and unknown flags; argparse's own
+# refusals end in SystemExit(2).  To bound the time, `aut --list` runs only
+# at ambient rank <= 4 and `verify` only runs the counts, defect and
+# catalog suites.
+_WILD_VALUES = st.integers(-3, 12).map(str) | st.sampled_from(
+    ["600", "601", str(10**12), str(10**100), "-10", "1.5", "x", "", "1e3",
+     "0x1", " 2 ", "1_0", "٣", "nan", "--r", "-x"]
+)
+_TUPLE_FLAGS = ("--r", "--s", "--eps", "--delta")
+_CHOICES = {
+    "--type": ["G2", "F4", "E6", "E7", "E8", "all", "E9", "csv"],
+    "--format": ["csv", "text", "json", ""],
+    "--suite": ["counts", "defect", "catalog", "nope", "ALL"],  # never a slow suite
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["canonical", "aut", "catalog", "verify", "nope"]))
+    if command in ("canonical", "aut"):
+        pairs = []
+        for flag in draw(st.lists(st.sampled_from(_TUPLE_FLAGS), max_size=4)):
+            bound = 1 if flag in ("--eps", "--delta") else 4
+            wild = draw(st.integers(0, 3)) == 0
+            value = draw(_WILD_VALUES if wild else st.integers(0, bound).map(str))
+            pairs.append((flag, value))
+    elif command == "catalog":
+        flags = st.lists(st.sampled_from(["--type", "--format"]), max_size=3)
+        pairs = [(f, draw(st.sampled_from(_CHOICES[f]))) for f in draw(flags)]
+    elif command == "verify":  # at least one --suite: the default runs every suite
+        suites = st.lists(st.sampled_from(_CHOICES["--suite"]), min_size=1, max_size=2)
+        pairs = [("--suite", suite) for suite in draw(suites)]
+    else:
+        pairs = []
+    argv = [command] + [token for pair in pairs for token in pair]
+    if command == "aut" and draw(st.booleans()):
+        try:
+            values = {flag: int(value) for flag, value in pairs}
+            rank = sum(values.get(f, 0) * w for f, w in zip(_TUPLE_FLAGS, (1, 2, 1, 2)))
+        except ValueError:
+            rank = 0  # argparse refuses the value before anything is listed
+        if rank <= 4:
+            argv.insert(draw(st.integers(1, len(argv))), "--list")
+    if draw(st.integers(0, 4)) == 0:
+        unknown = st.sampled_from(["--rank", "--seed", "--x", "-r", "--lists", "-h"])
+        argv.insert(draw(st.integers(1, len(argv))), draw(unknown))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_any_argument_vector_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals and -h
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympf2 import matgrp
@@ -276,6 +276,91 @@ def test_generate_cap():
         GeneratedSubgroup.generate([cyc, sign], cap=4)
 
 
+# --- generate() against the breadth-first closure ------------------------------
+
+
+def breadth_first_closure(generators, cap):
+    """The sorted closure, found by multiplying every element by every generator.
+
+    The reference for GeneratedSubgroup.generate: same elements, and the
+    same ValueError exactly when the closure has more than cap elements.
+    """
+    gens = tuple(generators)
+    ident = identity(gens[0].n, gens[0].field_mode)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for g in gens:
+                prod = multiply(cur, g)
+                if prod not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError("closure exceeds the size cap")
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return tuple(sorted(seen, key=matgrp._element_key))
+
+
+@st.composite
+def generator_lists(draw):
+    """Monomial generators on n <= 4 in one field mode, antilinear ones in
+    complex mode, then repeats and products of earlier ones appended and
+    the list shuffled.  Random monomials rarely commute."""
+    mode = draw(st.sampled_from(["real", "complex", "quaternion"]))
+    n = draw(st.integers(1, 4))
+    units = [u for u in range(8) if (u & 3) in matgrp._MODE_AXES[mode]]
+    element = st.builds(
+        lambda perm, entries, conj: ProjectiveElement(
+            MonomialMatrix(n, perm, entries, mode), conj
+        ),
+        st.permutations(range(n)).map(tuple),
+        st.lists(st.sampled_from(units), min_size=n, max_size=n).map(tuple),
+        st.booleans() if mode == "complex" else st.just(False),
+    )
+    gens = draw(st.lists(element, min_size=1, max_size=4))
+    links = st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 7))
+    for product, i, j in draw(st.lists(links, max_size=4)):
+        a, b = gens[i % len(gens)], gens[j % len(gens)]
+        gens.append(multiply(a, b) if product else a)
+    return draw(st.permutations(gens))
+
+
+def closure_or_error(close):
+    try:
+        return close()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_lists())
+def test_generate_matches_breadth_first_closure(gens):
+    # at cap 200 and, when the closure fits, at its size and one below
+    closure = closure_or_error(lambda: breadth_first_closure(gens, 200))
+    caps = [200] if isinstance(closure, str) else [200, len(closure), len(closure) - 1]
+    for cap in caps:
+        expected = closure_or_error(lambda: breadth_first_closure(gens, cap))
+        assert closure_or_error(lambda: GeneratedSubgroup.generate(gens, cap).elements) == expected
+
+
+def test_generate_skips_listed_generators_already_in_the_group(monkeypatch):
+    # a rank-9 group with each generator listed 40 times (360 generators):
+    # the breadth-first closure multiplies each of the 512 elements by all
+    # 360 of them, the coset closure makes 502 coset products and 45
+    # representative products
+    t = InvariantTuple(0, 0, 3, 3)
+    group = canonical_subgroup(matgrp.ORTHOGONAL, t)
+    calls = []
+    monkeypatch.setattr(matgrp, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    listed = GeneratedSubgroup.generate([g for g in group.generators for _ in range(40)])
+    monkeypatch.undo()
+    assert len(calls) == 547
+    assert listed.elements == group.elements
+    assert invariants(extract_sms(listed)) == t  # on a greedy basis of the elements
+
+
 def test_generator_file_round_trip():
     doc = """
     {"field_mode": "real", "n": 4,
@@ -392,12 +477,13 @@ def test_canonical_words_expand_to_reference_patterns():
 
 
 def test_canonical_words_match_generated_group():
-    # generate() is the breadth-first reference; its closures above rank 7
-    # would cost tens of seconds in all, so those ranks are left to the
-    # round trip against canonical(t).
+    # generate() closes the matrices with no use of the words.  Ranks 10-14
+    # (26 of the 148 tuples) would add about 7 s, most of it extract_sms
+    # on the reference, so they are left to the round trip against
+    # canonical(t).
     seen = 0
     for target, t, group in accepted_tuples():
-        if t.ambient_rank > 7:
+        if t.ambient_rank > 9:
             continue
         if group.generators:
             reference = GeneratedSubgroup.generate(group.generators)
