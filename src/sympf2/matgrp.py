@@ -11,6 +11,7 @@ matrices only on request; generator files take the general matrix path.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,11 +153,6 @@ class MonomialMatrix:
     def is_scalar(self) -> bool:
         return self.perm == tuple(range(self.n)) and len(set(self.entries)) <= 1
 
-    def scalar_value(self) -> int:
-        if not self.is_scalar():
-            raise ValueError("matrix is not scalar")
-        return self.entries[0] if self.n else 0
-
 
 # Left multiplication by distinct units gives distinct first entries, so the
 # first entry alone decides which scalar multiple has the smallest entry
@@ -208,11 +204,6 @@ def _raw_mul(
     return ma * rhs, fa != fb
 
 
-def _raw_inv(m: MonomialMatrix, f: bool) -> tuple[MonomialMatrix, bool]:
-    inv = m.inverse()
-    return (inv.conj_entries() if f else inv), f
-
-
 def multiply(a: ProjectiveElement, b: ProjectiveElement) -> ProjectiveElement:
     """(A, a)(B, b) = (A sigma^a(B), a xor b), sigma = entrywise conjugation."""
     if a.n != b.n or a.field_mode != b.field_mode:
@@ -222,8 +213,8 @@ def multiply(a: ProjectiveElement, b: ProjectiveElement) -> ProjectiveElement:
 
 
 def inverse(a: ProjectiveElement) -> ProjectiveElement:
-    mat, flag = _raw_inv(a.matrix, a.conj)
-    return ProjectiveElement(mat, flag)
+    inv = a.matrix.inverse()
+    return ProjectiveElement(inv.conj_entries() if a.conj else inv, a.conj)
 
 
 def identity(n: int, field_mode: str) -> ProjectiveElement:
@@ -240,21 +231,26 @@ def square_scalar(x: ProjectiveElement) -> int:
     raw, _ = _raw_mul(x.matrix, x.conj, x.matrix, x.conj)
     if not raw.is_scalar():
         raise ValueError("not a projective involution: square is not scalar")
-    return raw.scalar_value()
+    return raw.entries[0] if raw.n else 0
 
 
 def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
-    """Unit scalar lambda with x y x^-1 y^-1 = lambda I."""
+    """Unit scalar lambda with x y x^-1 y^-1 = lambda I.
+
+    Read from the raw products: x y x^-1 y^-1 = lambda I exactly when
+    x y = lambda (y x), antilinear factors included, since both products
+    carry the flag of x xor that of y.  So lambda = a_0 conj(b_0) from the
+    first entries a of x y and b of y x, and the pair commutes projectively
+    exactly when the two perms agree and lambda b_c = a_c in every column.
+    """
     if x.n != y.n or x.field_mode != y.field_mode:
         raise ValueError("size or mode mismatch")
-    m1, f1 = _raw_mul(x.matrix, x.conj, y.matrix, y.conj)
-    xi, fxi = _raw_inv(x.matrix, x.conj)
-    yi, fyi = _raw_inv(y.matrix, y.conj)
-    m2, f2 = _raw_mul(xi, fxi, yi, fyi)
-    raw, flag = _raw_mul(m1, f1, m2, f2)
-    if flag or not raw.is_scalar():
+    xy, _ = _raw_mul(x.matrix, x.conj, y.matrix, y.conj)
+    yx, _ = _raw_mul(y.matrix, y.conj, x.matrix, x.conj)
+    lam = UNIT_MUL[xy.entries[0]][unit_conj(yx.entries[0])] if xy.n else 0
+    if xy.perm != yx.perm or yx.scale(lam).entries != xy.entries:
         raise ValueError("pair does not projectively commute")
-    return raw.scalar_value()
+    return lam
 
 
 def _mu_bit(scalar: int) -> int:
@@ -334,9 +330,8 @@ class GeneratedSubgroup:
         try:
             for x in self.elements:
                 square_scalar(x)
-            for x in self.generators:
-                for y in self.generators:
-                    commutator_scalar(x, y)
+            for x, y in itertools.combinations(self.generators, 2):  # as in _tabulate
+                commutator_scalar(x, y)
         except ValueError:
             return False
         return True
@@ -371,9 +366,10 @@ def extract_sms(
 ) -> SymplecticMetricSpace:
     """Tabulate mu over an F2 basis of an elementary abelian subgroup.
 
-    mu comes from square scalars, the pairing from commutator scalars; the
-    two must satisfy m = polarization of mu, and a mismatch is raised as a
-    modeling bug.  The basis defaults to the generator list when it is
+    mu comes from square scalars, the pairing from commutator scalars (read
+    off x y against y x, once per unordered basis pair); the two must
+    satisfy m = polarization of mu, and a mismatch is raised as a modeling
+    bug.  The basis defaults to the generator list when it is
     independent, so canonical constructions reproduce canonical tables bit
     for bit; their generators are tensor-slot words, tabulated without
     matrices.  Groups containing antilinear elements are rejected; their
@@ -398,14 +394,18 @@ def extract_sms(
 def _tabulate(
     basis: Sequence, elem_of: Sequence, square: Callable, commutator: Callable
 ) -> SymplecticMetricSpace:
-    """mu from square(elem_of[v]), checked against commutator() on the basis."""
+    """mu from square(elem_of[v]), checked against commutator() on the basis.
+
+    One check per unordered pair i < j: commutator(x, x) = 1 and m(v, v) = 0,
+    and commutator(y, x) = commutator(x, y)^-1 while m is symmetric, so the
+    other pairs pass or fail with these and the first failure is the same.
+    """
     k = len(basis)
     space = SymplecticMetricSpace(k, _pack([_mu_bit(square(e)) for e in elem_of]))
     require_valid(space)
-    for i in range(k):
-        for j in range(k):
-            if _mu_bit(commutator(basis[i], basis[j])) != space.m(1 << i, 1 << j):
-                raise ValueError("mu/m compatibility violation: modeling bug")
+    for i, j in itertools.combinations(range(k), 2):
+        if _mu_bit(commutator(basis[i], basis[j])) != space.m(1 << i, 1 << j):
+            raise ValueError("mu/m compatibility violation: modeling bug")
     return space
 
 

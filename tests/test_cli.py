@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import tempfile
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from sympf2 import cli, matgrp
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
+from test_matgrp import inverse_commutator
 
 
 def run(capsys, *argv):
@@ -421,3 +424,82 @@ def test_any_argument_vector_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# --- classify --generators against the inverse-based commutator -------------
+
+
+def _corpus_generator(rng, mode, n, earlier):
+    """One projective monomial: mostly a tensor-slot involution (q X^x Z^z),
+    else diagonal units, a shift or clock matrix of n = 4 (commutator +-i
+    in complex mode), a random monomial, or a repeat or product of earlier
+    generators; antilinear now and then in complex mode."""
+    units = [u for u in range(8) if (u & 3) in matgrp._MODE_AXES[mode]]
+    kind = rng.choice(["slot", "slot", "slot", "diagonal", "clock", "random", "dependent"])
+    conj = mode == "complex" and rng.random() < 0.25
+    if kind == "dependent" and earlier:
+        a, b = rng.choice(earlier), rng.choice(earlier)
+        return matgrp.multiply(a, b) if rng.random() < 0.5 else a
+    if kind == "diagonal":
+        mat = matgrp.MonomialMatrix.diagonal([rng.choice(units) for _ in range(n)], mode)
+    elif kind == "clock" and n == 4:
+        if rng.random() < 0.5:
+            mat = matgrp.MonomialMatrix(4, (1, 2, 3, 0), (0,) * 4, mode)
+        else:
+            clock = [0]  # powers of i, or of -1 in real mode
+            for _ in range(3):
+                clock.append(matgrp.unit_mul(clock[-1], 1 if mode != "real" else 4))
+            mat = matgrp.MonomialMatrix.diagonal(clock, mode)
+    elif kind == "random":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        entries = tuple(rng.choice(units) for _ in range(n))
+        mat = matgrp.MonomialMatrix(n, tuple(perm), entries, mode)
+    else:
+        q = rng.choice([u for u in units if (u & 3) < 2] if rng.random() < 0.8 else units)
+        mat = matgrp._word_matrix((q, rng.randrange(n), rng.randrange(n)), n, mode)
+    return matgrp.ProjectiveElement(mat, conj)
+
+
+def _corpus_document(rng):
+    mode = rng.choice(["real", "complex", "quaternion"])
+    n = rng.choice([1, 2, 4, 4])
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        gens.append(_corpus_generator(rng, mode, n, gens))
+    doc = {"field_mode": mode, "n": n, "generators": []}
+    for g in gens:
+        entries = [matgrp.UNIT_NAMES[e] for e in g.matrix.entries]
+        raw = {"perm": list(g.matrix.perm), "entries": entries}
+        if g.conj or rng.random() < 0.1:
+            raw["conj"] = g.conj
+        doc["generators"].append(raw)
+    if rng.random() < 0.05:  # an entry outside the field mode unless quaternion
+        doc["generators"][0]["entries"][0] = "j"
+    return doc
+
+
+def test_classify_generators_matches_inverse_commutator(tmp_path, monkeypatch):
+    # 200 seeded documents, each classified twice: with commutator_scalar
+    # and with the inverse-based reference patched in; same exit code,
+    # stdout and stderr
+    rng = random.Random(8)
+    codes = collections.Counter()
+    paired = 0
+    for idx in range(200):
+        path = tmp_path / f"gens{idx}.json"
+        path.write_text(json.dumps(_corpus_document(rng)))
+        runs = []
+        for commutator in (matgrp.commutator_scalar, inverse_commutator):
+            monkeypatch.setattr(matgrp, "commutator_scalar", commutator)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["classify", "--generators", str(path)])
+            runs.append((code, out.getvalue(), err.getvalue()))
+        monkeypatch.undo()
+        assert runs[0] == runs[1], path.read_text()
+        code, out, err = runs[0]
+        assert code in (0, 1, 2) and "Traceback" not in err
+        codes[code] += 1
+        paired += "pairings: " in out
+    assert min(codes[0], codes[1], codes[2]) > 0 and paired >= 40, (codes, paired)

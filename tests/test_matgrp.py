@@ -89,9 +89,31 @@ def test_square_scalar_examples():
 
 
 def test_commutator_examples():
-    x = i22()
-    assert commutator_scalar(x, x) == unit("1")
-    assert commutator_scalar(j2(), k1()) == unit("-1")
+    # against the inverse-based reference: +1, -1, +-i (linear and
+    # antilinear), the quaternion pair iI, jI, and both errors
+    shift = elem([1, 2, 3, 0], ["1"] * 4, "complex")
+    clock = elem([0, 1, 2, 3], ["1", "i", "-1", "-i"], "complex")
+    tau = conjugation_element(4)
+    iI, jI = (elem([0], [u], "quaternion") for u in ("i", "j"))
+    cases = [
+        (i22(), i22(), "1"),
+        (i22(), jprime2(), "-1"),
+        (j2(), k1(), "-1"),
+        (shift, clock, "-i"),
+        (clock, shift, "i"),
+        (multiply(tau, elem([3, 2, 1, 0], ["1"] * 4, "complex")), clock, "i"),
+        (multiply(tau, elem([1, 0, 3, 2], ["1"] * 4, "complex")), clock, "-i"),
+        (iI, jI, "-1"),
+    ]
+    for x, y, lam in cases:
+        assert commutator_scalar(x, y) == inverse_commutator(x, y) == unit(lam)
+    cyc = elem([1, 2, 0], ["1", "1", "1"], "real")
+    sign = elem([0, 1, 2], ["-1", "1", "1"], "real")
+    swap = elem([1, 0, 2], ["1", "1", "1"], "real")  # x y and y x differ in perm only
+    for x, y in ((cyc, sign), (cyc, swap), (i22(), i22("complex")), (i22(), cyc)):
+        expected = value_or_error(lambda: inverse_commutator(x, y))
+        assert value_or_error(lambda: commutator_scalar(x, y)) == expected
+        assert expected in ("pair does not projectively commute", "size or mode mismatch")
 
 
 def test_scalar_canonicalization_stability():
@@ -303,23 +325,29 @@ def breadth_first_closure(generators, cap):
     return tuple(sorted(seen, key=matgrp._element_key))
 
 
+MODES = ["real", "complex", "quaternion"]
+
+
+def monomials(n, mode, perms=None):
+    """Random n x n monomials of the mode, antilinear ones in complex mode."""
+    units = [u for u in range(8) if (u & 3) in matgrp._MODE_AXES[mode]]
+    return st.builds(
+        lambda perm, entries, conj: ProjectiveElement(
+            MonomialMatrix(n, perm, entries, mode), conj
+        ),
+        st.permutations(range(n)).map(tuple) if perms is None else perms,
+        st.lists(st.sampled_from(units), min_size=n, max_size=n).map(tuple),
+        st.booleans() if mode == "complex" else st.just(False),
+    )
+
+
 @st.composite
 def generator_lists(draw):
     """Monomial generators on n <= 4 in one field mode, antilinear ones in
     complex mode, then repeats and products of earlier ones appended and
     the list shuffled.  Random monomials rarely commute."""
-    mode = draw(st.sampled_from(["real", "complex", "quaternion"]))
-    n = draw(st.integers(1, 4))
-    units = [u for u in range(8) if (u & 3) in matgrp._MODE_AXES[mode]]
-    element = st.builds(
-        lambda perm, entries, conj: ProjectiveElement(
-            MonomialMatrix(n, perm, entries, mode), conj
-        ),
-        st.permutations(range(n)).map(tuple),
-        st.lists(st.sampled_from(units), min_size=n, max_size=n).map(tuple),
-        st.booleans() if mode == "complex" else st.just(False),
-    )
-    gens = draw(st.lists(element, min_size=1, max_size=4))
+    mode = draw(st.sampled_from(MODES))
+    gens = draw(st.lists(monomials(draw(st.integers(1, 4)), mode), min_size=1, max_size=4))
     links = st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 7))
     for product, i, j in draw(st.lists(links, max_size=4)):
         a, b = gens[i % len(gens)], gens[j % len(gens)]
@@ -327,9 +355,9 @@ def generator_lists(draw):
     return draw(st.permutations(gens))
 
 
-def closure_or_error(close):
+def value_or_error(compute):
     try:
-        return close()
+        return compute()
     except ValueError as exc:
         return str(exc)
 
@@ -338,11 +366,11 @@ def closure_or_error(close):
 @given(generator_lists())
 def test_generate_matches_breadth_first_closure(gens):
     # at cap 200 and, when the closure fits, at its size and one below
-    closure = closure_or_error(lambda: breadth_first_closure(gens, 200))
+    closure = value_or_error(lambda: breadth_first_closure(gens, 200))
     caps = [200] if isinstance(closure, str) else [200, len(closure), len(closure) - 1]
     for cap in caps:
-        expected = closure_or_error(lambda: breadth_first_closure(gens, cap))
-        assert closure_or_error(lambda: GeneratedSubgroup.generate(gens, cap).elements) == expected
+        expected = value_or_error(lambda: breadth_first_closure(gens, cap))
+        assert value_or_error(lambda: GeneratedSubgroup.generate(gens, cap).elements) == expected
 
 
 def test_generate_skips_listed_generators_already_in_the_group(monkeypatch):
@@ -359,6 +387,109 @@ def test_generate_skips_listed_generators_already_in_the_group(monkeypatch):
     assert len(calls) == 547
     assert listed.elements == group.elements
     assert invariants(extract_sms(listed)) == t  # on a greedy basis of the elements
+
+
+# --- commutator_scalar against the inverse-based commutator -------------------
+
+
+def inverse_commutator(x, y):
+    """x y x^-1 y^-1 multiplied out with two inverses and three products.
+
+    The reference for commutator_scalar: the same scalar, or the same
+    ValueError.
+    """
+    if x.n != y.n or x.field_mode != y.field_mode:
+        raise ValueError("size or mode mismatch")
+
+    def raw_inv(a):
+        inv = a.matrix.inverse()
+        return (inv.conj_entries() if a.conj else inv), a.conj
+
+    m1, f1 = matgrp._raw_mul(x.matrix, x.conj, y.matrix, y.conj)
+    m2, f2 = matgrp._raw_mul(*raw_inv(x), *raw_inv(y))
+    raw, flag = matgrp._raw_mul(m1, f1, m2, f2)
+    if flag or not raw.is_scalar():
+        raise ValueError("pair does not projectively commute")
+    return raw.entries[0] if raw.n else 0
+
+
+@st.composite
+def commuting_pairs(draw, mode):
+    """Pairs that commute projectively: diagonal units (exactly commuting in
+    real and complex mode), tensor-slot words, or the clock and shift
+    matrices of n = 4, whose commutator in complex mode is +-i."""
+    kind = draw(st.sampled_from(["diagonal", "slot", "clock"]))
+    if kind == "diagonal":
+        n = draw(st.integers(1, 4))
+        diagonal = monomials(n, mode, perms=st.just(tuple(range(n))))
+        return draw(diagonal), draw(diagonal)
+    units = (0, 4) if mode == "real" else (0, 1, 4, 5) if mode == "complex" else range(8)
+    if kind == "slot":
+        n = 1 << draw(st.integers(0, 2))
+        word = st.tuples(st.sampled_from(units), st.integers(0, n - 1), st.integers(0, n - 1))
+        flag = st.booleans() if mode == "complex" else st.just(False)
+        return tuple(
+            ProjectiveElement(matgrp._word_matrix(draw(word), n, mode), draw(flag))
+            for _ in range(2)
+        )
+    root = unit("i") if mode != "real" else unit("-1")
+    powers = [0]
+    for _ in range(3):
+        powers.append(unit_mul(powers[-1], root))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    shift = MonomialMatrix(4, tuple((c + a) % 4 for c in range(4)), (0,) * 4, mode)
+    clock = MonomialMatrix.diagonal([powers[b * c % 4] for c in range(4)], mode)
+    return ProjectiveElement(shift), ProjectiveElement(clock)
+
+
+@st.composite
+def commutator_pairs(draw):
+    """Pairs on n <= 4 in one field mode: commuting patterns, conjugated
+    by a random monomial half the time, or two random monomials, which
+    rarely commute; now and then the sizes or modes differ."""
+    mode = draw(st.sampled_from(MODES))
+    kind = draw(st.sampled_from(["pattern", "pattern", "random", "mismatch"]))
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        return draw(monomials(n, mode)), draw(monomials(n, mode))
+    if kind == "mismatch":
+        other = draw(st.sampled_from(MODES))
+        n = draw(st.integers(1, 4))
+        m = n if other != mode else draw(st.integers(1, 4))
+        return draw(monomials(n, mode)), draw(monomials(m, other))
+    x, y = draw(commuting_pairs(mode))
+    if draw(st.booleans()):
+        g = draw(monomials(x.n, mode))
+        x, y = (multiply(multiply(g, e), inverse(g)) for e in (x, y))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(commutator_pairs())
+def test_commutator_scalar_matches_inverse_commutator(pair):
+    x, y = pair
+    expected = value_or_error(lambda: inverse_commutator(x, y))
+    assert value_or_error(lambda: commutator_scalar(x, y)) == expected
+
+
+def test_commutator_scalar_matches_inverse_commutator_for_n_up_to_2():
+    # every pair of monomials on n <= 2 in each mode, antilinear ones in
+    # complex mode: quaternion pairs reach every unit as lambda here, and
+    # lambda = a_0 conj(b_0) must not be taken as conj(b_0) a_0
+    outcomes = set()
+    for mode, n in itertools.product(MODES, (1, 2)):
+        units = [u for u in range(8) if (u & 3) in matgrp._MODE_AXES[mode]]
+        elements = [
+            ProjectiveElement(MonomialMatrix(n, perm, entries, mode), conj)
+            for perm in itertools.permutations(range(n))
+            for entries in itertools.product(units, repeat=n)
+            for conj in ((False, True) if mode == "complex" else (False,))
+        ]
+        for x, y in itertools.product(elements, repeat=2):
+            expected = value_or_error(lambda: inverse_commutator(x, y))
+            assert value_or_error(lambda: commutator_scalar(x, y)) == expected, (x, y)
+            outcomes.add(expected)
+    assert outcomes == set(range(8)) | {"pair does not projectively commute"}
 
 
 def test_generator_file_round_trip():
