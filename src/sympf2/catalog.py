@@ -622,9 +622,11 @@ def count_label_automorphisms(model: LabelModel) -> int:
 def count_mu_automorphisms(model: LabelModel) -> int:
     """Invertible matrices preserving the mu table, counted by search.
 
-    The autgrp search core's orbit-stabilizer count with the span-check
-    rule, so non-bilinear tables work too.  Labels are functions of mu, so
-    this counts the same group as count_label_automorphisms.
+    The autgrp search core's stabilizer-chain count (_ImageSearch.order:
+    one existence search per orbit, each automorphism found kept as a
+    generator) with the span-check rule, so non-bilinear tables work too.
+    Labels are functions of mu, so this counts the same group as
+    count_label_automorphisms.
     """
     k = model.rank
     if k > ENUMERATION_RANK_BOUND:
