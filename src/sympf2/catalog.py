@@ -16,7 +16,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .autgrp import (
     ENUMERATION_RANK_BOUND,
@@ -30,6 +30,7 @@ from .f2core import _span, enumerate_gl, gl_order
 from .sms import (
     InvariantTuple,
     SymplecticMetricSpace,
+    _coordinates,
     _pack,
     _translate,
     _unpack,
@@ -77,10 +78,21 @@ class LabelModel:
     def translation_subgroup(self) -> list[int]:
         """A_F = {x : mu(x) = +1 and m(x, y) = +1 for all y}, listed fully.
 
-        That is mu(x + y) = mu(y) for all y: one table comparison per x.
+        That is mu(x + y) = mu(y) for all y: the table T_x of y -> mu(x + y)
+        equals the table.  x walks a Gray code, and T_{x + e_i} is T_x after
+        block swap i, so each x costs one swap and one comparison.
         """
         k, table = self.rank, self.table
-        return [x for x in range(1 << k) if _translate(k, table, x) == table]
+        coords = _coordinates(k)
+        moved, x, out = table, 0, [0]
+        for n in range(1, 1 << k):
+            i = (n & -n).bit_length() - 1
+            h, c = 1 << i, coords[i]
+            moved = (moved & c) >> h | (moved << h) & c
+            x ^= h
+            if moved == table:
+                out.append(x)
+        return sorted(out)
 
     def translation_rank(self) -> int:
         n = len(self.translation_subgroup())
@@ -120,12 +132,24 @@ def _orthogonal_product(blocks: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GraphInvariant:
-    """Quotient graph on translation cosets of s1-tagged elements."""
+    """Quotient graph on translation cosets of s1-tagged elements.
+
+    neighbours[i] is the neighbourhood of vertices[i] as a bit set over
+    group elements: bit b is set when the representative b is adjacent.
+    """
 
     vertices: tuple[int, ...]
-    edges: frozenset[frozenset[int]]
+    neighbours: tuple[int, ...]
     shape: str
     part_sizes: Optional[tuple[int, int]]
+
+    @property
+    def edges(self) -> frozenset[frozenset[int]]:
+        return frozenset(
+            frozenset((a, b))
+            for a, mask in zip(self.vertices, self.neighbours)
+            for b in self.vertices if mask >> b & 1
+        )
 
 
 @dataclass(frozen=True)
@@ -570,37 +594,36 @@ def _quotient_graph(model: LabelModel) -> GraphInvariant:
     """Vertices: the least element of each A_F-coset of s1 elements.
 
     Reps a and b are joined when a + b is tagged s2, that is mu(a + b) = 0.
+    With R the bit set of the reps, a's neighbourhood is R & ~T_a minus a,
+    where bit b of the translated table T_a is mu(a + b).
     """
     k, table = model.rank, model.table
     a_f = model.translation_subgroup()
     s1 = [x for x in range(1 << k) if table >> x & 1] if model.sigma_tag == "s1" else []
     rep = {x: min(x ^ a for a in a_f) for x in s1}
-    # mu(x + y) = mu(rep(x) + y) for all y makes the verdict constant on coset pairs
-    if any(_translate(k, table, x) != _translate(k, table, a) for x, a in rep.items()):
-        raise AssertionError(f"graph not constant on cosets of {model}")
     reps = sorted(set(rep.values()))
-    edges = {
-        frozenset((a, b)) for a, b in itertools.combinations(reps, 2) if not table >> (a ^ b) & 1
-    }
-    shape, parts = _classify_graph(reps, edges)
-    return GraphInvariant(tuple(reps), frozenset(edges), shape, parts)
+    moved = {a: _translate(k, table, a) for a in reps}
+    # mu(x + y) = mu(rep(x) + y) for all y makes the verdict constant on coset pairs
+    if any(_translate(k, table, x) != moved[a] for x, a in rep.items()):
+        raise AssertionError(f"graph not constant on cosets of {model}")
+    rep_mask = sum(1 << a for a in reps)
+    neighbours = tuple(rep_mask & ~moved[a] & ~(1 << a) for a in reps)
+    return GraphInvariant(tuple(reps), neighbours, *_classify_graph(neighbours))
 
 
-def _classify_graph(
-    vertices: list[int], edges: set[frozenset[int]]
-) -> tuple[str, Optional[tuple[int, int]]]:
-    if not vertices:
+def _classify_graph(neighbours: Sequence[int]) -> tuple[str, Optional[tuple[int, int]]]:
+    """Shape from the vertices' neighbourhood bit sets."""
+    if not neighbours:
         return "empty", None
-    if len(vertices) == 1:
+    if len(neighbours) == 1:
         return "single_vertex", None
-    neigh = {v: frozenset(w for w in vertices if frozenset((v, w)) in edges) for v in vertices}
-    if not edges:
-        return "complete_bipartite", (0, len(vertices))
-    classes = set(neigh.values())
+    if not any(neighbours):
+        return "complete_bipartite", (0, len(neighbours))
+    classes = set(neighbours)
     if len(classes) == 2:
         # No vertex is its own neighbour, so with edges present each of the
         # two neighbourhoods is the set of vertices having the other one.
-        return "complete_bipartite", tuple(sorted(map(len, classes)))
+        return "complete_bipartite", tuple(sorted(c.bit_count() for c in classes))
     return "other", None
 
 
@@ -612,10 +635,11 @@ def count_label_automorphisms(model: LabelModel) -> int:
     want = list(labels)
     count = 0
     for mat in enumerate_gl(model.rank):
-        cols = mat.column_bits()
+        # rows serve as the basis images: transposing is a bijection on GL
+        images = mat.row_bits()
         # the basis images rule out most matrices before the table is built
-        if all(labels[c] == labels[1 << i] for i, c in enumerate(cols)):
-            count += [labels[x] for x in _span(cols)] == want
+        if all(labels[c] == labels[1 << i] for i, c in enumerate(images)):
+            count += [labels[x] for x in _span(images)] == want
     return count
 
 
@@ -755,7 +779,7 @@ def _graph_summary(entry: FamilyEntry) -> str:
         a, b = g.part_sizes
         return f"complete_bipartite({a},{b})"
     if g.shape == "other":
-        return f"other(v={len(g.vertices)},e={len(g.edges)})"
+        return f"other(v={len(g.vertices)},e={sum(map(int.bit_count, g.neighbours)) // 2})"
     return g.shape
 
 

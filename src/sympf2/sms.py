@@ -215,9 +215,31 @@ def kernel(space: SymplecticMetricSpace) -> Subspace:
 
 def translation_subgroup(space: SymplecticMetricSpace) -> Subspace:
     """A_V = {x in ker m : mu(x) = 0}; mu is linear on ker m."""
-    ker = kernel(space)
-    zeros = [v.bits for v in ker.elements() if space.mu(v.bits) == 0]
-    return Subspace.spanned_by(zeros, space.rank)
+    return Subspace.spanned_by(_split_kernel(space, _analyze(space).ker)[0], space.rank)
+
+
+def _split_kernel(space: SymplecticMetricSpace, ker: list[int]) -> tuple[list[int], Optional[int]]:
+    """(a basis of A_V, the least v in ker m with mu(v) = 1, or None if none).
+
+    mu is linear on ker m with basis ker, so with odd its basis vectors of
+    mu 1, A_V is spanned by the others and odd[0] + odd[i], and the vectors
+    of mu 1 form the coset odd[0] + A_V.  Its least element is odd[0]
+    reduced, from the top bit down, by a basis of A_V with distinct top bits.
+    """
+    odd = [v for v in ker if space.mu(v)]
+    zeros = [v for v in ker if not space.mu(v)] + [odd[0] ^ v for v in odd[1:]]
+    if not odd:
+        return zeros, None
+    tops: list[int] = []  # distinct top bits, in decreasing order
+    for v in zeros:
+        for b in tops:
+            v = min(v, v ^ b)
+        if v:
+            tops = sorted(tops + [v], reverse=True)
+    z = odd[0]
+    for b in tops:
+        z = min(z, z ^ b)
+    return zeros, z
 
 
 def defect(space: SymplecticMetricSpace) -> DefectIndex:
@@ -315,11 +337,12 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     """
     _, gram, ker, inv = _analyze(space)
     k = space.rank
-    z = min(v for v in _span(ker) if space.mu(v)) if inv.eps else None
-    # x -> x + mu(x) z projects ker m onto the translation subgroup
-    trans = Subspace.spanned_by([v ^ z if space.mu(v) else v for v in ker], k)
-    fixed = [v.bits for v in trans.basis] + ([z] if inv.eps else [])
+    trans, z = _split_kernel(space, ker)
+    fixed = [v.bits for v in Subspace.spanned_by(trans, k).basis] + ([z] if inv.eps else [])
     pairs: list[tuple[int, int]] = []
+
+    def pairings(x: int) -> int:  # bit i is m(e_i, x)
+        return sum(((g & x).bit_count() & 1) << i for i, g in enumerate(gram))
 
     def clear_cross_pairings(v: int) -> int:
         for e, f in pairs:
@@ -335,7 +358,7 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
         x = clear_cross_pairings(next(1 << i for i in range(k) if 1 << i not in spanned))
         # x is now orthogonal to every earlier pair, so correcting y below
         # cannot disturb m(x, y).
-        row = sum(((g & x).bit_count() & 1) << i for i, g in enumerate(gram))  # m(e_i, x)
+        row = pairings(x)
         y = clear_cross_pairings(row & -row)
         if space.m(x, y) != 1:
             raise AssertionError("pair reduction lost the pairing")
@@ -374,7 +397,14 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     ordered = fixed + [c for p in ones + zeros for c in p]
     # Columns of T are the constructed basis in the space's coordinates.
     t = F2Matrix.from_row_bits(ordered, k).transpose()
-    if transport(space, t).table != canonical(inv).table:
+    # mu(T v) is the quadratic form with basis values mu(b_i) and pairings
+    # m(b_i, b_j), so its table is transport(space, t).table in O(k^2) words.
+    gram_rows = [
+        sum(((p & b).bit_count() & 1) << j for j, b in enumerate(ordered))
+        for p in map(pairings, ordered)
+    ]
+    basis_mu = [space.mu(b) for b in ordered]
+    if not t.is_invertible() or _table_from_basis_data(k, basis_mu, gram_rows) != canonical(inv).table:
         raise AssertionError("constructed basis change does not canonicalize")
     return t
 

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympf2 import catalog
 from sympf2.autgrp import count_automorphisms
@@ -21,7 +23,7 @@ from sympf2.catalog import (
     model_has_full_hx,
     p_order,
 )
-from sympf2.sms import SymplecticMetricSpace, _translate
+from sympf2.sms import SymplecticMetricSpace, _coordinates, _translate
 
 
 def by_key(lie_type, family, params):
@@ -359,7 +361,44 @@ def test_classify_graph_matches_pairwise_check_on_small_graphs():
         pairs = list(itertools.combinations(vertices, 2))
         for mask in range(1 << len(pairs)):
             edges = {frozenset(p) for i, p in enumerate(pairs) if mask >> i & 1}
-            got = catalog._classify_graph(vertices, edges)
+            neighbours = [
+                sum(1 << w for w in vertices if frozenset((v, w)) in edges) for v in vertices
+            ]
+            got = catalog._classify_graph(neighbours)
             assert got == _oracle_shape(vertices, edges), (n, edges)
             shapes.add(got[0])
     assert shapes == {"empty", "single_vertex", "complete_bipartite", "other"}
+
+
+def test_quotient_graph_edges_and_counts_come_from_neighbour_masks():
+    for e in enumerate_type("E8"):
+        g = graph_of(e)
+        if g is None:
+            continue
+        assert len(g.neighbours) == len(g.vertices)
+        assert sum(map(int.bit_count, g.neighbours)) == 2 * len(g.edges)
+        assert all(not mask >> v & 1 for v, mask in zip(g.vertices, g.neighbours))
+
+
+@st.composite
+def tables_with_translations(draw, max_rank=9):
+    """A random table with mu(0) = 0, made invariant under some e_i.
+
+    Copying the half with coordinate i = 0 onto the other half makes e_i a
+    translation; bilinear or not, the table has 2^j translations or more.
+    """
+    k = draw(st.integers(0, max_rank))
+    table = draw(st.integers(0, (1 << (1 << k)) - 1)) & ~1
+    for i, c in enumerate(_coordinates(k)):
+        if draw(st.booleans()):
+            low = table & ~c
+            table = low | low << (1 << i)
+    return k, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_translations())
+def test_gray_walk_translation_subgroup_matches_translate(data):
+    k, table = data
+    want = [x for x in range(1 << k) if _translate(k, table, x) == table]
+    assert LabelModel(k, table).translation_subgroup() == want

@@ -237,6 +237,63 @@ def test_isomorphism_to_canonical_exhaustive_rank_le_3():
             assert transport(space, t).table == canonical(invariants(space)).table
 
 
+def _random_invertible(rng, k):
+    while True:
+        m = F2Matrix.from_row_bits([rng.getrandbits(k) for _ in range(k)], k)
+        if m.is_invertible():
+            return m
+
+
+def tuples_of_rank(k):
+    return [
+        InvariantTuple(eps, delta, r, (k - r - eps - 2 * delta) // 2)
+        for eps, delta in ((0, 0), (1, 0), (0, 1))
+        for r in range(k - eps - 2 * delta + 1)
+        if (k - r - eps - 2 * delta) % 2 == 0
+    ]
+
+
+@pytest.mark.parametrize("k", range(4, 14))
+def test_witness_canonicalizes_after_seeded_basis_changes(k):
+    # the full transported table is the reference for the witness's own
+    # check, which rebuilds that table from the pairings of the new basis
+    rng = random.Random(1000 + k)
+    for t in tuples_of_rank(k):
+        space = transport(canonical(t), _random_invertible(rng, k))
+        w = isomorphism_to_canonical(space)
+        assert transport(space, w).table == canonical(t).table, t
+
+
+def test_witness_tuples_include_large_radicals():
+    big = [t for k in range(4, 14) for t in tuples_of_rank(k) if t.eps and t.r + t.eps >= 8]
+    assert InvariantTuple(1, 0, 11, 0) in big and len(big) == 12
+
+
+@st.composite
+def valid_space_and_basis_change(draw, max_rank=9):
+    k, basis_mu, rows = draw(basis_data(max_rank))
+    columns = [1 << i for i in range(k)]
+    # transvections generate GL(k, 2), and each keeps the columns independent
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=40)):
+        if k > 1 and i % k != j % k:
+            columns[i % k] ^= columns[j % k]
+    t = F2Matrix.from_row_bits(columns, k).transpose()
+    return SymplecticMetricSpace(k, _table_from_basis_data(k, basis_mu, rows)), t
+
+
+@settings(deadline=None)
+@given(valid_space_and_basis_change())
+def test_basis_data_table_is_the_transported_table(data):
+    # for a bilinear polarization, mu(T v) is fixed by mu(b_i) and m(b_i, b_j)
+    # on the columns b_i of T, which is how the witness checks itself
+    space, t = data
+    k = space.rank
+    cols = t.column_bits()
+    basis_mu = [space.mu(b) for b in cols]
+    rows = [sum(space.m(a, b) << j for j, b in enumerate(cols)) for a in cols]
+    assert _table_from_basis_data(k, basis_mu, rows) == transport(space, t).table
+
+
 def test_mu_table_json_round_trip():
     doc = to_mu_table_json(ALL_ONES)
     assert parse_mu_table(doc).table == ALL_ONES.table
