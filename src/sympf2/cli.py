@@ -59,6 +59,8 @@ def _load(path: str, parse: Callable, what: str):
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+    except RecursionError:  # json nesting deeper than the interpreter's stack
+        print(f"parse error in {path}: nesting too deep", file=sys.stderr)
     except ValueError as exc:
         print(f"invalid {what} document: {exc}", file=sys.stderr)
     return None

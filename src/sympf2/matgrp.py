@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
+from .f2core import _span
 from .sms import InvariantTuple, SymplecticMetricSpace, _pack, require_valid
 
 # Units are encoded 0..7 as axis | sign<<2 with axes (1, i, j, k); the code
@@ -271,6 +272,8 @@ class GeneratedSubgroup:
 
     generators: tuple[ProjectiveElement, ...]
     elements: tuple[ProjectiveElement, ...]
+    used: tuple[ProjectiveElement, ...] = field(compare=False, repr=False)  # added a coset
+    chain: tuple[ProjectiveElement, ...] = field(compare=False, repr=False)  # in build order
 
     @classmethod
     def generate(
@@ -311,11 +314,11 @@ class GeneratedSubgroup:
                 elements += coset
                 seen.update(coset)
                 reps += [multiply(r, s) for s in used]
-        return cls(gens, tuple(sorted(seen, key=_element_key)))
+        return cls(gens, tuple(sorted(seen, key=_element_key)), tuple(used), tuple(elements))
 
     @classmethod
     def trivial(cls, n: int, field_mode: str) -> "GeneratedSubgroup":
-        return cls((), (identity(n, field_mode),))
+        return cls((), (identity(n, field_mode),), (), (identity(n, field_mode),))
 
     def order(self) -> int:
         return len(self.elements)
@@ -337,58 +340,42 @@ class GeneratedSubgroup:
         return True
 
 
-def _subset_products(
-    basis: tuple[ProjectiveElement, ...] | list[ProjectiveElement], n: int, mode: str
-) -> list[ProjectiveElement]:
-    """All 2^k subset products; index v is the characteristic vector of the subset."""
-    k = len(basis)
-    elems = [identity(n, mode)] * (1 << k)
-    for v in range(1, 1 << k):
-        low = (v & -v).bit_length() - 1
-        elems[v] = multiply(elems[v ^ (1 << low)], basis[low])
-    return elems
-
-
-def _greedy_basis(group: GeneratedSubgroup) -> list[ProjectiveElement]:
-    ident = identity(group.elements[0].n, group.elements[0].field_mode)
-    basis: list[ProjectiveElement] = []
-    span = {ident}
-    for e in group.elements:
-        if e in span:
-            continue
-        basis.append(e)
-        span |= {multiply(s, e) for s in span}
-    return basis
-
-
-def extract_sms(
-    group: GeneratedSubgroup | CanonicalSubgroup, basis: Optional[list[ProjectiveElement]] = None
-) -> SymplecticMetricSpace:
+def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetricSpace:
     """Tabulate mu over an F2 basis of an elementary abelian subgroup.
 
     mu comes from square scalars, the pairing from commutator scalars (read
     off x y against y x, once per unordered basis pair); the two must
     satisfy m = polarization of mu, and a mismatch is raised as a modeling
-    bug.  The basis defaults to the generator list when it is
-    independent, so canonical constructions reproduce canonical tables bit
-    for bit; their generators are tensor-slot words, tabulated without
-    matrices.  Groups containing antilinear elements are rejected; their
+    bug.  The basis is the generator list when it is independent (so
+    canonical constructions, tabulated on their tensor-slot words, give
+    canonical tables bit for bit), else the greedy basis of the sorted
+    elements.  Groups containing antilinear elements are rejected; their
     inner parts classify through the twisted comparison identities instead.
+
+    A GeneratedSubgroup is read off generate()'s build order with no
+    products: each used generator g_j of an elementary abelian group
+    doubles the closure, chain[2^j + i] = chain[i] g_j, so chain[v] is the
+    product over the subset v, and a closure that did not double is
+    refused.  The tests multiply the subset products out again as the
+    reference.
     """
-    if isinstance(group, CanonicalSubgroup) and basis is None:
+    if isinstance(group, CanonicalSubgroup):
         return _tabulate(group.words, group._products, _word_square, _word_commutator)
     if any(e.conj for e in group.elements):
         raise ValueError("antilinear elements present: extract the inner part instead")
-    if basis is None:
-        basis = list(group.generators)
-        if (1 << len(basis)) != group.order():
-            basis = _greedy_basis(group)
-    if (1 << len(basis)) != group.order():
-        raise ValueError("basis does not span the subgroup")
-    elem_of = _subset_products(basis, group.elements[0].n, group.elements[0].field_mode)
-    if len(set(elem_of)) != len(elem_of):
-        raise ValueError("basis is not independent")
-    return _tabulate(basis, elem_of, square_scalar, commutator_scalar)
+    chain = group.chain
+    if len(chain) != 1 << len(group.used):
+        raise ValueError("not elementary abelian: the closure did not double at each generator")
+    if len(group.used) == len(group.generators):
+        basis, coords = group.used, [1 << j for j in range(len(group.used))]
+    else:
+        basis, coords, span = [], [], {0}
+        for v in sorted(range(len(chain)), key=lambda v: _element_key(chain[v])):
+            if v not in span:
+                basis.append(chain[v])
+                coords.append(v)
+                span |= {x ^ v for x in span}
+    return _tabulate(basis, [chain[x] for x in _span(coords)], square_scalar, commutator_scalar)
 
 
 def _tabulate(
@@ -500,6 +487,7 @@ ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 AMBIENT_SIZE_CAP = 64
 GENERATOR_SIZE_CAP = 1 << 12  # generator files: n is checked before anything is built
+GENERATOR_COUNT_CAP = 64  # and the list length; order <= 2^13 needs at most 13 generators
 
 
 def canonical_subgroup(target: str, t: InvariantTuple) -> CanonicalSubgroup:
@@ -639,8 +627,9 @@ def parse_generators(text: str) -> GeneratedSubgroup:
 
     Each generator is {"perm": [...], "entries": ["1", "-1", "i", ...]} with
     an optional boolean "conj" flag (complex mode only).  n is at most
-    GENERATOR_SIZE_CAP, perm holds n integers and entries n unit names;
-    anything else raises ValueError.
+    GENERATOR_SIZE_CAP, the list holds at most GENERATOR_COUNT_CAP
+    generators, perm holds n integers and entries n unit names; anything
+    else raises ValueError.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -657,6 +646,8 @@ def parse_generators(text: str) -> GeneratedSubgroup:
         raise ValueError(f"'n' = {n} exceeds the generator size cap {GENERATOR_SIZE_CAP}")
     if not isinstance(raw, list) or not all(isinstance(g, dict) for g in raw):
         raise ValueError("'generators' must be a list of objects")
+    if len(raw) > GENERATOR_COUNT_CAP:
+        raise ValueError(f"{len(raw)} generators exceed the cap {GENERATOR_COUNT_CAP}")
     gens = []
     for idx, g in enumerate(raw):
         perm, entries, conj = g.get("perm"), g.get("entries"), g.get("conj", False)

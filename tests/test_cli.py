@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sympf2 import cli, matgrp
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
-from test_matgrp import inverse_commutator
+from test_matgrp import inverse_commutator, reference_extract
 
 
 def run(capsys, *argv):
@@ -48,6 +48,16 @@ def test_classify_parse_failure(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--mu-table", str(path))
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize("flag", ["--mu-table", "--generators"])
+def test_classify_deeply_nested_json_is_a_parse_error(tmp_path, capsys, flag):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "classify", flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error in {path}: nesting too deep\n"
 
 
 def test_classify_generators_gamma0(tmp_path, capsys):
@@ -273,6 +283,21 @@ def test_classify_generators_refuses_size_above_cap(tmp_path, capsys, n):
     )
 
 
+def test_classify_generators_refuses_long_lists(tmp_path, capsys):
+    # the pairings line grows with the square of the list length; 1,000
+    # copies of the 1 x 1 identity are refused before any matrix is built
+    identity = {"perm": [0], "entries": ["1"]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"field_mode": "real", "n": 1, "generators": [identity] * 1000}))
+    code, out, err = run(capsys, "classify", "--generators", str(path))
+    assert (code, out) == (2, "")
+    assert err == "invalid generator document: 1000 generators exceed the cap 64\n"
+    path.write_text(json.dumps({"field_mode": "real", "n": 1, "generators": [identity] * 64}))
+    code, out, _ = run(capsys, "classify", "--generators", str(path))
+    assert code == 0
+    assert "group order: 1\n" in out and "pairings: " in out
+
+
 def test_generator_size_cap_admits_the_canonical_sizes(tmp_path, capsys):
     assert matgrp.GENERATOR_SIZE_CAP >= matgrp.AMBIENT_SIZE_CAP
     path = tmp_path / "trivial.json"
@@ -480,9 +505,11 @@ def _corpus_document(rng):
 
 
 def test_classify_generators_matches_inverse_commutator(tmp_path, monkeypatch):
-    # 200 seeded documents, each classified twice: with commutator_scalar
-    # and with the inverse-based reference patched in; same exit code,
-    # stdout and stderr
+    # 200 seeded documents, each classified three times: as is, with the
+    # inverse-based commutator patched in (same exit code, stdout and
+    # stderr), and with the re-multiplying extraction patched in (same exit
+    # code, and the same output when it is 0; the reason an extraction
+    # fails may differ)
     rng = random.Random(8)
     codes = collections.Counter()
     paired = 0
@@ -490,14 +517,22 @@ def test_classify_generators_matches_inverse_commutator(tmp_path, monkeypatch):
         path = tmp_path / f"gens{idx}.json"
         path.write_text(json.dumps(_corpus_document(rng)))
         runs = []
-        for commutator in (matgrp.commutator_scalar, inverse_commutator):
-            monkeypatch.setattr(matgrp, "commutator_scalar", commutator)
+        for name, patch in (
+            (None, None),
+            ("commutator_scalar", inverse_commutator),
+            ("extract_sms", reference_extract),
+        ):
+            if name:
+                monkeypatch.setattr(matgrp, name, patch)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["classify", "--generators", str(path)])
             runs.append((code, out.getvalue(), err.getvalue()))
-        monkeypatch.undo()
+            monkeypatch.undo()
         assert runs[0] == runs[1], path.read_text()
+        assert runs[0][0] == runs[2][0], path.read_text()
+        if runs[0][0] == 0:
+            assert runs[0] == runs[2], path.read_text()
         code, out, err = runs[0]
         assert code in (0, 1, 2) and "Traceback" not in err
         codes[code] += 1

@@ -289,6 +289,8 @@ def test_is_elementary_abelian_flag():
     assert not bad.is_elementary_abelian()
     with pytest.raises(ValueError, match="power of two"):
         bad.rank()
+    with pytest.raises(ValueError, match="closure did not double"):
+        extract_sms(bad)
 
 
 def test_generate_cap():
@@ -377,16 +379,52 @@ def test_generate_skips_listed_generators_already_in_the_group(monkeypatch):
     # a rank-9 group with each generator listed 40 times (360 generators):
     # the breadth-first closure multiplies each of the 512 elements by all
     # 360 of them, the coset closure makes 502 coset products and 45
-    # representative products
+    # representative products, and extract_sms, reading the closure's build
+    # order, makes none
     t = InvariantTuple(0, 0, 3, 3)
     group = canonical_subgroup(matgrp.ORTHOGONAL, t)
     calls = []
     monkeypatch.setattr(matgrp, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
     listed = GeneratedSubgroup.generate([g for g in group.generators for _ in range(40)])
+    space = extract_sms(listed)
     monkeypatch.undo()
     assert len(calls) == 547
     assert listed.elements == group.elements
-    assert invariants(extract_sms(listed)) == t  # on a greedy basis of the elements
+    assert invariants(space) == t  # on a greedy basis of the elements
+    assert space == reference_extract(listed)
+
+
+# --- extract_sms against the re-multiplying extraction ------------------------
+
+
+def reference_extract(group):
+    """extract_sms with all 2^k subset products of the basis multiplied out.
+
+    The reference for extract_sms on a GeneratedSubgroup: the listed
+    generators when they are independent, else the greedy basis of the
+    sorted elements, spanned by products.  Gives the same space, and raises
+    ValueError exactly when extract_sms does, though not always with the
+    same reason.
+    """
+    if any(e.conj for e in group.elements):
+        raise ValueError("antilinear elements present: extract the inner part instead")
+    ident = identity(group.elements[0].n, group.elements[0].field_mode)
+    basis = list(group.generators)
+    if (1 << len(basis)) != group.order():
+        basis, span = [], {ident}
+        for e in group.elements:
+            if e not in span:
+                basis.append(e)
+                span |= {multiply(s, e) for s in span}
+    if (1 << len(basis)) != group.order():
+        raise ValueError("basis does not span the subgroup")
+    elem_of = [ident] * (1 << len(basis))
+    for v in range(1, 1 << len(basis)):
+        low = (v & -v).bit_length() - 1
+        elem_of[v] = multiply(elem_of[v ^ (1 << low)], basis[low])
+    if len(set(elem_of)) != len(elem_of):
+        raise ValueError("basis is not independent")
+    return matgrp._tabulate(basis, elem_of, square_scalar, commutator_scalar)
 
 
 # --- commutator_scalar against the inverse-based commutator -------------------
@@ -621,7 +659,8 @@ def test_canonical_words_match_generated_group():
         else:
             reference = GeneratedSubgroup.trivial(group.n, group.field_mode)
         assert group.elements == reference.elements, (target, t)
-        assert extract_sms(group) == extract_sms(reference), (target, t)
+        space = extract_sms(reference)
+        assert extract_sms(group) == space == reference_extract(reference), (target, t)
         seen += 1
     assert seen > 0
 
