@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the automorphism-group order formulas against enumeration.
 
-Prints one line per verified spec with the formula value, the backtracking
-count and the runtime, ending with the comparison identities.
+Prints one line per spec of `verify.orders_sweep` with the formula value,
+the stabilizer-chain count and the runtime, ending with the checks of
+`verify.verify_comparisons`.  Exits 0 when every line says ok.
 """
 
 import os
@@ -11,7 +12,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from sympf2.autgrp import orders_sweep, verify_comparisons
+from sympf2.verify import orders_sweep, verify_comparisons
 
 
 def main() -> int:
@@ -24,10 +25,10 @@ def main() -> int:
             f"formula {formula}, enumerated {counted} [{mark}]"
         )
     print(f"{len(rows)} groups in {time.monotonic() - t0:.1f}s")
-    report = verify_comparisons(3)
-    for name, passed in report.checks:
-        print(f"{'ok' if passed else 'MISMATCH'}: {name}")
-    return 0 if all(f == c for _, f, c in rows) and report.ok else 1
+    checks = list(verify_comparisons())
+    for check in checks:
+        print(f"{'ok' if check.passed else 'MISMATCH'}: {check.name}")
+    return 0 if all(f == c for _, f, c in rows) and all(c.passed for c in checks) else 1
 
 
 if __name__ == "__main__":

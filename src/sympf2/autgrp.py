@@ -11,7 +11,6 @@ table; this module holds no elimination of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional
 
@@ -342,33 +341,6 @@ def count_automorphisms(space: SymplecticMetricSpace) -> int:
     return _space_search(space, space).order()
 
 
-def orders_sweep() -> list[tuple[InvariantTuple, int, int]]:
-    """(tuple, formula order, enumerated order) for the order verification.
-
-    Covers every metric spec with r = 0 and ambient rank <= 6, the rank-7
-    case Sp(3;1,0), and every r > 0 spec of ambient rank <= 6 whose order
-    stays below 2^21.  The search counts by orbits along a stabilizer
-    chain, one existence search per orbit, so the 2^21 cap no longer
-    reflects its cost; it only keeps `verify --suite orders` output fixed.
-    """
-    todo = []
-    for eps, delta in ((0, 0), (1, 0), (0, 1)):
-        for r in range(0, 7):
-            for s in range(0, 4):
-                try:
-                    t = InvariantTuple(eps, delta, r, s)
-                except ValueError:
-                    continue
-                if t.ambient_rank > 6:
-                    continue
-                order = sp_full_order(eps, delta, r, s)
-                if r > 0 and order > (1 << 21):
-                    continue
-                todo.append((t, order))
-    todo.append((InvariantTuple(1, 0, 0, 3), sp_order(3)))
-    return [(t, order, count_automorphisms(canonical(t))) for t, order in todo]
-
-
 def plain_symplectic_space(s: int, t: int) -> SymplecticVectorSpace:
     """(V, m) of rank 2s + t with s hyperbolic pairs and a t-dim radical."""
     k = 2 * s + t
@@ -396,51 +368,3 @@ def mu_zero_nonzero_count(s: int) -> int:
     """Nonzero vectors of V_{s;0,0} on which the form vanishes, by count."""
     space = canonical(InvariantTuple(0, 0, 0, s))
     return sum(1 for v in range(1, 1 << space.rank) if space.mu(v) == 0)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.checks)
-
-
-def verify_comparisons(s_max: int = 3) -> ComparisonReport:
-    """Order and index identities tying Sp(s;eps,delta) to Sp(s).
-
-    For each s <= s_max: |Sp(s;1,0)| = |Sp(s)|, [Sp(s) : Sp(s;0,0)] =
-    2^(s-1)(2^s+1) and [Sp(s) : Sp(s-1;0,1)] = 2^(s-1)(2^s-1), both as
-    exact integer divisions.
-    """
-    if s_max > 3:
-        raise ValueError("verify_comparisons is bounded at s <= 3")
-    checks: list[tuple[str, bool]] = []
-    for s in range(1, s_max + 1):
-        total = sp_order(s)
-        checks.append((f"|Sp({s};1,0)| equals |Sp({s})|", sp_metric_order(s, 1, 0) == total))
-        plus = sp_metric_order(s, 0, 0)
-        expect_plus = (1 << (s - 1)) * ((1 << s) + 1)
-        checks.append(
-            (
-                f"[Sp({s}):Sp({s};0,0)] = 2^{s - 1}(2^{s}+1) = {expect_plus}",
-                total % plus == 0 and total // plus == expect_plus,
-            )
-        )
-        minus = sp_metric_order(s - 1, 0, 1)
-        expect_minus = (1 << (s - 1)) * ((1 << s) - 1)
-        checks.append(
-            (
-                f"[Sp({s}):Sp({s - 1};0,1)] = 2^{s - 1}(2^{s}-1) = {expect_minus}",
-                total % minus == 0 and total // minus == expect_minus,
-            )
-        )
-        expect_count = ((1 << s) - 1) * ((1 << (s - 1)) + 1)
-        checks.append(
-            (
-                f"nonzero vanishing-set count in V_{{{s};0,0}} = {expect_count}",
-                mu_zero_nonzero_count(s) == expect_count,
-            )
-        )
-    return ComparisonReport(tuple(checks))

@@ -28,6 +28,7 @@ from .autgrp import (
 )
 from .f2core import _span, enumerate_gl, gl_order
 from .sms import (
+    EPS_DELTA,
     InvariantTuple,
     SymplecticMetricSpace,
     _coordinates,
@@ -73,7 +74,7 @@ class LabelModel:
         return ("1",) + tuple(tags[b] for b in _unpack(self.rank, self.table)[1:])
 
     def defect(self) -> int:
-        return defect(SymplecticMetricSpace(self.rank, self.table)).value
+        return defect(SymplecticMetricSpace(self.rank, self.table))
 
     def translation_subgroup(self) -> list[int]:
         """A_F = {x : mu(x) = +1 and m(x, y) = +1 for all y}, listed fully.
@@ -189,10 +190,6 @@ def _entry(
     )
 
 
-def _eps_delta_range() -> list[tuple[int, int]]:
-    return [(0, 0), (1, 0), (0, 1)]
-
-
 def _g2_entries() -> list[FamilyEntry]:
     return [
         _entry(
@@ -240,7 +237,7 @@ def _e6_entries() -> list[FamilyEntry]:
                     order=p_order(r, s), desc=f"P({r},{s},F2)",
                 )
             )
-    for e, d in _eps_delta_range():
+    for e, d in EPS_DELTA:
         for r in range(3):
             for s in range(3 - r):
                 defe = (1 - e) * (-1) ** d * (1 << (r + s + d))
@@ -290,7 +287,7 @@ def _e7_entries() -> list[FamilyEntry]:
                     desc=f"F2^{r} : P({r},{s},F2)",
                 )
             )
-    for e, d in _eps_delta_range():
+    for e, d in EPS_DELTA:
         for r in range(3):
             for s in range(3 - r):
                 defe = (1 - e) * (-1) ** d * (1 << (r + s + d)) - (
@@ -407,7 +404,7 @@ def _e8_entries() -> list[FamilyEntry]:
                     res=0, res2=1,
                 )
             )
-    for e, d in _eps_delta_range():
+    for e, d in EPS_DELTA:
         for r in range(3):
             for s in range(3 - r):
                 defe_tail = (1 - e) * (-1) ** (d + 1) * (1 << (r + s + d + 1))
@@ -701,17 +698,15 @@ def distinctness_audit(lie_type: str) -> AuditReport:
         if clean:
             lines.append(f"family {fam}: {len(group)} entries separated by (rank, rank_A, defe)")
 
-    collisions = []
-    for a, b in itertools.combinations(entries, 2):
-        if a.family == b.family:
-            continue
-        if (a.rank, a.rank_a, a.defe) != (b.rank, b.rank_a, b.defe):
-            continue
+    ties = [
+        (a, b) for a, b in itertools.combinations(entries, 2)
+        if a.family != b.family and (a.rank, a.rank_a, a.defe) == (b.rank, b.rank_a, b.defe)
+    ]
+    for a, b in ties:
         if (a.res, a.res2) != (b.res, b.res2):
             resolver = "residual ranks"
         else:
             resolver = "family structure (involution content)"
-        collisions.append((f"{a.family}{a.params}", f"{b.family}{b.params}"))
         lines.append(
             f"cross-family tie {a.family}{a.params} ~ {b.family}{b.params} "
             f"on (rank, rank_A, defe); resolved by {resolver}"
@@ -720,18 +715,18 @@ def distinctness_audit(lie_type: str) -> AuditReport:
     if lie_type == "E8":
         # parity argument: no (rank, rank_A, defe) tie between F'_{r',s'}
         # and F'_{eps,delta,r,s} can exist at all
-        fams2 = [e for e in entries if e.family == "F'_{r,s}"]
-        fams4 = [e for e in entries if e.family == "F'_{eps,delta,r,s}"]
-        for a in fams2:
-            for b in fams4:
-                if (a.rank, a.rank_a, a.defe) == (b.rank, b.rank_a, b.defe):
-                    ok = False
-                    lines.append(
-                        f"PARITY VIOLATION: {a.params} vs {b.params} not separated"
-                    )
+        fam2, fam4 = "F'_{r,s}", "F'_{eps,delta,r,s}"
+        for pair in ties:
+            params = {e.family: e.params for e in pair}
+            if params.keys() == {fam2, fam4}:
+                ok = False
+                lines.append(
+                    f"PARITY VIOLATION: {params[fam2]} vs {params[fam4]} not separated"
+                )
         lines.append("parity check: no F'_{r,s} vs F'_{eps,delta,r,s} tie exists")
 
-    return AuditReport(lie_type, ok, tuple(lines), tuple(collisions))
+    collisions = tuple((f"{a.family}{a.params}", f"{b.family}{b.params}") for a, b in ties)
+    return AuditReport(lie_type, ok, tuple(lines), collisions)
 
 
 def e8_lift_entries() -> list[FamilyEntry]:

@@ -14,12 +14,13 @@ import json
 import sys
 from typing import Callable, Optional
 
-from . import autgrp, catalog, matgrp, sms
+from . import autgrp, catalog, matgrp, sms, verify
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 AUT_RANK_CAP = 600  # aut: the order formula and its decimal grow quadratically in the rank
+AUT_LIST_CAP = 1 << 16  # aut --list: one line per automorphism
 
 
 def _classify_space(space: sms.SymplecticMetricSpace, out) -> int:
@@ -42,7 +43,7 @@ def _classify_space(space: sms.SymplecticMetricSpace, out) -> int:
         file=out,
     )
     print(f"canonical: {inv.label()}", file=out)
-    print(f"defe: {sms.defect(space).value:+d}", file=out)
+    print(f"defe: {sms.defect(space):+d}", file=out)
     return EXIT_OK
 
 
@@ -123,6 +124,9 @@ def _cmd_aut(args, out) -> int:
         print(f"invalid invariant tuple: {exc}", file=sys.stderr)
         return EXIT_INPUT
     order = autgrp.sp_full_order(t.eps, t.delta, t.r, t.s)
+    if args.list and order > AUT_LIST_CAP:
+        print(f"aut --list refused: the group has more than {AUT_LIST_CAP} elements", file=sys.stderr)
+        return EXIT_INPUT
     print(f"space: {t.label()} (ambient rank {t.ambient_rank})", file=out)
     print(f"order (formula): {_decimal(order)}", file=out)
     if t.ambient_rank > autgrp.ENUMERATION_RANK_BOUND:
@@ -153,238 +157,15 @@ def _cmd_catalog(args, out) -> int:
     return EXIT_OK
 
 
-# --- verify suites -----------------------------------------------------------
-
-
-def _check(name: str, passed: bool, out, details: str = "") -> bool:
-    status = "PASS" if passed else "FAIL"
-    line = f"[{status}] {name}"
-    if details:
-        line += f" ({details})"
-    print(line, file=out)
-    return passed
-
-
-def _suite_counts(out) -> bool:
-    ok = True
-    for lt, expected in catalog.EXPECTED_COUNTS.items():
-        actual = len(catalog.enumerate_type(lt))
-        ok &= _check(
-            f"class count {lt}", actual == expected, out, f"expected {expected}, got {actual}"
-        )
-    sizes: dict[str, int] = {}
-    for e in catalog.enumerate_type("E6"):
-        sizes[e.family] = sizes.get(e.family, 0) + 1
-    parts = sorted(sizes.values())
-    ok &= _check(
-        "E6 family partition 12+12+18+9", parts == [9, 12, 12, 18], out, str(parts)
-    )
-    return ok
-
-
-def _suite_orders(out) -> bool:
-    ok = True
-    for t, order, counted in autgrp.orders_sweep():
-        ok &= _check(
-            f"|Sp({t.r},{t.s};{t.eps},{t.delta})| enumeration",
-            counted == order,
-            out,
-            f"formula {order}, enumerated {counted}",
-        )
-    report = autgrp.verify_comparisons(3)
-    for name, passed in report.checks:
-        ok &= _check(name, passed, out)
-    return ok
-
-
-def _suite_defect(out) -> bool:
-    failures = []
-    checked = 0
-    for eps, delta in ((0, 0), (1, 0), (0, 1)):
-        for r in range(0, 11):
-            for s in range(0, 6):
-                t = sms.InvariantTuple(eps, delta, r, s)
-                if t.ambient_rank > 10:
-                    continue
-                checked += 1
-                counted = sms.defect(sms.canonical(t)).value
-                if counted != t.defect_value:
-                    failures.append((t, counted))
-    return _check(
-        "defect closed form, all tuples of ambient rank <= 10",
-        not failures,
-        out,
-        f"{checked} tuples" + (f", failures {failures[:3]}" if failures else ""),
-    )
-
-
-def _suite_exhaustive(out) -> bool:
-    ok = True
-    for k in range(0, 5):
-        valid, classes, orbit_sizes = sms.census(k)
-        expected_classes = sum(  # admissible (eps, delta, r, s) of ambient rank k
-            1 for e, d in ((0, 0), (1, 0), (0, 1)) for r in range(k + 1)
-            for s in range(k // 2 + 1) if r + e + 2 * d + 2 * s == k
-        )
-        ok &= _check(
-            f"rank {k}: classes match admissible tuples",
-            len(classes) == expected_classes,
-            out,
-            f"{len(classes)} classes",
-        )
-        ok &= _check(
-            f"rank {k}: GL-orbit sizes sum to the valid count",
-            sum(orbit_sizes) == len(valid) and len(orbit_sizes) == len(classes),
-            out,
-            f"orbits {orbit_sizes}",
-        )
-        for space in valid[:: max(1, len(valid) // 64)]:
-            t = sms.isomorphism_to_canonical(space)
-            if sms.transport(space, t).table != sms.canonical(sms.invariants(space)).table:
-                ok = _check(f"rank {k}: canonicalization witness", False, out)
-        if k == 3:
-            ok &= _check(
-                "rank 3: valid count is 64 (even-parity rule)", len(valid) == 64, out,
-                f"got {len(valid)}",
-            )
-            ok &= _check(
-                "rank 3: five isomorphism classes (the admissible tuples)",
-                len(classes) == 5,
-                out,
-                f"got {len(classes)}",
-            )
-    return ok
-
-
-def _suite_matrix(out) -> bool:
-    ok = True
-    failures = 0
-    checked = 0
-    for target in (matgrp.ORTHOGONAL, matgrp.SYMPLECTIC):
-        for eps, delta in ((0, 0), (1, 0), (0, 1)):
-            for r in range(0, 7):
-                for s in range(0, 7):
-                    t = sms.InvariantTuple(eps, delta, r, s)
-                    try:
-                        group = matgrp.canonical_subgroup(target, t)
-                    except ValueError:
-                        continue
-                    checked += 1
-                    space = matgrp.extract_sms(group)
-                    if space.table != sms.canonical(t).table:
-                        failures += 1
-    ok &= _check(
-        "matrix-model round trip (extract o canonical = id)", failures == 0, out,
-        f"{checked} tuples with ambient size <= 64",
-    )
-
-    def pe(perm, entries, mode):
-        codes = tuple(matgrp.UNIT_CODES[e] for e in entries)
-        return matgrp.ProjectiveElement(matgrp.MonomialMatrix(len(perm), perm, codes, mode))
-
-    i22 = pe((0, 1, 2, 3), ("-1", "-1", "1", "1"), "real")
-    jp2 = pe((2, 3, 0, 1), ("1", "1", "1", "1"), "real")
-    j2 = pe((2, 3, 0, 1), ("-1", "-1", "1", "1"), "real")
-    k1 = pe((1, 0, 3, 2), ("-1", "1", "1", "-1"), "real")
-    iI = matgrp.ProjectiveElement(matgrp.MonomialMatrix.scalar(2, matgrp.UNIT_CODES["i"], "quaternion"))
-    jI = matgrp.ProjectiveElement(matgrp.MonomialMatrix.scalar(2, matgrp.UNIT_CODES["j"], "quaternion"))
-    neg = "-1"
-    pos = matgrp.UNIT_CODES["1"]
-    ok &= _check(
-        "Gamma0/Gamma1 pair: m = -1 and mu signs (+1, +1)",
-        matgrp.commutator_scalar(i22, jp2) == matgrp.UNIT_CODES[neg]
-        and matgrp.square_scalar(i22) == pos
-        and matgrp.square_scalar(jp2) == pos,
-        out,
-    )
-    ok &= _check(
-        "Gamma2 pair (J, K): m = -1 and mu signs (-1, -1)",
-        matgrp.commutator_scalar(j2, k1) == matgrp.UNIT_CODES[neg]
-        and matgrp.square_scalar(j2) == matgrp.UNIT_CODES[neg]
-        and matgrp.square_scalar(k1) == matgrp.UNIT_CODES[neg],
-        out,
-    )
-    ok &= _check(
-        "quaternion pair (iI, jI): m = -1 and mu signs (-1, -1)",
-        matgrp.commutator_scalar(iI, jI) == matgrp.UNIT_CODES[neg]
-        and matgrp.square_scalar(iI) == matgrp.UNIT_CODES[neg],
-        out,
-    )
-
-    part_fail = 0
-    for target in (matgrp.ORTHOGONAL, matgrp.SYMPLECTIC):
-        for r in range(0, 6):
-            kernel_group = matgrp.canonical_subgroup(target, sms.InvariantTuple(0, 0, r, 0))
-            parts = matgrp.block_partition(kernel_group)
-            n = kernel_group.elements[0].n
-            if len(parts) != 1 << r or any(len(p) != n >> r for p in parts):
-                part_fail += 1
-    ok &= _check("block partitions have 2^r equal parts", part_fail == 0, out)
-
-    twist_fail = 0
-    for n in range(1, 9):
-        z = matgrp.conjugation_element(n)
-        for p in range(0, n + 1):
-            rep = matgrp.twisted_mu_identity_check(z, matgrp.diag_involution(n, p))
-            if rep.conjugation_identity is not True or rep.mu_product_identity is not True:
-                twist_fail += 1
-    ok &= _check(
-        "twisted conjugation identity u z u^-1 = z x for all p <= n <= 8",
-        twist_fail == 0,
-        out,
-    )
-    return ok
-
-
-def _suite_catalog(out) -> bool:
-    ok = True
-    bad = []
-    for e in catalog.enumerate_all():
-        report = catalog.cross_check(e)
-        if not report.ok:
-            bad.append((e.lie_type, e.family, e.params, report.problems))
-    ok &= _check("label-model cross checks (defe, rank_A, bilinearity)", not bad, out, str(bad[:3]))
-    shapes_ok = True
-    for e in catalog.enumerate_type("E8"):
-        g = catalog.graph_of(e)
-        if e.family == "F_{r,s}":
-            s = e.params[1]
-            shapes_ok &= g.shape == "complete_bipartite" and g.part_sizes == tuple(
-                sorted(((1 << s) - 1, 7))
-            )
-        elif e.family == "F'_{r}":
-            shapes_ok &= g.shape == "empty"
-        elif e.family == "F''_{r,s}":
-            shapes_ok &= g.shape == "single_vertex"
-    ok &= _check("E8 graph shapes (bipartite / single vertex / empty)", shapes_ok, out)
-    audits_ok = all(catalog.distinctness_audit(lt).ok for lt in catalog.LIE_TYPES)
-    ok &= _check("distinctness audit across all types", audits_ok, out)
-    lifts = catalog.e8_lift_entries()
-    pures = catalog.e7_pure_s1_entries()
-    ok &= _check(
-        "13 E8 lift classes match 13 pure-s1 E7 classes",
-        len(lifts) == 13 == len(pures),
-        out,
-    )
-    return ok
-
-
-SUITES: dict[str, Callable] = {
-    "counts": _suite_counts,
-    "orders": _suite_orders,
-    "defect": _suite_defect,
-    "exhaustive": _suite_exhaustive,
-    "matrix": _suite_matrix,
-    "catalog": _suite_catalog,
-}
-
-
 def _cmd_verify(args, out) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
         print(f"--- suite: {name} ---", file=out)
-        ok = SUITES[name](out)
+        ok = True
+        for check in verify.SUITES[name]():
+            print(check, file=out)
+            ok &= check.passed
         print(f"--- suite {name}: {'PASS' if ok else 'FAIL'} ---", file=out)
         all_ok &= ok
     return EXIT_OK if all_ok else EXIT_VERIFY
@@ -411,14 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=int, default=0)
         p.add_argument("--delta", type=int, default=0)
         if name == "aut":
-            p.add_argument("--list", action="store_true", help="print every matrix")
+            p.add_argument(
+                "--list", action="store_true",
+                help=f"print every matrix (groups of at most {AUT_LIST_CAP} elements)",
+            )
 
     p = sub.add_parser("catalog", help="export the exceptional-type catalog")
     p.add_argument("--type", choices=("G2", "F4", "E6", "E7", "E8", "all"), default="all")
     p.add_argument("--format", choices=("csv", "text"), default="text")
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
+    p.add_argument("--suite", choices=("all",) + tuple(verify.SUITES), default="all")
 
     return parser
 

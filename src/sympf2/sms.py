@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .f2core import F2Matrix, Subspace, _echelonize, _eliminate, _solutions, _span, nullspace
 
@@ -53,11 +53,16 @@ class InvariantTuple:
         return f"V_{{{self.r},{self.s};{self.eps},{self.delta}}}"
 
 
-@dataclass(frozen=True)
-class DefectIndex:
-    """Count of mu=0 elements minus count of mu=1 elements."""
+EPS_DELTA = ((0, 0), (1, 0), (0, 1))  # the admissible (eps, delta) pairs
 
-    value: int
+
+def admissible_tuples(max_rank: int) -> Iterator[InvariantTuple]:
+    """Every tuple of ambient rank <= max_rank: (eps, delta) outermost, then r, then s."""
+    for eps, delta in EPS_DELTA:
+        room = max_rank - eps - 2 * delta
+        for r in range(room + 1):
+            for s in range((room - r) // 2 + 1):
+                yield InvariantTuple(eps, delta, r, s)
 
 
 @dataclass(frozen=True)
@@ -242,10 +247,9 @@ def _split_kernel(space: SymplecticMetricSpace, ker: list[int]) -> tuple[list[in
     return zeros, z
 
 
-def defect(space: SymplecticMetricSpace) -> DefectIndex:
+def defect(space: SymplecticMetricSpace) -> int:
     """#\\{mu = 0\\} - #\\{mu = 1\\} by direct count over the table."""
-    ones = space.table.bit_count()
-    return DefectIndex((1 << space.rank) - 2 * ones)
+    return (1 << space.rank) - 2 * space.table.bit_count()
 
 
 class _Analysis(NamedTuple):

@@ -18,11 +18,19 @@ from sympf2.autgrp import (
     sp_metric_order,
     sp_order,
     sp_vector_order,
-    verify_comparisons,
 )
 from sympf2.catalog import build_label_model, enumerate_all
 from sympf2.f2core import F2Matrix
-from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _analyze, _unpack, canonical, transport
+from sympf2.sms import (
+    InvariantTuple,
+    SymplecticMetricSpace,
+    _analyze,
+    _unpack,
+    admissible_tuples,
+    canonical,
+    transport,
+)
+from sympf2.verify import verify_comparisons
 
 
 def test_order_examples():
@@ -89,15 +97,6 @@ def test_count_matches_enumeration_and_formula():
         assert n == sp_full_order(eps, delta, r, s)
 
 
-def _admissible_tuples(max_rank):
-    for eps, delta in ((0, 0), (1, 0), (0, 1)):
-        for r in range(max_rank + 1):
-            for s in range(max_rank // 2 + 1):
-                t = InvariantTuple(eps, delta, r, s)
-                if t.ambient_rank <= max_rank:
-                    yield t
-
-
 def _leaf_count(search):
     return sum(1 for _ in search.tuples())
 
@@ -137,7 +136,7 @@ def _reference_order(search):
 
 def test_order_matches_reference_on_canonical_tuples():
     checked = 0
-    for t in _admissible_tuples(7):
+    for t in admissible_tuples(7):
         space = canonical(t)
         assert _space_search(space, space).order() == _reference_order(_space_search(space, space)), t
         checked += 1
@@ -147,7 +146,7 @@ def test_order_matches_reference_on_canonical_tuples():
 def test_order_matches_reference_after_basis_change():
     rng = random.Random(3)
     checked = 0
-    for t in _admissible_tuples(6):
+    for t in admissible_tuples(6):
         if t.ambient_rank == 0:
             continue
         space = canonical(t)
@@ -211,7 +210,7 @@ def _check_certificate(search, preserves, expected):
 
 
 def test_chain_certifies_metric_orders():
-    for t in _admissible_tuples(ENUMERATION_RANK_BOUND):
+    for t in admissible_tuples(ENUMERATION_RANK_BOUND):
         space = canonical(t)
 
         def preserves(gen):
@@ -245,7 +244,7 @@ def test_chain_certifies_pairing_orders():
 def test_orbit_stabilizer_order_matches_leaf_count():
     # V_{5,0;0,0} is left out: its 9,999,360 leaves take about ten seconds
     checked = 0
-    for t in _admissible_tuples(5):
+    for t in admissible_tuples(5):
         if (t.eps, t.delta, t.r) == (0, 0, 5):
             continue
         space = canonical(t)
@@ -261,7 +260,7 @@ def test_orbit_stabilizer_order_matches_leaf_count_after_basis_change():
     # the prefix stabilizers differ from those of the canonical basis
     rng = random.Random(2)
     checked = 0
-    for t in _admissible_tuples(6):
+    for t in admissible_tuples(6):
         order = sp_full_order(t.eps, t.delta, t.r, t.s)
         if t.ambient_rank == 0 or order >= 1 << 17:
             continue
@@ -276,7 +275,7 @@ def test_orbit_stabilizer_order_matches_leaf_count_after_basis_change():
 
 def test_count_reaches_enumeration_rank_bound():
     checked = 0
-    for t in _admissible_tuples(ENUMERATION_RANK_BOUND):
+    for t in admissible_tuples(ENUMERATION_RANK_BOUND):
         assert count_automorphisms(canonical(t)) == sp_full_order(t.eps, t.delta, t.r, t.s), t
         checked += 1
     assert checked == 61
@@ -372,9 +371,9 @@ def test_metric_to_plain_counting_identity():
 
 
 def test_verify_comparisons():
-    report = verify_comparisons(3)
-    assert report.ok
-    assert len(report.checks) == 12
+    checks = list(verify_comparisons())
+    assert all(check.passed for check in checks)
+    assert len(checks) == 12
 
 
 def test_rank_zero_group_is_trivial():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -157,6 +158,20 @@ def test_distinctness_audit():
     assert len(e7.cross_family_collisions) == 13
 
 
+def test_distinctness_audit_reports_a_parity_tie(monkeypatch):
+    # plant an F'_{eps,delta,r,s} entry with the numbers of an F'_{r,s} one
+    entries = enumerate_type("E8")
+    a = next(e for e in entries if e.family == "F'_{r,s}")
+    i = next(i for i, e in enumerate(entries) if e.family == "F'_{eps,delta,r,s}")
+    b = dataclasses.replace(entries[i], rank=a.rank, rank_a=a.rank_a, defe=a.defe)
+    planted = entries[:i] + [b] + entries[i + 1:]
+    monkeypatch.setattr(catalog, "enumerate_type", lambda lie_type: planted)
+    report = distinctness_audit("E8")
+    assert not report.ok
+    assert f"PARITY VIOLATION: {a.params} vs {b.params} not separated" in report.lines
+    assert (f"{b.family}{b.params}", f"{a.family}{a.params}") in report.cross_family_collisions
+
+
 def test_lift_consistency():
     lifts = e8_lift_entries()
     pures = e7_pure_s1_entries()
@@ -241,7 +256,7 @@ def test_e6_inner_family_realized_by_matrix_model():
         assert group.elements[0].n <= 4
         space = matgrp.extract_sms(group)
         assert space.rank == e.rank
-        assert defect(space).value == e.defe
+        assert defect(space) == e.defe
         got = invariants(space)
         assert (got.eps, got.delta, got.r, got.s) == e.params
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympf2 import cli, matgrp
+from sympf2 import autgrp, catalog, cli, matgrp
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
 from test_matgrp import inverse_commutator, reference_extract
@@ -157,6 +157,15 @@ def test_aut_list(capsys):
     code, out, _ = run(capsys, "aut", "--eps", "1", "--list")
     assert code == 0
     assert "1" in out
+
+
+@pytest.mark.parametrize("argv", [["--r", "8"], ["--s", "4"], ["--r", "6"], ["--r", "4", "--s", "2"]])
+def test_aut_list_refuses_more_than_the_cap(capsys, monkeypatch, argv):
+    # refused from the formula order, before a single matrix is listed
+    monkeypatch.setattr(autgrp, "enumerate_automorphisms", None)
+    code, out, err = run(capsys, "aut", "--list", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"aut --list refused: the group has more than {cli.AUT_LIST_CAP} elements\n"
 
 
 def test_aut_beyond_search_bound(capsys):
@@ -316,6 +325,16 @@ _GOLDEN = {
         "612202fb3d8d947148604222bb5cb068e1bbe71c4fcf17c9dfff69ff2ae2c461",
     ("verify", "--suite", "catalog"):
         "0080cfcf388e3d3fca7fe05a690a7aa3911c8ae36429f199b2db574d2d62ff73",
+    ("verify", "--suite", "counts"):
+        "b3ca571721d1a33188ed7b22d26b1ea7a2aeb219122aa3d868dac8552a3074d4",
+    ("verify", "--suite", "orders"):
+        "60e86841cb3230306b23f252f6aecf562f105f691e9ccfe937fc46f6bb1f13b9",
+    ("verify", "--suite", "defect"):
+        "01e2a73cc391f7b76e8a84bd8502cc7926026afd01221dec99cb2cab5d931d96",
+    ("verify", "--suite", "exhaustive"):
+        "a5b4df7f49ac4ac2426e16e506e8ab3762ea827c5c7029a640d2db8ff8a930cd",
+    ("verify", "--suite", "matrix"):
+        "0359f1422030d2ab6d86cad960d454297bd48f9ebfe6f73960ad461c3ce0c8b8",
 }
 
 
@@ -324,6 +343,14 @@ def test_golden_output(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[argv]
+
+
+def test_verify_reports_a_planted_failure(capsys, monkeypatch):
+    monkeypatch.setitem(catalog.EXPECTED_COUNTS, "G2", 5)
+    code, out, err = run(capsys, "verify", "--suite", "counts")
+    assert (code, err) == (1, "")
+    assert "[FAIL] class count G2 (expected 5, got 4)\n" in out
+    assert out.endswith("--- suite counts: FAIL ---\n")
 
 
 _JSON_SCALARS = (

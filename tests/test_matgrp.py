@@ -182,7 +182,7 @@ def test_extract_sms_gamma2():
     assert invariants(space) == InvariantTuple(0, 1, 0, 0)
     from sympf2.sms import defect
 
-    assert defect(space).value == -2
+    assert defect(space) == -2
 
 
 def test_canonical_subgroup_round_trip():

@@ -115,10 +115,10 @@ def test_invariants_examples():
 
 
 def test_defect_examples():
-    assert defect(HYPERBOLIC).value == 2
-    assert defect(ALL_ONES).value == -2
-    assert defect(space_of([0, 1])).value == 0
-    assert defect(SymplecticMetricSpace(0, 0)).value == 1
+    assert defect(HYPERBOLIC) == 2
+    assert defect(ALL_ONES) == -2
+    assert defect(space_of([0, 1])) == 0
+    assert defect(SymplecticMetricSpace(0, 0)) == 1
 
 
 def test_defect_closed_form_small():
@@ -126,7 +126,19 @@ def test_defect_closed_form_small():
         if eps and delta:
             continue
         t = InvariantTuple(eps, delta, r, s)
-        assert defect(canonical(t)).value == t.defect_value
+        assert defect(canonical(t)) == t.defect_value
+
+
+def test_admissible_tuples_in_loop_order():
+    for max_rank in range(9):
+        expected = [
+            InvariantTuple(eps, delta, r, s)
+            for eps, delta in ((0, 0), (1, 0), (0, 1))
+            for r in range(max_rank + 1)
+            for s in range(max_rank // 2 + 1)
+            if r + eps + 2 * delta + 2 * s <= max_rank
+        ]
+        assert list(sms.admissible_tuples(max_rank)) == expected
 
 
 def test_canonical_examples():
@@ -305,7 +317,7 @@ def test_rank_zero_space():
     empty = SymplecticMetricSpace(0, 0)
     assert validate(empty)[0]
     assert invariants(empty) == InvariantTuple(0, 0, 0, 0)
-    assert defect(empty).value == 1
+    assert defect(empty) == 1
 
 
 # --- the word-parallel table kernel against the per-entry recurrence ---------
