@@ -73,8 +73,17 @@ class _ImageSearch:
     Level j picks w_j outside span(w_0..w_{j-1}) by one of two rules:
 
     * Affine-solution rule (Gram matrices given): m(w_j, w_i) = m(e_j, e_i)
-      for i < j is a linear system in w_j, and a radical e_j must map into
-      the target's radical, which is what makes the search prune hard.
+      for i < j.  Every isometry T maps span(e_0..e_j) & ker m_source onto
+      span(w_0..w_j) & ker m_target, so the candidates keep how the prefix
+      meets the radical; this is what makes the search prune hard.  If
+      e_j has a partner, a v in span(e_0..e_{j-1}) with e_j + v radical
+      (found once, in __init__), then w_j + T v must be radical: the
+      candidates are the coset T v + ker m_target, and each of them meets
+      every pairing condition, since m(w_j, w_i) = m(T v, w_i) = m(v, e_i)
+      = m(e_j, e_i) for i < j.  Otherwise the pairings are a linear system
+      in w_j, and a radical w_j is dropped, since e_j = T^-1 w_j would then
+      be radical, with partner 0.  Both cuts hold for every leaf, so they
+      remove dead ends only.
       With mu tables given, w_j must also have mu(w_j) = mu(e_j); since
       mu(x + y) = mu(x) + mu(y) + m(x, y), preserving m and mu on a basis
       preserves mu everywhere.  Without mu tables only m is preserved.
@@ -109,9 +118,12 @@ class _ImageSearch:
     lower bound without the search (_chain returns both).
 
     The pairing systems are f2core _System values, grown by one
-    _add_constraint per level and read with _solutions; the pairing table
-    is f2core's _span of the target Gram rows.  Only the span of the
-    current images is kept here, pushed and popped with the search.
+    _add_constraint per level and read with _solutions; the partners come
+    from one such pass over the source Gram rows, and the pairing table is
+    f2core's _span of the target Gram rows.  tgt_radical, a basis of
+    ker m_target, is solved from tgt_gram unless the caller has it.  Only
+    the span of the current images is kept here, pushed and popped with
+    the search.
     """
 
     def __init__(
@@ -121,6 +133,7 @@ class _ImageSearch:
         tgt_mu: Optional[bytes] = None,
         src_gram: Optional[list[int]] = None,
         tgt_gram: Optional[list[int]] = None,
+        tgt_radical: Optional[list[int]] = None,
     ):
         self.k = k = rank
         self.src_mu = src_mu
@@ -139,9 +152,20 @@ class _ImageSearch:
             # systems[j]: m(w, images[i]) = m(e_j, e_i) for i < j, whose
             # right-hand sides are the bits of src_gram[j]
             self.systems: list[_System] = [([], [])]
-            self.tgt_radical = _solutions(_eliminate(tgt_gram), 0, k)[1]
+            if tgt_radical is None:
+                tgt_radical = _solutions(_eliminate(tgt_gram), 0, k)[1]
+            self.tgt_radical = tgt_radical
             # pairing[w] encodes x -> m_target(x, w) as a bit mask
             self.pairing = _span(tgt_gram)
+            # partners[j]: a v in span(e_0..e_{j-1}) with e_j + v radical, or
+            # None.  Row j reduces to zero against the earlier rows exactly
+            # when such a v exists, and its combo is then e_j + v.
+            self.partners: list[Optional[int]] = []
+            system: _System = ([], [])
+            for j, row in enumerate(src_gram):
+                found = len(system[1])
+                system = _add_constraint(system, row, 1 << j)
+                self.partners.append(system[1][-1] ^ 1 << j if len(system[1]) > found else None)
 
     def _candidates(self, j: int) -> Iterator[int]:
         if self.src_gram is None:
@@ -149,14 +173,15 @@ class _ImageSearch:
         return self._affine_candidates(j)
 
     def _affine_candidates(self, j: int) -> Iterator[int]:
-        if self.src_gram[j] == 0:
-            # a radical vector maps into the target's radical, where every
-            # pairing constraint reads 0 = 0
-            particular, hom_basis = 0, self.tgt_radical
+        v = self.partners[j]
+        if v is not None:
+            # the partner coset T v + ker m_target, whose pairings hold already
+            particular, hom_basis, pairing = self.span[v], self.tgt_radical, None
         else:
             particular, hom_basis = _solutions(self.systems[-1], self.src_gram[j], self.k)
             if particular is None:
                 return
+            pairing = self.pairing
         mu = self.tgt_mu
         want = self.src_mu[1 << j] if mu is not None else 0
         in_span = self.in_span
@@ -167,7 +192,7 @@ class _ImageSearch:
                 nxt = step ^ (step >> 1)
                 w ^= hom_basis[(gray ^ nxt).bit_length() - 1]
                 gray = nxt
-            if not in_span[w] and (mu is None or mu[w] == want):
+            if not in_span[w] and (mu is None or mu[w] == want) and (pairing is None or pairing[w]):
                 yield w
 
     def _span_candidates(self, j: int) -> Iterator[int]:
@@ -306,11 +331,11 @@ def _close(points: list[int], mark: bytearray, flag: int, gens: list[tuple[int, 
 
 def _space_search(source: SymplecticMetricSpace, target: SymplecticMetricSpace) -> _ImageSearch:
     """The search for maps source -> target, after one validation of each."""
-    src = _unpack(source.rank, source.table), _analyze(source).gram
-    tgt = src if target is source else (_unpack(target.rank, target.table), _analyze(target).gram)
+    src = _unpack(source.rank, source.table), _analyze(source)
+    tgt = src if target is source else (_unpack(target.rank, target.table), _analyze(target))
     if source.rank > ENUMERATION_RANK_BOUND:
         raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
-    return _ImageSearch(source.rank, src[0], tgt[0], src[1], tgt[1])
+    return _ImageSearch(source.rank, src[0], tgt[0], src[1].gram, tgt[1].gram, tgt[1].ker)
 
 
 def enumerate_isomorphisms(

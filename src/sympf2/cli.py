@@ -84,10 +84,13 @@ def _cmd_classify(args, out) -> int:
         print(f"extraction failed: {exc}", file=out)
         return EXIT_VERIFY
     gens = group.generators
-    pairs = [
-        f"m(g{i},g{j})={'-1' if matgrp.commutator_scalar(gens[i], gens[j]) == 4 else '+1'}"
-        for i, j in itertools.combinations(range(len(gens)), 2)
-    ]
+    index_pairs = list(itertools.combinations(range(len(gens)), 2))
+    if len(group.used) == len(gens):
+        # the listed generators are the basis extract_sms checked against m
+        minus = [space.m(1 << i, 1 << j) for i, j in index_pairs]
+    else:
+        minus = [matgrp.commutator_scalar(gens[i], gens[j]) == 4 for i, j in index_pairs]
+    pairs = [f"m(g{i},g{j})={'-1' if neg else '+1'}" for (i, j), neg in zip(index_pairs, minus)]
     if pairs:
         print("pairings: " + ", ".join(pairs), file=out)
     print(f"mu-table: {space.mu_list()}", file=out)

@@ -117,16 +117,8 @@ class SymplecticMetricSpace:
         return self.mu(x) ^ self.mu(y) ^ self.mu(x ^ y)
 
     def gram(self) -> F2Matrix:
-        """Entries m(e_i, e_j), read from one unpacking of the table."""
-        k = self.rank
-        mu = _unpack(k, self.table)
-
-        def shifted(x: int) -> int:  # bit j is mu(x + e_j)
-            return sum([mu[x ^ 1 << j] << j for j in range(k)])
-
-        basis, ones = shifted(0), (1 << k) - 1
-        rows = [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] else 0) for i in range(k)]
-        return F2Matrix.from_row_bits(rows, k)
+        """Entries m(e_i, e_j)."""
+        return F2Matrix.from_row_bits(_gram_rows(self), self.rank)
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -141,6 +133,18 @@ def _pack(bits: list[int] | bytes) -> int:
 def _unpack(k: int, table: int) -> bytes:
     """The inverse of _pack for a 2^k-bit table: byte v is bit v."""
     return format(table, f"0{1 << k}b")[::-1].encode().translate(_BITS)
+
+
+def _gram_rows(space: SymplecticMetricSpace) -> list[int]:
+    """The Gram rows as words (bit j of row i is m(e_i, e_j)), from one unpacking of the table."""
+    k = space.rank
+    mu = _unpack(k, space.table)
+
+    def shifted(x: int) -> int:  # bit j is mu(x + e_j)
+        return sum([mu[x ^ 1 << j] << j for j in range(k)])
+
+    basis, ones = shifted(0), (1 << k) - 1
+    return [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] else 0) for i in range(k)]
 
 
 @functools.cache
@@ -160,7 +164,7 @@ def _table_from_basis_data(k: int, basis_mu: list[int], gram_rows: list[int]) ->
     That is the XOR over i of C_i & (mu(e_i) ALL ^ XOR_{j>i, g_ij=1} C_j),
     O(k^2) operations on 2^k-bit ints.  Only the upper triangle of g is
     read, so mu polarizes back to g only if g is symmetric with zero
-    diagonal: gram() gives such a g when mu(0) = 0, and canonical() builds one.
+    diagonal: _gram_rows gives such a g when mu(0) = 0, and canonical() builds one.
     """
     coords = _coordinates(k)
     ones = (1 << (1 << k)) - 1
@@ -203,7 +207,7 @@ def _validity(space: SymplecticMetricSpace, gram: list[int]) -> str:
 
 def validate(space: SymplecticMetricSpace) -> tuple[bool, str]:
     """Check mu(0) = 0 and that the polarization is bilinear."""
-    reason = _validity(space, space.gram().row_bits())
+    reason = _validity(space, _gram_rows(space))
     return reason == _VALID, reason
 
 
@@ -266,7 +270,7 @@ def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
     strict=False gives validate's reason.  mu is linear on ker m, so it is
     nonzero there (eps = 1) exactly when it is nonzero on a basis vector.
     """
-    rows = space.gram().row_bits()
+    rows = _gram_rows(space)
     reason = _validity(space, rows)
     if reason != _VALID:
         if strict:

@@ -507,7 +507,7 @@ def test_one_gram_and_one_validity_check_per_call(monkeypatch, tmp_path):
 
         return wrapper
 
-    monkeypatch.setattr(SymplecticMetricSpace, "gram", counted("gram", SymplecticMetricSpace.gram))
+    monkeypatch.setattr(sms, "_gram_rows", counted("gram", sms._gram_rows))
     monkeypatch.setattr(sms, "_validity", counted("validity", sms._validity))
 
     def per_call(fn, *args):
