@@ -2,10 +2,11 @@
 
 The catalog is formula-driven: each family contributes one entry per
 admissible parameter tuple, carrying its rank, translation-subgroup rank,
-defect index, residual ranks and Automizer order.  Where an orthogonal
-decomposition into standard blocks is available, an explicit label model
-over the involution alphabet is built and every stored number is recounted
-from it; no Lie-theoretic computation happens anywhere.
+defect index, residual ranks and Automizer order.  A family whose label
+model is an orthogonal product of standard blocks states those blocks in
+its builder, and every stored number is recounted from the model; every
+other family is formula-only.  No Lie-theoretic computation happens
+anywhere.
 
 Entry counts per type are (4, 12, 51, 78, 66).
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .autgrp import (
@@ -29,13 +30,11 @@ from .autgrp import (
 from .f2core import _span, enumerate_gl, gl_order
 from .sms import (
     EPS_DELTA,
-    InvariantTuple,
     SymplecticMetricSpace,
     _coordinates,
     _pack,
     _translate,
     _unpack,
-    canonical,
     defect,
     validate,
 )
@@ -155,48 +154,34 @@ class GraphInvariant:
 
 @dataclass(frozen=True)
 class FamilyEntry:
+    """One catalog class; blocks lists its label model's orthogonal factors as
+    standard (rank, mu table) blocks, and is None for a formula-only entry."""
+
     lie_type: str
     family: str
     params: tuple[int, ...]
     rank: int
     rank_a: int
     defe: Optional[int]
-    defe_is_convention: bool
-    res: Optional[int]
-    res2: Optional[int]
     automizer_order: int
     automizer_desc: str
+    defe_is_convention: bool = False
+    res: Optional[int] = None
+    res2: Optional[int] = None
+    blocks: Optional[tuple[tuple[int, int], ...]] = field(default=None, compare=False, repr=False)
 
     def sort_key(self) -> tuple:
         return (self.family, self.params)
 
 
-def _entry(
-    lie_type: str,
-    family: str,
-    params: tuple[int, ...],
-    rank: int,
-    rank_a: int,
-    defe: Optional[int],
-    order: int,
-    desc: str,
-    res: Optional[int] = None,
-    res2: Optional[int] = None,
-    defe_is_convention: bool = False,
-) -> FamilyEntry:
-    return FamilyEntry(
-        lie_type, family, params, rank, rank_a, defe, defe_is_convention,
-        res, res2, order, desc,
-    )
-
-
 def _g2_entries() -> list[FamilyEntry]:
     return [
-        _entry(
+        FamilyEntry(
             "G2", "F_{r}", (r,),
             rank=r, rank_a=0,
             defe=2 - (1 << r), defe_is_convention=True,
-            order=gl_order(r), desc=f"GL({r},F2)",
+            automizer_order=gl_order(r), automizer_desc=f"GL({r},F2)",
+            blocks=(_block_b(r),),
         )
         for r in range(4)
     ]
@@ -207,11 +192,12 @@ def _f4_entries() -> list[FamilyEntry]:
     for r in range(3):
         for s in range(4):
             out.append(
-                _entry(
+                FamilyEntry(
                     "F4", "F_{r,s}", (r, s),
                     rank=r + s, rank_a=r,
                     defe=(1 << r) * (2 - (1 << s)), defe_is_convention=True,
-                    order=p_order(r, s), desc=f"P({r},{s},F2)",
+                    automizer_order=p_order(r, s), automizer_desc=f"P({r},{s},F2)",
+                    blocks=(_BLOCK_A,) * r + (_block_b(s),),
                 )
             )
     return out
@@ -223,18 +209,19 @@ def _e6_entries() -> list[FamilyEntry]:
         for s in range(4):
             defe = (1 << r) * (2 - (1 << s))
             out.append(
-                _entry(
+                FamilyEntry(
                     "E6", "F_{r,s}", (r, s),
                     rank=1 + r + s, rank_a=r, defe=defe,
-                    order=(1 << r) * p_order(r, s),
-                    desc=f"F2^{r} : P({r},{s},F2)",
+                    automizer_order=(1 << r) * p_order(r, s),
+                    automizer_desc=f"F2^{r} : P({r},{s},F2)",
                 )
             )
             out.append(
-                _entry(
+                FamilyEntry(
                     "E6", "F'_{r,s}", (r, s),
                     rank=r + s, rank_a=r, defe=defe,
-                    order=p_order(r, s), desc=f"P({r},{s},F2)",
+                    automizer_order=p_order(r, s), automizer_desc=f"P({r},{s},F2)",
+                    blocks=(_BLOCK_A,) * r + (_block_b(s),),
                 )
             )
     for e, d in EPS_DELTA:
@@ -247,19 +234,22 @@ def _e6_entries() -> list[FamilyEntry]:
                 )
                 sub_order = hom_order(e + 2 * d + 2 * s, r) * gl_order(r) * sp_metric_order(s, e, d)
                 out.append(
-                    _entry(
+                    FamilyEntry(
                         "E6", "F_{eps,delta,r,s}", (e, d, r, s),
                         rank=1 + e + 2 * d + r + 2 * s, rank_a=r, defe=defe,
-                        order=(1 << (r + 2 * s + e + 2 * d)) * sub_order,
-                        desc=f"F2^{r + 2 * s + e + 2 * d} : ({inner})",
+                        automizer_order=(1 << (r + 2 * s + e + 2 * d)) * sub_order,
+                        automizer_desc=f"F2^{r + 2 * s + e + 2 * d} : ({inner})",
                     )
                 )
                 if s >= 1:
+                    # the canonical layout (A^r | eps | delta-pair | s-pairs)
                     out.append(
-                        _entry(
+                        FamilyEntry(
                             "E6", "F'_{eps,delta,r,s}", (e, d, r, s),
                             rank=e + 2 * d + r + 2 * s, rank_a=r, defe=defe,
-                            order=sub_order, desc=inner,
+                            automizer_order=sub_order, automizer_desc=inner,
+                            blocks=(_BLOCK_A,) * r + (_block_b(1),) * e + (_block_b(2),) * d
+                            + (_BLOCK_C,) * s,
                         )
                     )
     return out
@@ -270,21 +260,21 @@ def _e7_entries() -> list[FamilyEntry]:
     for r in range(3):
         for s in range(4):
             out.append(
-                _entry(
+                FamilyEntry(
                     "E7", "F_{r,s}", (r, s),
                     rank=2 + r + s, rank_a=r,
                     defe=3 * (1 << r) * (2 - (1 << s)),
-                    order=hom_order(2, r) * gl_order(2) * p_order(r, s),
-                    desc=f"Hom(F2^2,F2^{r}) : (GL(2,F2) x P({r},{s},F2))",
+                    automizer_order=hom_order(2, r) * gl_order(2) * p_order(r, s),
+                    automizer_desc=f"Hom(F2^2,F2^{r}) : (GL(2,F2) x P({r},{s},F2))",
                 )
             )
             out.append(
-                _entry(
+                FamilyEntry(
                     "E7", "F'_{r,s}", (r, s),
                     rank=1 + r + s, rank_a=r,
                     defe=(1 << r) * (2 - (1 << s)),
-                    order=(1 << r) * p_order(r, s),
-                    desc=f"F2^{r} : P({r},{s},F2)",
+                    automizer_order=(1 << r) * p_order(r, s),
+                    automizer_desc=f"F2^{r} : P({r},{s},F2)",
                 )
             )
     for e, d in EPS_DELTA:
@@ -303,58 +293,58 @@ def _e7_entries() -> list[FamilyEntry]:
                     * sp_vector_order(d + s, e)
                 )
                 out.append(
-                    _entry(
+                    FamilyEntry(
                         "E7", "F_{eps,delta,r,s}", (e, d, r, s),
                         rank=2 + e + 2 * d + r + 2 * s, rank_a=r, defe=defe,
-                        order=(1 << (r + 2 * s + e + 2 * d + 1)) * sub_order,
-                        desc=f"F2^{r + 2 * s + e + 2 * d + 1} : ({inner})",
+                        automizer_order=(1 << (r + 2 * s + e + 2 * d + 1)) * sub_order,
+                        automizer_desc=f"F2^{r + 2 * s + e + 2 * d + 1} : ({inner})",
                     )
                 )
                 if s >= 1:
                     out.append(
-                        _entry(
+                        FamilyEntry(
                             "E7", "F'_{eps,delta,r,s}", (e, d, r, s),
                             rank=1 + e + 2 * d + r + 2 * s, rank_a=r,
                             defe=(1 - e) * (-1) ** d * (1 << (r + s + d)),
-                            order=sub_order, desc=inner,
+                            automizer_order=sub_order, automizer_desc=inner,
                         )
                     )
     for r in range(4):
         for s in range(4 - r):
             out.append(
-                _entry(
+                FamilyEntry(
                     "E7", "F''_{r,s}", (r, s),
                     rank=1 + r + 2 * s, rank_a=r, defe=None,
-                    order=(1 << (r + 2 * s)) * hom_order(2 * s, r) * gl_order(r) * sp_order(s),
-                    desc=(
+                    automizer_order=(1 << (r + 2 * s)) * hom_order(2 * s, r) * gl_order(r) * sp_order(s),
+                    automizer_desc=(
                         f"(F2^{r + 2 * s} : Hom(F2^{2 * s},F2^{r})) : "
                         f"(GL({r},F2) x Sp({s}))"
                     ),
                 )
             )
             out.append(
-                _entry(
+                FamilyEntry(
                     "E7", "F'''_{r,s}", (r, s),
                     rank=r + 2 * s, rank_a=r, defe=None,
-                    order=hom_order(2 * s, r) * gl_order(r) * sp_order(s),
-                    desc=f"Hom(F2^{2 * s},F2^{r}) : (GL({r},F2) x Sp({s}))",
+                    automizer_order=hom_order(2 * s, r) * gl_order(r) * sp_order(s),
+                    automizer_desc=f"Hom(F2^{2 * s},F2^{r}) : (GL({r},F2) x Sp({s}))",
                 )
             )
     for r in range(4):
         out.append(
-            _entry(
+            FamilyEntry(
                 "E7", "F'_{r}", (r,),
                 rank=2 + r, rank_a=r, defe=None,
-                order=hom_order(2, r) * gl_order(r) * gl_order(2),
-                desc=f"Hom(F2^2,F2^{r}) : (GL({r},F2) x GL(2,F2))",
+                automizer_order=hom_order(2, r) * gl_order(r) * gl_order(2),
+                automizer_desc=f"Hom(F2^2,F2^{r}) : (GL({r},F2) x GL(2,F2))",
             )
         )
     for r in range(3):
         out.append(
-            _entry(
+            FamilyEntry(
                 "E7", "F''_{r}", (r,),
                 rank=3 + r, rank_a=r, defe=None,
-                order=p_order(r, 3), desc=f"P({r},3,F2)",
+                automizer_order=p_order(r, 3), automizer_desc=f"P({r},3,F2)",
             )
         )
     return out
@@ -384,24 +374,26 @@ def _e8_entries() -> list[FamilyEntry]:
                     f"(GL({r},F2) x ((GL(3,F2) x GL(3,F2)) : S2))"
                 )
             out.append(
-                _entry(
+                FamilyEntry(
                     "E8", "F_{r,s}", (r, s),
                     rank=3 + r + s, rank_a=r,
                     defe=3 * (1 << (r + 1)) * ((1 << s) - 2),
-                    order=order, desc=desc, res=0, res2=2,
+                    automizer_order=order, automizer_desc=desc, res=0, res2=2,
+                    blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(3)),
                 )
             )
     for r in range(3):
         for s in range(3):
             e, d = _e8_sp_params(s)
             out.append(
-                _entry(
+                FamilyEntry(
                     "E8", "F'_{r,s}", (r, s),
                     rank=2 + r + s, rank_a=r,
                     defe=(1 << (r + 1)) * ((1 << s) - 2),
-                    order=sp_full_order(e, d, r, s),
-                    desc=f"Sp({r},{s};{e},{d})",
+                    automizer_order=sp_full_order(e, d, r, s),
+                    automizer_desc=f"Sp({r},{s};{e},{d})",
                     res=0, res2=1,
+                    blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(2)),
                 )
             )
     for e, d in EPS_DELTA:
@@ -411,49 +403,54 @@ def _e8_entries() -> list[FamilyEntry]:
                 e2, d2 = e, (1 - e) * (1 - d)
                 s2 = s + e + 2 * d
                 out.append(
-                    _entry(
+                    FamilyEntry(
                         "E8", "F_{eps,delta,r,s}", (e, d, r, s),
                         rank=3 + e + 2 * d + r + 2 * s, rank_a=r,
                         defe=defe_tail + (1 << (e + r + 2 * d + 2 * s)),
-                        order=(1 << (r + 2 * s + e + 2 * d + 2))
+                        automizer_order=(1 << (r + 2 * s + e + 2 * d + 2))
                         * sp_full_order(e2, d2, r, s2),
-                        desc=f"F2^{r + 2 * s + e + 2 * d + 2} : Sp({r},{s2};{e2},{d2})",
+                        automizer_desc=f"F2^{r + 2 * s + e + 2 * d + 2} : Sp({r},{s2};{e2},{d2})",
                         res=1, res2=2,
                     )
                 )
                 if s >= 1:
                     out.append(
-                        _entry(
+                        FamilyEntry(
                             "E8", "F'_{eps,delta,r,s}", (e, d, r, s),
                             rank=2 + e + 2 * d + r + 2 * s, rank_a=r,
                             defe=defe_tail,
-                            order=sp_full_order(e2, d2, r, s2),
-                            desc=f"Sp({r},{s2};{e2},{d2})",
+                            automizer_order=sp_full_order(e2, d2, r, s2),
+                            automizer_desc=f"Sp({r},{s2};{e2},{d2})",
                             res=0, res2=1,
+                            blocks=(_BLOCK_A,) * r + (_BLOCK_C,) * s + (_block_b(1),) * e
+                            + (_block_b(2),) * (1 + d),
                         )
                     )
     block_defe = {1: 0, 2: 2, 3: 6}
+    piece = {1: _block_b(1), 2: _BLOCK_C, 3: _BLOCK_D}
     for r in range(4):
         for s in (1, 2, 3):
             out.append(
-                _entry(
+                FamilyEntry(
                     "E8", "F''_{r,s}", (r, s),
                     rank=r + s, rank_a=r,
                     defe=(1 << r) * block_defe[s], defe_is_convention=True,
-                    order=hom_order(s - 1, r + 1) * (1 << r) * gl_order(r) * gl_order(s - 1),
-                    desc=(
+                    automizer_order=hom_order(s - 1, r + 1) * (1 << r) * gl_order(r) * gl_order(s - 1),
+                    automizer_desc=(
                         f"Hom(F2^{s - 1},F2^{r + 1}) : "
                         f"((F2^{r} : GL({r},F2)) x GL({s - 1},F2))"
                     ),
+                    blocks=(_BLOCK_A,) * r + (piece[s],),
                 )
             )
     for r in range(6):
         out.append(
-            _entry(
+            FamilyEntry(
                 "E8", "F'_{r}", (r,),
                 rank=r, rank_a=r,
                 defe=1 << r, defe_is_convention=True,
-                order=gl_order(r), desc=f"GL({r},F2)",
+                automizer_order=gl_order(r), automizer_desc=f"GL({r},F2)",
+                blocks=(_BLOCK_A,) * r,
             )
         )
     return out
@@ -490,46 +487,17 @@ def enumerate_all() -> list[FamilyEntry]:
 
 
 def build_label_model(entry: FamilyEntry) -> Optional[LabelModel]:
-    """The orthogonal-decomposition model, or None where none is stated.
+    """The product of the blocks stated with the entry's family, or None.
 
-    G2 and F4 families, the two inner E6 families, and the E8 families
-    except F_{eps,delta,r,s} carry models; everything else (all of E7, the
-    two outer E6 families, and E8 F_{eps,delta,r,s}) is formula-only and
+    G2, F4, the two inner E6 families and the E8 families except
+    F_{eps,delta,r,s} state blocks; every other family (all of E7, the two
+    outer E6 families, and E8 F_{eps,delta,r,s}) is formula-only and
     returns None rather than a guess.
     """
-    fam, p = entry.family, entry.params
-    if entry.lie_type == "G2":
-        return LabelModel(*_block_b(p[0]), sigma_tag="s")
-    if entry.lie_type == "F4" or (entry.lie_type, fam) == ("E6", "F'_{r,s}"):
-        r, s = p
-        return LabelModel(*_orthogonal_product([_BLOCK_A] * r + [_block_b(s)]))
-    if entry.lie_type == "E6":
-        if fam == "F'_{eps,delta,r,s}":
-            space = canonical(InvariantTuple(*p))
-            return LabelModel(space.rank, space.table)
+    if entry.blocks is None:
         return None
-    if entry.lie_type == "E8":
-        if fam == "F_{r,s}":
-            r, s = p
-            blocks = [_BLOCK_A] * r + [_block_b(s), _block_b(3)]
-        elif fam == "F'_{r,s}":
-            r, s = p
-            blocks = [_BLOCK_A] * r + [_block_b(s), _block_b(2)]
-        elif fam == "F'_{eps,delta,r,s}":
-            e, d, r, s = p
-            blocks = (
-                [_BLOCK_A] * r + [_BLOCK_C] * s + [_block_b(1)] * e + [_block_b(2)] * (1 + d)
-            )
-        elif fam == "F''_{r,s}":
-            r, s = p
-            piece = {1: _block_b(1), 2: _BLOCK_C, 3: _BLOCK_D}[s]
-            blocks = [_BLOCK_A] * r + [piece]
-        elif fam == "F'_{r}":
-            blocks = [_BLOCK_A] * p[0]
-        else:
-            return None
-        return LabelModel(*_orthogonal_product(blocks))
-    return None
+    sigma_tag = "s" if entry.lie_type == "G2" else "s1"
+    return LabelModel(*_orthogonal_product(entry.blocks), sigma_tag=sigma_tag)
 
 
 # --- cross checks --------------------------------------------------------------

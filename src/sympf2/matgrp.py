@@ -579,10 +579,6 @@ class TwistedCheckReport:
     conjugation_identity: Optional[bool]
     mu_product_identity: Optional[bool]
 
-    @property
-    def ok(self) -> bool:
-        return self.conjugation_identity is not False and self.mu_product_identity is not False
-
 
 def twisted_mu_identity_check(z: ProjectiveElement, x: ProjectiveElement) -> TwistedCheckReport:
     """Verify the conjugation recipe tying an antilinear z to z x.

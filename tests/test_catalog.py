@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -24,7 +25,7 @@ from sympf2.catalog import (
     model_has_full_hx,
     p_order,
 )
-from sympf2.sms import SymplecticMetricSpace, _coordinates, _translate
+from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _coordinates, _translate, canonical
 
 
 def by_key(lie_type, family, params):
@@ -92,6 +93,31 @@ def test_models_exist_exactly_where_stated():
             assert model is None
         else:
             assert (model is not None) == (e.family != "F_{eps,delta,r,s}")
+
+
+# sha256 of one line per modelled entry (key, rank, table, sigma tag),
+# recorded before the models moved into the builders' blocks: it pins every
+# table and which entries have a model.
+_MODEL_DIGEST = "7d6af75d6788fac9e279ece2f0435b1e52ca5a8b4646392bf449f9fc1dad8aab"
+
+
+def test_label_model_digest():
+    lines = []
+    for e in enumerate_all():
+        m = build_label_model(e)
+        if m is not None:
+            key = f"{e.lie_type}|{e.family}|{','.join(map(str, e.params))}"
+            lines.append(f"{key} {m.rank} {m.table:x} {m.sigma_tag}\n")
+    assert len(lines) == 85
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == _MODEL_DIGEST
+
+
+def test_e6_block_models_are_canonical():
+    # the blocks A^r B_1^eps B_2^delta C^s lay out the canonical basis
+    entries = [e for e in enumerate_type("E6") if e.family == "F'_{eps,delta,r,s}"]
+    assert len(entries) == 9
+    for e in entries:
+        assert build_label_model(e).table == canonical(InvariantTuple(*e.params)).table, e
 
 
 def test_cross_check_all_models():
