@@ -29,6 +29,8 @@ ENUMERATION_RANK_BOUND = 8
 
 def sp_order(s: int) -> int:
     """|Sp(s)| over GF(2): prod_{1<=i<=s} (2^i-1)(2^i+1) * 2^(s^2)."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
     out = 1 << (s * s)
     for i in range(1, s + 1):
         out *= ((1 << i) - 1) * ((1 << i) + 1)
@@ -59,12 +61,13 @@ def sp_metric_order(s: int, eps: int, delta: int) -> int:
 
 def sp_full_order(eps: int, delta: int, r: int, s: int) -> int:
     """|Sp(r,s;eps,delta)| = 2^(r(2s+2delta+eps)) |GL(r,2)| |Sp(s;eps,delta)|."""
-    return (1 << (r * (2 * s + 2 * delta + eps))) * gl_order(r) * sp_metric_order(s, eps, delta)
+    # the factors reject a negative or inadmissible argument before the shift
+    return gl_order(r) * sp_metric_order(s, eps, delta) << r * (2 * s + 2 * delta + eps)
 
 
 def sp_vector_order(s: int, t: int) -> int:
     """|Sp(s;t)| = 2^(2st) |GL(t,2)| |Sp(s)| for a 2s+t space with t-dim radical."""
-    return (1 << (2 * s * t)) * gl_order(t) * sp_order(s)
+    return gl_order(t) * sp_order(s) << 2 * s * t  # the factors reject a negative s or t
 
 
 class _ImageSearch:

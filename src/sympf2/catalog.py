@@ -31,9 +31,8 @@ from .f2core import _span, enumerate_gl, gl_order
 from .sms import (
     EPS_DELTA,
     SymplecticMetricSpace,
-    _coordinates,
     _pack,
-    _translate,
+    _translates,
     _unpack,
     defect,
     validate,
@@ -78,21 +77,9 @@ class LabelModel:
     def translation_subgroup(self) -> list[int]:
         """A_F = {x : mu(x) = +1 and m(x, y) = +1 for all y}, listed fully.
 
-        That is mu(x + y) = mu(y) for all y: the table T_x of y -> mu(x + y)
-        equals the table.  x walks a Gray code, and T_{x + e_i} is T_x after
-        block swap i, so each x costs one swap and one comparison.
+        That is mu(x + y) = mu(y) for all y: the translated table T_x is T.
         """
-        k, table = self.rank, self.table
-        coords = _coordinates(k)
-        moved, x, out = table, 0, [0]
-        for n in range(1, 1 << k):
-            i = (n & -n).bit_length() - 1
-            h, c = 1 << i, coords[i]
-            moved = (moved & c) >> h | (moved << h) & c
-            x ^= h
-            if moved == table:
-                out.append(x)
-        return sorted(out)
+        return sorted(x for x, moved in _translates(self.rank, self.table) if moved == self.table)
 
     def translation_rank(self) -> int:
         n = len(self.translation_subgroup())
@@ -560,16 +547,19 @@ def _quotient_graph(model: LabelModel) -> GraphInvariant:
 
     Reps a and b are joined when a + b is tagged s2, that is mu(a + b) = 0.
     With R the bit set of the reps, a's neighbourhood is R & ~T_a minus a,
-    where bit b of the translated table T_a is mu(a + b).
+    where bit b of the translated table T_a is mu(a + b).  One walk of the
+    translated tables gives A_F and T_x for every s1 element x.
     """
-    k, table = model.rank, model.table
-    a_f = model.translation_subgroup()
-    s1 = [x for x in range(1 << k) if table >> x & 1] if model.sigma_tag == "s1" else []
-    rep = {x: min(x ^ a for a in a_f) for x in s1}
+    table, a_f, moved = model.table, [], {}  # moved[x] = T_x for the s1 elements x
+    for x, t in _translates(model.rank, table):
+        if t == table:
+            a_f.append(x)
+        if model.sigma_tag == "s1" and table >> x & 1:
+            moved[x] = t
+    rep = {x: min(x ^ a for a in a_f) for x in moved}
     reps = sorted(set(rep.values()))
-    moved = {a: _translate(k, table, a) for a in reps}
     # mu(x + y) = mu(rep(x) + y) for all y makes the verdict constant on coset pairs
-    if any(_translate(k, table, x) != moved[a] for x, a in rep.items()):
+    if any(moved[x] != moved[a] for x, a in rep.items()):
         raise AssertionError(f"graph not constant on cosets of {model}")
     rep_mask = sum(1 << a for a in reps)
     neighbours = tuple(rep_mask & ~moved[a] & ~(1 << a) for a in reps)
@@ -698,16 +688,15 @@ def distinctness_audit(lie_type: str) -> AuditReport:
 
 
 def e8_lift_entries() -> list[FamilyEntry]:
-    """The 13 E8 entries containing an s1 element x with H_x = F.
+    """The E8 entries whose label model has an s1 element x with H_x = F.
 
-    They are F_{r,1}, F'_{r,1}, F'_{1,0,r,s} (s >= 1) and F''_{r,1}, and
-    they biject with the 13 pure-s1 classes of E7 (families F'''_{r,s}
-    and F''_{r}).
+    They are the 13 entries F_{r,1}, F'_{r,1}, F'_{1,0,r,s} (s >= 1) and
+    F''_{r,1}, and they biject with the 13 pure-s1 classes of E7
+    (families F'''_{r,s} and F''_{r}).
     """
     return [
         e for e in enumerate_type("E8")
-        if (e.family in ("F_{r,s}", "F'_{r,s}", "F''_{r,s}") and e.params[1] == 1)
-        or (e.family == "F'_{eps,delta,r,s}" and e.params[:2] == (1, 0))
+        if (model := build_label_model(e)) is not None and model_has_full_hx(model)
     ]
 
 
@@ -723,7 +712,7 @@ def model_has_full_hx(model: LabelModel) -> bool:
     """
     k, table = model.rank, model.table
     flipped = table ^ ((1 << (1 << k)) - 1)
-    return model.sigma_tag == "s1" and any(_translate(k, table, x) == flipped for x in range(1 << k))
+    return model.sigma_tag == "s1" and any(moved == flipped for _, moved in _translates(k, table))
 
 
 # --- export -------------------------------------------------------------------

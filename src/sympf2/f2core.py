@@ -290,6 +290,8 @@ def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
 
 def gl_order(n: int) -> int:
     """|GL(n, 2)| = prod_{i<n} (2^n - 2^i)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out = 1
     for i in range(n):
         out *= (1 << n) - (1 << i)

@@ -178,13 +178,18 @@ def _table_from_basis_data(k: int, basis_mu: list[int], gram_rows: list[int]) ->
     return table
 
 
-def _translate(k: int, table: int, x: int) -> int:
-    """The table of y -> mu(x + y): one block swap per set bit i of x."""
-    for i, c in enumerate(_coordinates(k)):
-        if x >> i & 1:
-            h = 1 << i
-            table = (table >> h) & ~c | (table << h) & c
-    return table
+def _translates(k: int, table: int) -> Iterator[tuple[int, int]]:
+    """(x, T_x) for every x in Gray-code order, T_x the table of y -> mu(x + y).
+
+    Each step is one block swap, and only the current table is kept.
+    """
+    coords = _coordinates(k)
+    yield 0, table
+    for n in range(1, 1 << k):  # the n-th Gray code n ^ n >> 1 flips bit h = n & -n
+        h = n & -n
+        c = coords[h.bit_length() - 1]
+        table = (table & c) >> h | (table << h) & c
+        yield n ^ n >> 1, table
 
 
 _VALID = "valid symplectic metric space"

@@ -19,8 +19,8 @@ from sympf2.autgrp import (
     sp_order,
     sp_vector_order,
 )
-from sympf2.catalog import build_label_model, enumerate_all
-from sympf2.f2core import F2Matrix
+from sympf2.catalog import build_label_model, enumerate_all, p_order
+from sympf2.f2core import F2Matrix, gl_order
 from sympf2.sms import (
     InvariantTuple,
     SymplecticMetricSpace,
@@ -44,6 +44,21 @@ def test_order_examples():
     assert sp_metric_order(2, 0, 1) == 51840
     assert sp_vector_order(1, 0) == 6
     assert sp_vector_order(1, 2) == 2 ** 4 * 6 * 6 == 576
+
+
+@pytest.mark.parametrize(
+    "order, args",
+    [
+        (sp_full_order, (0, 0, -1, 0)),
+        (sp_vector_order, (-1, 0)),
+        (sp_order, (-2,)),
+        (gl_order, (-3,)),
+        (p_order, (-1, -1)),
+    ],
+)
+def test_closed_forms_reject_negative_arguments(order, args):
+    with pytest.raises(ValueError, match="nonnegative"):
+        order(*args)
 
 
 def test_enumerate_small_spaces():

@@ -25,7 +25,9 @@ from sympf2.catalog import (
     model_has_full_hx,
     p_order,
 )
-from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _coordinates, _translate, canonical
+from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _coordinates, canonical
+
+from test_sms import _translate
 
 
 def by_key(lie_type, family, params):
@@ -202,6 +204,14 @@ def test_lift_consistency():
     lifts = e8_lift_entries()
     pures = e7_pure_s1_entries()
     assert len(lifts) == len(pures) == 13
+    # the models pick the families the paper names: F_{r,1}, F'_{r,1},
+    # F''_{r,1} and F'_{1,0,r,s}, in catalog order
+    named = [
+        e for e in enumerate_type("E8")
+        if (e.family in ("F_{r,s}", "F'_{r,s}", "F''_{r,s}") and e.params[1] == 1)
+        or (e.family == "F'_{eps,delta,r,s}" and e.params[:2] == (1, 0))
+    ]
+    assert lifts == named
     for e in lifts:
         model = build_label_model(e)
         assert model is not None and model_has_full_hx(model)
@@ -373,6 +383,23 @@ def test_quotient_graph_matches_label_oracle():
     for model in _label_models():
         g = catalog._quotient_graph(model)
         assert (g.vertices, g.edges) == _oracle_graph(model), model
+
+
+def test_quotient_graph_rejects_a_table_not_constant_on_cosets(monkeypatch):
+    model = build_label_model(by_key("E8", "F_{r,s}", (1, 1)))
+    a_f = model.translation_subgroup()
+    assert len(a_f) > 1
+    # an s1 element that is not the least of its A_F-coset
+    x = next(x for x in range(1 << model.rank) if model.table >> x & 1 and min(x ^ a for a in a_f) != x)
+    walk = catalog._translates
+
+    def corrupted(k, table):  # flips mu(x + y) at the last y in T_x alone
+        for y, moved in walk(k, table):
+            yield y, moved ^ (y == x) << ((1 << k) - 1)
+
+    monkeypatch.setattr(catalog, "_translates", corrupted)
+    with pytest.raises(AssertionError, match="graph not constant on cosets"):
+        catalog._quotient_graph(model)
 
 
 def _oracle_shape(vertices, edges):
