@@ -10,7 +10,7 @@ from .autgrp import (
     sp_vector_order,
 )
 from .catalog import FamilyEntry, enumerate_all, enumerate_type
-from .f2core import F2Matrix, F2Vector, Subspace, gl_order, nullspace, rank, solve
+from .f2core import F2Matrix, F2Vector, gl_order, rank
 from .sms import (
     InvariantTuple,
     SymplecticMetricSpace,
@@ -28,7 +28,6 @@ __all__ = [
     "F2Vector",
     "FamilyEntry",
     "InvariantTuple",
-    "Subspace",
     "SymplecticMetricSpace",
     "canonical",
     "count_automorphisms",
@@ -40,9 +39,7 @@ __all__ = [
     "invariants",
     "is_isomorphic",
     "isomorphism_to_canonical",
-    "nullspace",
     "rank",
-    "solve",
     "sp_full_order",
     "sp_metric_order",
     "sp_order",

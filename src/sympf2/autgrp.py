@@ -376,7 +376,7 @@ def plain_symplectic_space(s: int, t: int) -> SymplecticVectorSpace:
     for p in range(s):
         rows[2 * p] |= 1 << (2 * p + 1)
         rows[2 * p + 1] |= 1 << (2 * p)
-    return SymplecticVectorSpace(k, F2Matrix.from_row_bits(rows, k))
+    return SymplecticVectorSpace(k, tuple(rows))
 
 
 def count_pairing_automorphisms(space: SymplecticVectorSpace) -> int:
@@ -388,7 +388,7 @@ def count_pairing_automorphisms(space: SymplecticVectorSpace) -> int:
     """
     if space.rank > ENUMERATION_RANK_BOUND:
         raise ValueError(f"pairing-automorphism counting is bounded at rank <= {ENUMERATION_RANK_BOUND}")
-    gram = space.gram.row_bits()
+    gram = list(space.gram)
     return _ImageSearch(space.rank, src_gram=gram, tgt_gram=gram).order()
 
 

@@ -27,7 +27,7 @@ from .autgrp import (
     sp_order,
     sp_vector_order,
 )
-from .f2core import _span, enumerate_gl, gl_order
+from .f2core import gl_order
 from .sms import (
     EPS_DELTA,
     SymplecticMetricSpace,
@@ -66,11 +66,6 @@ class LabelModel:
         if self.table & 1 or self.table >> (1 << self.rank):
             raise ValueError("mu table must have 2^rank bits and vanish at the identity")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        tags = ("s2", self.sigma_tag)
-        return ("1",) + tuple(tags[b] for b in _unpack(self.rank, self.table)[1:])
-
     def defect(self) -> int:
         return defect(SymplecticMetricSpace(self.rank, self.table))
 
@@ -83,7 +78,8 @@ class LabelModel:
 
     def translation_rank(self) -> int:
         n = len(self.translation_subgroup())
-        assert n & (n - 1) == 0
+        if n & (n - 1):
+            raise AssertionError(f"translation subgroup of {self} has {n} elements")
         return n.bit_length() - 1
 
     def polarization_is_bilinear(self) -> bool:
@@ -129,14 +125,6 @@ class GraphInvariant:
     neighbours: tuple[int, ...]
     shape: str
     part_sizes: Optional[tuple[int, int]]
-
-    @property
-    def edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(
-            frozenset((a, b))
-            for a, mask in zip(self.vertices, self.neighbours)
-            for b in self.vertices if mask >> b & 1
-        )
 
 
 @dataclass(frozen=True)
@@ -582,30 +570,14 @@ def _classify_graph(neighbours: Sequence[int]) -> tuple[str, Optional[tuple[int,
     return "other", None
 
 
-def count_label_automorphisms(model: LabelModel) -> int:
-    """Brute force over GL(rank, 2): matrices preserving the label table."""
-    if model.rank > 4:
-        raise ValueError("label automorphism brute force is bounded at rank <= 4")
-    labels = model.labels
-    want = list(labels)
-    count = 0
-    for mat in enumerate_gl(model.rank):
-        # rows serve as the basis images: transposing is a bijection on GL
-        images = mat.row_bits()
-        # the basis images rule out most matrices before the table is built
-        if all(labels[c] == labels[1 << i] for i, c in enumerate(images)):
-            count += [labels[x] for x in _span(images)] == want
-    return count
-
-
 def count_mu_automorphisms(model: LabelModel) -> int:
     """Invertible matrices preserving the mu table, counted by search.
 
     The autgrp search core's stabilizer-chain count (_ImageSearch.order:
     one existence search per orbit, each automorphism found kept as a
     generator) with the span-check rule, so non-bilinear tables work too.
-    Labels are functions of mu, so this counts the same group as
-    count_label_automorphisms.
+    Labels are functions of mu, so this is also the group preserving the
+    class tags.
     """
     k = model.rank
     if k > ENUMERATION_RANK_BOUND:

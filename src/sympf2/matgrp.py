@@ -55,10 +55,6 @@ def _build_unit_table() -> tuple[tuple[int, ...], ...]:
 UNIT_MUL = _build_unit_table()
 
 
-def unit_mul(a: int, b: int) -> int:
-    return UNIT_MUL[a][b]
-
-
 def unit_conj(a: int) -> int:
     """Quaternion conjugate: fixes +-1, negates i, j, k."""
     return a if (a & 3) == 0 else a ^ 4
@@ -329,16 +325,6 @@ class GeneratedSubgroup:
             raise ValueError("order is not a power of two")
         return o.bit_length() - 1
 
-    def is_elementary_abelian(self) -> bool:
-        try:
-            for x in self.elements:
-                square_scalar(x)
-            for x, y in itertools.combinations(self.generators, 2):  # as in _tabulate
-                commutator_scalar(x, y)
-        except ValueError:
-            return False
-        return True
-
 
 def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetricSpace:
     """Tabulate mu over an F2 basis of an elementary abelian subgroup.
@@ -475,10 +461,6 @@ class CanonicalSubgroup:
 
     def rank(self) -> int:
         return self.order().bit_length() - 1
-
-    def is_elementary_abelian(self) -> bool:
-        # words square to scalars and commute up to scalars
-        return True
 
 
 # --- canonical subgroup constructions ---------------------------------------

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .f2core import F2Matrix, Subspace, _echelonize, _eliminate, _solutions, _span, nullspace
+from .f2core import F2Matrix, _echelonize, _eliminate, _solutions, _span
 
 MAX_RANK = 16  # a rank-16 mu-table has 2^16 bits
 
@@ -67,21 +67,23 @@ def admissible_tuples(max_rank: int) -> Iterator[InvariantTuple]:
 
 @dataclass(frozen=True)
 class SymplecticVectorSpace:
-    """(V, m) without a quadratic refinement: a symmetric zero-diagonal Gram."""
+    """(V, m) without a quadratic refinement: a symmetric zero-diagonal Gram.
+
+    gram[i] is row i as a word: bit j is m(e_i, e_j).
+    """
 
     rank: int
-    gram: F2Matrix
+    gram: tuple[int, ...]
 
     def __post_init__(self) -> None:
         g = self.gram
-        if g.rows != self.rank or g.cols != self.rank:
+        if len(g) != self.rank or any(row < 0 or row >> self.rank for row in g):
             raise ValueError("Gram matrix shape mismatch")
-        for i in range(self.rank):
-            if g.entry(i, i):
+        for i, row in enumerate(g):
+            if row >> i & 1:
                 raise ValueError("Gram diagonal must be zero")
-            for j in range(i):
-                if g.entry(i, j) != g.entry(j, i):
-                    raise ValueError("Gram matrix must be symmetric")
+            if any((row >> j & 1) != (g[j] >> i & 1) for j in range(i)):
+                raise ValueError("Gram matrix must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,6 @@ class SymplecticMetricSpace:
     def m(self, x: int, y: int) -> int:
         """Polarized pairing m(x, y) = mu(x) + mu(y) + mu(x+y)."""
         return self.mu(x) ^ self.mu(y) ^ self.mu(x ^ y)
-
-    def gram(self) -> F2Matrix:
-        """Entries m(e_i, e_j)."""
-        return F2Matrix.from_row_bits(_gram_rows(self), self.rank)
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -220,16 +218,6 @@ def require_valid(space: SymplecticMetricSpace) -> None:
     ok, msg = validate(space)
     if not ok:
         raise ValueError(f"not a symplectic metric space: {msg}")
-
-
-def kernel(space: SymplecticMetricSpace) -> Subspace:
-    """ker m, the radical of the polarized pairing."""
-    return nullspace(space.gram())
-
-
-def translation_subgroup(space: SymplecticMetricSpace) -> Subspace:
-    """A_V = {x in ker m : mu(x) = 0}; mu is linear on ker m."""
-    return Subspace.spanned_by(_split_kernel(space, _analyze(space).ker)[0], space.rank)
 
 
 def _split_kernel(space: SymplecticMetricSpace, ker: list[int]) -> tuple[list[int], Optional[int]]:
@@ -351,7 +339,7 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     _, gram, ker, inv = _analyze(space)
     k = space.rank
     trans, z = _split_kernel(space, ker)
-    fixed = [v.bits for v in Subspace.spanned_by(trans, k).basis] + ([z] if inv.eps else [])
+    fixed = _echelonize(trans) + ([z] if inv.eps else [])
     pairs: list[tuple[int, int]] = []
 
     def pairings(x: int) -> int:  # bit i is m(e_i, x)

@@ -215,9 +215,22 @@ def suite_catalog() -> Iterator[Check]:
         "distinctness audit across all types",
         all(catalog.distinctness_audit(lt).ok for lt in catalog.LIE_TYPES),
     )
-    lifts = catalog.e8_lift_entries()
-    pures = catalog.e7_pure_s1_entries()
-    yield Check("13 E8 lift classes match 13 pure-s1 E7 classes", len(lifts) == 13 == len(pures))
+    lifts, pures = lift_keys()
+    yield Check(
+        "13 E8 lift classes match 13 pure-s1 E7 classes",
+        lifts == pures and len(set(lifts)) == 13,
+    )
+
+
+def lift_keys() -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Sorted keys of the E8 lifts, (rank - 1, translation rank) of each label
+    model, and of the pure-s1 E7 classes, (rank, rank_A); the classes biject
+    when the two lists are equal and their keys distinct."""
+    lifts = [catalog.build_label_model(e) for e in catalog.e8_lift_entries()]
+    return (
+        sorted((m.rank - 1, m.translation_rank()) for m in lifts),
+        sorted((e.rank, e.rank_a) for e in catalog.e7_pure_s1_entries()),
+    )
 
 
 SUITES: dict[str, Callable[[], Iterator[Check]]] = {

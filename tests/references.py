@@ -1,0 +1,113 @@
+"""Brute-force references the tests hold the package's routines against.
+
+None of these is package code: each is small enough to check by eye and
+slow enough that only the tests call it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from sympf2.catalog import GraphInvariant, LabelModel
+from sympf2.f2core import F2Matrix, _eliminate, _span, rank
+from sympf2.matgrp import UNIT_MUL
+from sympf2.sms import _unpack
+
+GL_ENUMERATION_BOUND = 5
+
+
+def enumerate_gl(n: int) -> Iterator[F2Matrix]:
+    """Yield every invertible n x n matrix over GF(2) exactly once.
+
+    Rows are chosen lexicographically, so the stream is deterministic.
+    Bounded at n <= 5; the count is gl_order(n).
+    """
+    if n > GL_ENUMERATION_BOUND:
+        raise ValueError(f"enumerate_gl is bounded at n <= {GL_ENUMERATION_BOUND}")
+    size = 1 << n
+    in_span = bytearray(size)
+    in_span[0] = 1
+    picked: list[int] = []
+    span_elems = [0]
+
+    def extend() -> Iterator[F2Matrix]:
+        if len(picked) == n:
+            yield F2Matrix.from_row_bits(picked, n)
+            return
+        for v in range(1, size):
+            if in_span[v]:
+                continue
+            picked.append(v)
+            added = [s ^ v for s in span_elems]
+            for w in added:
+                in_span[w] = 1
+            span_elems.extend(added)
+            yield from extend()
+            for w in added:
+                in_span[w] = 0
+            del span_elems[len(span_elems) - len(added):]
+            picked.pop()
+
+    yield from extend()
+
+
+def identity(n: int) -> F2Matrix:
+    return F2Matrix.from_row_bits([1 << i for i in range(n)], n)
+
+
+def product(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    """a @ b: row i is the sum of the rows of b picked by row i of a."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    rows = b.row_bits()
+    out = []
+    for r in a.row_bits():
+        acc = 0
+        for k in range(a.cols):
+            if r >> k & 1:
+                acc ^= rows[k]
+        out.append(acc)
+    return F2Matrix.from_row_bits(out, b.cols)
+
+
+def inverse(m: F2Matrix) -> F2Matrix:
+    """m^-1 from the combos of a full-rank elimination, which are its rows."""
+    if m.rows != m.cols or rank(m) != m.rows:
+        raise ValueError("matrix is not invertible")
+    # full rank leaves unit rows e_p = combo_p . m: the combos are the rows of m^-1
+    pivots, _ = _eliminate(m.row_bits(), combos=True)
+    return F2Matrix.from_row_bits([c for _, c, _ in sorted(pivots, key=lambda p: p[2])], m.rows)
+
+
+def labels(model: LabelModel) -> tuple[str, ...]:
+    """The class tag of every element: "1", model.sigma_tag where mu = 1, "s2" elsewhere."""
+    tags = ("s2", model.sigma_tag)
+    return ("1",) + tuple(tags[b] for b in _unpack(model.rank, model.table)[1:])
+
+
+def count_label_automorphisms(model: LabelModel) -> int:
+    """Brute force over GL(rank, 2): matrices preserving the label table."""
+    if model.rank > 4:
+        raise ValueError("label automorphism brute force is bounded at rank <= 4")
+    want = list(labels(model))
+    count = 0
+    for mat in enumerate_gl(model.rank):
+        # rows serve as the basis images: transposing is a bijection on GL
+        images = mat.row_bits()
+        # the basis images rule out most matrices before the table is built
+        if all(want[c] == want[1 << i] for i, c in enumerate(images)):
+            count += [want[x] for x in _span(images)] == want
+    return count
+
+
+def edges(graph: GraphInvariant) -> frozenset[frozenset[int]]:
+    """The graph's edges as vertex pairs, read off the neighbourhood masks."""
+    return frozenset(
+        frozenset((a, b))
+        for a, mask in zip(graph.vertices, graph.neighbours)
+        for b in graph.vertices if mask >> b & 1
+    )
+
+
+def unit_mul(a: int, b: int) -> int:
+    return UNIT_MUL[a][b]

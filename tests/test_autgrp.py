@@ -20,7 +20,7 @@ from sympf2.autgrp import (
     sp_vector_order,
 )
 from sympf2.catalog import build_label_model, enumerate_all, p_order
-from sympf2.f2core import F2Matrix, gl_order
+from sympf2.f2core import F2Matrix, _eliminate, _solutions, gl_order
 from sympf2.sms import (
     InvariantTuple,
     SymplecticMetricSpace,
@@ -31,6 +31,8 @@ from sympf2.sms import (
     transport,
 )
 from sympf2.verify import verify_comparisons
+
+from references import inverse, product
 
 
 def test_order_examples():
@@ -94,9 +96,9 @@ def test_closure_under_product_and_inverse():
     group = {tuple(m.row_bits()) for m in enumerate_automorphisms(space)}
     mats = [F2Matrix.from_row_bits(list(k), space.rank) for k in group]
     for a in mats:
-        assert tuple(a.inverse().row_bits()) in group
+        assert tuple(inverse(a).row_bits()) in group
         for b in mats:
-            assert tuple((a @ b).row_bits()) in group
+            assert tuple(product(a, b).row_bits()) in group
 
 
 def test_count_matches_enumeration_and_formula():
@@ -241,7 +243,7 @@ def test_chain_certifies_pairing_orders():
         for t in range(ENUMERATION_RANK_BOUND - 2 * s + 1):
             space = plain_symplectic_space(s, t)
             k = space.rank
-            gram = space.gram.row_bits()
+            gram = list(space.gram)
 
             def preserves(gen):
                 # m(x, y) is the parity of y against the XOR of the rows of x
@@ -346,7 +348,7 @@ def test_isomorphisms_match_gl_brute_force():
             assert [tuple(m.column_bits()) for m in enumerate_isomorphisms(a, b)] == brute, t
             checked += 1
         for s in range(k // 2 + 1):
-            gram = plain_symplectic_space(s, k - 2 * s).gram.row_bits()
+            gram = list(plain_symplectic_space(s, k - 2 * s).gram)
             ga, gb = (
                 [sum(_pairs(gram, c[i], c[j]) << j for j in range(k)) for i in range(k)]
                 for c in (_random_invertible(rng, k).column_bits() for _ in range(2))
@@ -394,9 +396,7 @@ def test_enumeration_rank_bound():
 
 def test_isomorphism_search_between_transported_spaces():
     space = canonical(InvariantTuple(0, 1, 0, 1))
-    moved = transport(space, F2Matrix.from_rows(
-        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
-    ))
+    moved = transport(space, F2Matrix.from_row_bits([0b0011, 0b0010, 0b0100, 0b1001], 4))
     # T carries `moved` coordinates into `space` coordinates, so pulling
     # `space` back along T recovers `moved`.
     t = next(enumerate_isomorphisms(moved, space))
@@ -472,7 +472,7 @@ def test_rank_zero_group_is_trivial():
 )
 def test_plain_symplectic_orders_by_enumeration(s, t):
     space = plain_symplectic_space(s, t)
-    gram = space.gram.row_bits()
+    gram = list(space.gram)
     leaves = _leaf_count(_ImageSearch(space.rank, src_gram=gram, tgt_gram=gram))
     reference = _reference_order(_ImageSearch(space.rank, src_gram=gram, tgt_gram=gram))
     assert count_pairing_automorphisms(space) == leaves == reference == sp_vector_order(s, t)
@@ -481,6 +481,4 @@ def test_plain_symplectic_orders_by_enumeration(s, t):
 def test_plain_symplectic_space_shape():
     space = plain_symplectic_space(2, 1)
     assert space.rank == 5
-    from sympf2.f2core import nullspace
-
-    assert nullspace(space.gram).dim == 1
+    assert len(_solutions(_eliminate(space.gram), 0, space.rank)[1]) == 1

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympf2 import catalog
+from sympf2 import catalog, verify
 from sympf2.autgrp import count_automorphisms
 from sympf2.catalog import (
     EXPECTED_COUNTS,
     LabelModel,
     build_label_model,
-    count_label_automorphisms,
     cross_check,
     distinctness_audit,
     e7_pure_s1_entries,
@@ -27,6 +26,7 @@ from sympf2.catalog import (
 )
 from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _coordinates, canonical
 
+from references import count_label_automorphisms, edges, labels
 from test_sms import _translate
 
 
@@ -73,13 +73,13 @@ def test_automizer_order_examples():
 
 def test_label_model_examples():
     m = build_label_model(by_key("E8", "F'_{r}", (2,)))
-    assert m.labels == ("1", "s2", "s2", "s2")
+    assert labels(m) == ("1", "s2", "s2", "s2")
 
     m = build_label_model(by_key("E8", "F''_{r,s}", (0, 1)))
-    assert m.labels == ("1", "s1")
+    assert labels(m) == ("1", "s1")
 
     m = build_label_model(by_key("F4", "F_{r,s}", (1, 1)))
-    assert m.labels[1:] == ("s2", "s1", "s1")
+    assert labels(m)[1:] == ("s2", "s1", "s1")
 
 
 def test_models_exist_exactly_where_stated():
@@ -165,7 +165,7 @@ def test_graph_example_one_seven():
     g = graph_of(by_key("E8", "F_{r,s}", (0, 1)))
     assert g.shape == "complete_bipartite"
     assert g.part_sizes == (1, 7)
-    assert len(g.edges) == 7
+    assert len(edges(g)) == 7
 
 
 def test_distinctness_audit():
@@ -218,6 +218,23 @@ def test_lift_consistency():
     # a non-lift entry fails the H_x = F test
     other = by_key("E8", "F_{r,s}", (0, 2))
     assert not model_has_full_hx(build_label_model(other))
+
+
+def test_lift_check_is_a_bijection_of_keys():
+    lifts, pures = verify.lift_keys()
+    assert lifts == pures and len(set(lifts)) == len(lifts) == 13
+    assert lifts == sorted((e.rank - 1, e.rank_a) for e in e8_lift_entries())
+
+
+def test_lift_check_fails_on_equal_counts_with_unequal_keys(monkeypatch):
+    def lift_line():
+        return next(c for c in verify.suite_catalog() if c.name.startswith("13 E8 lift"))
+
+    assert lift_line().passed
+    pures = e7_pure_s1_entries()
+    # still 13 entries, but one key twice and another missing
+    monkeypatch.setattr(catalog, "e7_pure_s1_entries", lambda: pures[:-1] + pures[:1])
+    assert not lift_line().passed
 
 
 def test_automizer_orders_match_model_automorphisms():
@@ -309,10 +326,10 @@ def _label_models():
 
 def _oracle_translation_subgroup(model):
     """A_F from the tags over 4^k pairs: mu(x) = 0 and m(x, y) = 0 for all y."""
-    labels = model.labels
+    tags = labels(model)
 
     def mu(v):
-        return labels[v] in ("s1", "s")
+        return tags[v] in ("s1", "s")
 
     size = 1 << model.rank
     return [
@@ -322,28 +339,28 @@ def _oracle_translation_subgroup(model):
 
 
 def _oracle_full_hx(model):
-    labels = model.labels
+    tags = labels(model)
     size = 1 << model.rank
     return any(
-        labels[x] == "s1" and all(labels[x ^ y] != labels[y] for y in range(size))
+        tags[x] == "s1" and all(tags[x ^ y] != tags[y] for y in range(size))
         for x in range(size)
     )
 
 
 def _oracle_graph(model):
     """Vertices and edges from tag comparisons over all pairs of s1 elements."""
-    labels = model.labels
+    tags = labels(model)
     a_f = _oracle_translation_subgroup(model)
-    xs = [v for v in range(1 << model.rank) if labels[v] == "s1"]
+    xs = [v for v in range(1 << model.rank) if tags[v] == "s1"]
     rep = {x: min(x ^ a for a in a_f) for x in xs}
     edges = set()
     for x, y in itertools.combinations(xs, 2):
-        if rep[x] != rep[y] and labels[x ^ y] == "s2":
+        if rep[x] != rep[y] and tags[x ^ y] == "s2":
             edges.add(frozenset((rep[x], rep[y])))
     for x in xs:
         for y in xs:
             if rep[x] != rep[y]:
-                assert (labels[x ^ y] == "s2") == (frozenset((rep[x], rep[y])) in edges)
+                assert (tags[x ^ y] == "s2") == (frozenset((rep[x], rep[y])) in edges)
     return tuple(sorted(set(rep.values()))), frozenset(edges)
 
 
@@ -354,8 +371,9 @@ def test_label_models_are_tables():
         if m is None:
             continue
         assert m.sigma_tag == ("s" if e.lie_type == "G2" else "s1")
-        assert m.labels[0] == "1" and len(m.labels) == 1 << m.rank
-        assert all((tag == m.sigma_tag) == (m.table >> v & 1) for v, tag in enumerate(m.labels))
+        tags = labels(m)
+        assert tags[0] == "1" and len(tags) == 1 << m.rank
+        assert all((tag == m.sigma_tag) == (m.table >> v & 1) for v, tag in enumerate(tags))
         checked += 1
     assert checked == 85
     with pytest.raises(ValueError):
@@ -382,7 +400,7 @@ def test_full_hx_matches_label_oracle():
 def test_quotient_graph_matches_label_oracle():
     for model in _label_models():
         g = catalog._quotient_graph(model)
-        assert (g.vertices, g.edges) == _oracle_graph(model), model
+        assert (g.vertices, edges(g)) == _oracle_graph(model), model
 
 
 def test_quotient_graph_rejects_a_table_not_constant_on_cosets(monkeypatch):
@@ -444,7 +462,7 @@ def test_quotient_graph_edges_and_counts_come_from_neighbour_masks():
         if g is None:
             continue
         assert len(g.neighbours) == len(g.vertices)
-        assert sum(map(int.bit_count, g.neighbours)) == 2 * len(g.edges)
+        assert sum(map(int.bit_count, g.neighbours)) == 2 * len(edges(g))
         assert all(not mask >> v & 1 for v, mask in zip(g.vertices, g.neighbours))
 
 

@@ -500,7 +500,7 @@ def _corpus_generator(rng, mode, n, earlier):
         else:
             clock = [0]  # powers of i, or of -1 in real mode
             for _ in range(3):
-                clock.append(matgrp.unit_mul(clock[-1], 1 if mode != "real" else 4))
+                clock.append(matgrp.UNIT_MUL[clock[-1]][1 if mode != "real" else 4])
             mat = matgrp.MonomialMatrix.diagonal(clock, mode)
     elif kind == "random":
         perm = list(range(n))
