@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .autgrp import (
@@ -27,7 +26,7 @@ from .autgrp import (
     sp_order,
     sp_vector_order,
 )
-from .f2core import gl_order
+from .f2core import _set, _Value, gl_order
 from .sms import (
     EPS_DELTA,
     SymplecticMetricSpace,
@@ -49,8 +48,7 @@ def p_order(r: int, s: int) -> int:
     return gl_order(r) * gl_order(s) * (1 << (r * s))
 
 
-@dataclass(frozen=True)
-class LabelModel:
+class LabelModel(_Value):
     """A subgroup's mu table; the conjugacy-class tags are a view of it.
 
     The identity is tagged "1", elements with mu = 1 (mu = -1 as a sign)
@@ -58,13 +56,17 @@ class LabelModel:
     involutions form a single class.
     """
 
+    __slots__ = _fields = ("rank", "table", "sigma_tag")
     rank: int
     table: int
-    sigma_tag: str = "s1"
+    sigma_tag: str
 
-    def __post_init__(self) -> None:
-        if self.table & 1 or self.table >> (1 << self.rank):
+    def __init__(self, rank: int, table: int, sigma_tag: str = "s1") -> None:
+        if table & 1 or table >> (1 << rank):
             raise ValueError("mu table must have 2^rank bits and vanish at the identity")
+        _set(self, "rank", rank)
+        _set(self, "table", table)
+        _set(self, "sigma_tag", sigma_tag)
 
     def defect(self) -> int:
         return defect(SymplecticMetricSpace(self.rank, self.table))
@@ -113,25 +115,42 @@ def _orthogonal_product(blocks: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return rank, table
 
 
-@dataclass(frozen=True)
-class GraphInvariant:
+class GraphInvariant(_Value):
     """Quotient graph on translation cosets of s1-tagged elements.
 
     neighbours[i] is the neighbourhood of vertices[i] as a bit set over
     group elements: bit b is set when the representative b is adjacent.
     """
 
+    __slots__ = _fields = ("vertices", "neighbours", "shape", "part_sizes")
     vertices: tuple[int, ...]
     neighbours: tuple[int, ...]
     shape: str
     part_sizes: Optional[tuple[int, int]]
 
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        neighbours: tuple[int, ...],
+        shape: str,
+        part_sizes: Optional[tuple[int, int]],
+    ) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "neighbours", neighbours)
+        _set(self, "shape", shape)
+        _set(self, "part_sizes", part_sizes)
 
-@dataclass(frozen=True)
-class FamilyEntry:
+
+class FamilyEntry(_Value):
     """One catalog class; blocks lists its label model's orthogonal factors as
-    standard (rank, mu table) blocks, and is None for a formula-only entry."""
+    standard (rank, mu table) blocks, and is None for a formula-only entry.
+    blocks is neither compared nor shown."""
 
+    _fields = (
+        "lie_type", "family", "params", "rank", "rank_a", "defe",
+        "automizer_order", "automizer_desc", "defe_is_convention", "res", "res2",
+    )
+    __slots__ = _fields + ("blocks",)
     lie_type: str
     family: str
     params: tuple[int, ...]
@@ -140,10 +159,38 @@ class FamilyEntry:
     defe: Optional[int]
     automizer_order: int
     automizer_desc: str
-    defe_is_convention: bool = False
-    res: Optional[int] = None
-    res2: Optional[int] = None
-    blocks: Optional[tuple[tuple[int, int], ...]] = field(default=None, compare=False, repr=False)
+    defe_is_convention: bool
+    res: Optional[int]
+    res2: Optional[int]
+    blocks: Optional[tuple[tuple[int, int], ...]]
+
+    def __init__(
+        self,
+        lie_type: str,
+        family: str,
+        params: tuple[int, ...],
+        rank: int,
+        rank_a: int,
+        defe: Optional[int],
+        automizer_order: int,
+        automizer_desc: str,
+        defe_is_convention: bool = False,
+        res: Optional[int] = None,
+        res2: Optional[int] = None,
+        blocks: Optional[tuple[tuple[int, int], ...]] = None,
+    ) -> None:
+        _set(self, "lie_type", lie_type)
+        _set(self, "family", family)
+        _set(self, "params", params)
+        _set(self, "rank", rank)
+        _set(self, "rank_a", rank_a)
+        _set(self, "defe", defe)
+        _set(self, "automizer_order", automizer_order)
+        _set(self, "automizer_desc", automizer_desc)
+        _set(self, "defe_is_convention", defe_is_convention)
+        _set(self, "res", res)
+        _set(self, "res2", res2)
+        _set(self, "blocks", blocks)
 
     def sort_key(self) -> tuple:
         return (self.family, self.params)
@@ -485,11 +532,16 @@ def _e8_expected_non_bilinear(entry: FamilyEntry) -> bool:
     return entry.family == "F''_{r,s}" and entry.params[1] == 3
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Value):
+    __slots__ = _fields = ("entry", "has_model", "problems")
     entry: FamilyEntry
     has_model: bool
     problems: tuple[str, ...]
+
+    def __init__(self, entry: FamilyEntry, has_model: bool, problems: tuple[str, ...]) -> None:
+        _set(self, "entry", entry)
+        _set(self, "has_model", has_model)
+        _set(self, "problems", problems)
 
     @property
     def ok(self) -> bool:
@@ -589,12 +641,24 @@ def count_mu_automorphisms(model: LabelModel) -> int:
 # --- distinctness audit ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Value):
+    __slots__ = _fields = ("lie_type", "ok", "lines", "cross_family_collisions")
     lie_type: str
     ok: bool
     lines: tuple[str, ...]
     cross_family_collisions: tuple[tuple[str, str], ...]
+
+    def __init__(
+        self,
+        lie_type: str,
+        ok: bool,
+        lines: tuple[str, ...],
+        cross_family_collisions: tuple[tuple[str, str], ...],
+    ) -> None:
+        _set(self, "lie_type", lie_type)
+        _set(self, "ok", ok)
+        _set(self, "lines", lines)
+        _set(self, "cross_family_collisions", cross_family_collisions)
 
 
 def distinctness_audit(lie_type: str) -> AuditReport:

@@ -7,7 +7,7 @@ and hashable, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 MAX_WIDTH = 64
@@ -18,33 +18,82 @@ def _check_width(width: int) -> None:
         raise ValueError(f"dimension {width} outside supported range 0..{MAX_WIDTH}")
 
 
-@dataclass(frozen=True)
-class F2Vector:
+_set = object.__setattr__  # how an __init__ fills its slots past the raising __setattr__
+
+
+class _Value:
+    """Base of the package's immutable record types.
+
+    A subclass names its compared fields in _fields.  Equality (between
+    instances of the same class), hash and repr read those fields, in order;
+    any other slot is carried but neither compared nor shown.  Attributes are
+    set once, in __init__, through _set; assigning or deleting one later
+    raises AttributeError.  The slots are declared in the order of the
+    __init__ parameters, so copy and pickle rebuild a value through __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _key: attrgetter
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, n) for n in self.__slots__ if n != "__dict__")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class F2Vector(_Value):
     """A vector in GF(2)^width, packed into a single word."""
 
+    __slots__ = _fields = ("width", "bits")
     width: int
     bits: int
 
-    def __post_init__(self) -> None:
-        _check_width(self.width)
-        if self.bits < 0 or self.bits >> self.width:
-            raise ValueError(f"bits {self.bits:#x} do not fit in width {self.width}")
+    def __init__(self, width: int, bits: int) -> None:
+        _check_width(width)
+        if bits < 0 or bits >> width:
+            raise ValueError(f"bits {bits:#x} do not fit in width {width}")
+        _set(self, "width", width)
+        _set(self, "bits", bits)
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(_Value):
     """A rows x cols matrix over GF(2); row_data[i] is row i."""
 
+    __slots__ = _fields = ("rows", "cols", "row_data")
     rows: int
     cols: int
     row_data: tuple[F2Vector, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.row_data) != self.rows:
+    def __init__(self, rows: int, cols: int, row_data: tuple[F2Vector, ...]) -> None:
+        if len(row_data) != rows:
             raise ValueError("row count mismatch")
-        for r in self.row_data:
-            if r.width != self.cols:
+        for r in row_data:
+            if r.width != cols:
                 raise ValueError("row width mismatch")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "row_data", row_data)
 
     @classmethod
     def from_row_bits(cls, row_bits: Sequence[int], cols: int) -> "F2Matrix":

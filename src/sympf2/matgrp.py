@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .f2core import _span
+from .f2core import _set, _span, _Value
 from .sms import InvariantTuple, SymplecticMetricSpace, _pack, require_valid
 
 # Units are encoded 0..7 as axis | sign<<2 with axes (1, i, j, k); the code
@@ -72,24 +71,30 @@ _MODE_AXES = {"real": {0}, "complex": {0, 1}, "quaternion": {0, 1, 2, 3}}
 _MODE_SCALARS = {"real": (0, 4), "complex": (0, 1, 4, 5), "quaternion": (0, 4)}
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(_Value):
     """n x n monomial matrix: column c holds entries[c] at row perm[c]."""
 
+    __slots__ = _fields = ("n", "perm", "entries", "field_mode")
     n: int
     perm: tuple[int, ...]
     entries: tuple[int, ...]
     field_mode: str
 
-    def __post_init__(self) -> None:
-        if self.field_mode not in _MODE_AXES:
-            raise ValueError(f"unknown field mode {self.field_mode!r}")
-        if sorted(self.perm) != list(range(self.n)) or len(self.entries) != self.n:
+    def __init__(
+        self, n: int, perm: tuple[int, ...], entries: tuple[int, ...], field_mode: str
+    ) -> None:
+        if field_mode not in _MODE_AXES:
+            raise ValueError(f"unknown field mode {field_mode!r}")
+        if sorted(perm) != list(range(n)) or len(entries) != n:
             raise ValueError("not a permutation with one entry per column")
-        axes = _MODE_AXES[self.field_mode]
-        for e in self.entries:
+        axes = _MODE_AXES[field_mode]
+        for e in entries:
             if not isinstance(e, int) or not 0 <= e < 8 or (e & 3) not in axes:
-                raise ValueError(f"entry {e!r} is not a unit of mode {self.field_mode}")
+                raise ValueError(f"entry {e!r} is not a unit of mode {field_mode}")
+        _set(self, "n", n)
+        _set(self, "perm", perm)
+        _set(self, "entries", entries)
+        _set(self, "field_mode", field_mode)
 
     @classmethod
     def _unchecked(
@@ -98,11 +103,23 @@ class MonomialMatrix:
         # products and scalings of valid monomials are valid; skip the
         # O(n log n) revalidation on these hot paths
         obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "perm", perm)
-        object.__setattr__(obj, "entries", entries)
-        object.__setattr__(obj, "field_mode", field_mode)
+        _set(obj, "n", n)
+        _set(obj, "perm", perm)
+        _set(obj, "entries", entries)
+        _set(obj, "field_mode", field_mode)
         return obj
+
+    # The closure's seen set hashes and compares every product: spelled out,
+    # these beat the base's attrgetter calls.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.perm, self.entries, self.field_mode) == (
+                other.n, other.perm, other.entries, other.field_mode
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.perm, self.entries, self.field_mode))
 
     @classmethod
     def identity(cls, n: int, field_mode: str) -> "MonomialMatrix":
@@ -165,8 +182,7 @@ def _canonical_scalar_form(m: MonomialMatrix) -> MonomialMatrix:
     return m if lam == 0 else m.scale(lam)
 
 
-@dataclass(frozen=True)
-class ProjectiveElement:
+class ProjectiveElement(_Value):
     """A monomial matrix modulo scalars, with an optional antilinear flag.
 
     Instances are stored as the canonical scalar representative: among the
@@ -175,15 +191,24 @@ class ProjectiveElement:
     entry in column order is minimized.
     """
 
+    __slots__ = _fields = ("matrix", "conj")
     matrix: MonomialMatrix
-    conj: bool = False
+    conj: bool
 
-    def __post_init__(self) -> None:
-        if self.conj and self.matrix.field_mode != "complex":
+    def __init__(self, matrix: MonomialMatrix, conj: bool = False) -> None:
+        if conj and matrix.field_mode != "complex":
             raise ValueError("antilinear flag only exists in complex mode")
-        canon = _canonical_scalar_form(self.matrix)
-        if canon is not self.matrix:
-            object.__setattr__(self, "matrix", canon)
+        _set(self, "matrix", _canonical_scalar_form(matrix))
+        _set(self, "conj", conj)
+
+    # hot in the closure's seen set, as for MonomialMatrix
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.matrix, self.conj) == (other.matrix, other.conj)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.conj))
 
     @property
     def n(self) -> int:
@@ -262,14 +287,32 @@ def _element_key(e: ProjectiveElement) -> tuple:
     return e.conj, e.matrix.perm, e.matrix.entries
 
 
-@dataclass(frozen=True)
-class GeneratedSubgroup:
-    """Closure of a generator list inside the projective unitary quotient."""
+class GeneratedSubgroup(_Value):
+    """Closure of a generator list inside the projective unitary quotient.
 
+    Compared and shown by generators and elements; used (the generators
+    that added a coset) and chain (the elements in build order) record how
+    generate() built it.
+    """
+
+    _fields = ("generators", "elements")
+    __slots__ = _fields + ("used", "chain")
     generators: tuple[ProjectiveElement, ...]
     elements: tuple[ProjectiveElement, ...]
-    used: tuple[ProjectiveElement, ...] = field(compare=False, repr=False)  # added a coset
-    chain: tuple[ProjectiveElement, ...] = field(compare=False, repr=False)  # in build order
+    used: tuple[ProjectiveElement, ...]
+    chain: tuple[ProjectiveElement, ...]
+
+    def __init__(
+        self,
+        generators: tuple[ProjectiveElement, ...],
+        elements: tuple[ProjectiveElement, ...],
+        used: tuple[ProjectiveElement, ...],
+        chain: tuple[ProjectiveElement, ...],
+    ) -> None:
+        _set(self, "generators", generators)
+        _set(self, "elements", elements)
+        _set(self, "used", used)
+        _set(self, "chain", chain)
 
     @classmethod
     def generate(
@@ -420,17 +463,24 @@ def _word_matrix(a: _Word, n: int, mode: str) -> MonomialMatrix:
     return MonomialMatrix(n, perm, entries, mode)
 
 
-@dataclass(frozen=True)
-class CanonicalSubgroup:
+class CanonicalSubgroup(_Value):
     """The subgroup generated by independent tensor-slot words.
 
     Offers what callers of GeneratedSubgroup use; generators and elements
-    become matrices on first access, in the order generate() gives them.
+    become matrices on first access, in the order generate() gives them,
+    and are cached in the instance __dict__.
     """
 
+    _fields = ("n", "field_mode", "words")
+    __slots__ = _fields + ("__dict__",)
     n: int
     field_mode: str
     words: tuple[_Word, ...]
+
+    def __init__(self, n: int, field_mode: str, words: tuple[_Word, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "field_mode", field_mode)
+        _set(self, "words", words)
 
     @cached_property
     def _products(self) -> list[_Word]:
@@ -556,10 +606,16 @@ def diag_involution(n: int, p: int) -> ProjectiveElement:
     return ProjectiveElement(MonomialMatrix.diagonal(units, "complex"))
 
 
-@dataclass(frozen=True)
-class TwistedCheckReport:
+class TwistedCheckReport(_Value):
+    __slots__ = _fields = ("conjugation_identity", "mu_product_identity")
     conjugation_identity: Optional[bool]
     mu_product_identity: Optional[bool]
+
+    def __init__(
+        self, conjugation_identity: Optional[bool], mu_product_identity: Optional[bool]
+    ) -> None:
+        _set(self, "conjugation_identity", conjugation_identity)
+        _set(self, "mu_product_identity", mu_product_identity)
 
 
 def twisted_mu_identity_check(z: ProjectiveElement, x: ProjectiveElement) -> TwistedCheckReport:

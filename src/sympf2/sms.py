@@ -15,30 +15,33 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .f2core import F2Matrix, _echelonize, _eliminate, _solutions, _span
+from .f2core import F2Matrix, _echelonize, _eliminate, _set, _solutions, _span, _Value
 
 MAX_RANK = 16  # a rank-16 mu-table has 2^16 bits
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(_Value):
     """Classification signature (eps, delta, r, s) of a metric space."""
 
+    __slots__ = _fields = ("eps", "delta", "r", "s")
     eps: int
     delta: int
     r: int
     s: int
 
-    def __post_init__(self) -> None:
-        if self.eps not in (0, 1) or self.delta not in (0, 1):
+    def __init__(self, eps: int, delta: int, r: int, s: int) -> None:
+        if eps not in (0, 1) or delta not in (0, 1):
             raise ValueError("eps and delta must be 0 or 1")
-        if self.eps and self.delta:
+        if eps and delta:
             raise ValueError("invalid tuple: eps = 1 forces delta = 0")
-        if self.r < 0 or self.s < 0:
+        if r < 0 or s < 0:
             raise ValueError("r and s must be nonnegative")
+        _set(self, "eps", eps)
+        _set(self, "delta", delta)
+        _set(self, "r", r)
+        _set(self, "s", s)
 
     @property
     def ambient_rank(self) -> int:
@@ -65,39 +68,42 @@ def admissible_tuples(max_rank: int) -> Iterator[InvariantTuple]:
                 yield InvariantTuple(eps, delta, r, s)
 
 
-@dataclass(frozen=True)
-class SymplecticVectorSpace:
+class SymplecticVectorSpace(_Value):
     """(V, m) without a quadratic refinement: a symmetric zero-diagonal Gram.
 
     gram[i] is row i as a word: bit j is m(e_i, e_j).
     """
 
+    __slots__ = _fields = ("rank", "gram")
     rank: int
     gram: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        g = self.gram
-        if len(g) != self.rank or any(row < 0 or row >> self.rank for row in g):
+    def __init__(self, rank: int, gram: tuple[int, ...]) -> None:
+        if len(gram) != rank or any(row < 0 or row >> rank for row in gram):
             raise ValueError("Gram matrix shape mismatch")
-        for i, row in enumerate(g):
+        for i, row in enumerate(gram):
             if row >> i & 1:
                 raise ValueError("Gram diagonal must be zero")
-            if any((row >> j & 1) != (g[j] >> i & 1) for j in range(i)):
+            if any((row >> j & 1) != (gram[j] >> i & 1) for j in range(i)):
                 raise ValueError("Gram matrix must be symmetric")
+        _set(self, "rank", rank)
+        _set(self, "gram", gram)
 
 
-@dataclass(frozen=True)
-class SymplecticMetricSpace:
+class SymplecticMetricSpace(_Value):
     """(V, m, mu) with mu packed into an integer table of 2^rank bits."""
 
+    __slots__ = _fields = ("rank", "table")
     rank: int
     table: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 0 or self.rank > MAX_RANK:
+    def __init__(self, rank: int, table: int) -> None:
+        if rank < 0 or rank > MAX_RANK:
             raise ValueError(f"rank outside supported range 0..{MAX_RANK}")
-        if self.table < 0 or self.table >> (1 << self.rank):
-            raise ValueError(f"mu-table does not have length 2^{self.rank}")
+        if table < 0 or table >> (1 << rank):
+            raise ValueError(f"mu-table does not have length 2^{rank}")
+        _set(self, "rank", rank)
+        _set(self, "table", table)
 
     @classmethod
     def from_mu_list(cls, mu: list[int]) -> "SymplecticMetricSpace":

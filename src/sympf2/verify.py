@@ -7,19 +7,24 @@ the CLI prints them; a suite passes when every one of its checks does.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import autgrp, catalog, matgrp, sms
+from .f2core import _set, _Value
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value):
     """One verdict; str() is its `[PASS] name (details)` line."""
 
+    __slots__ = _fields = ("name", "passed", "details")
     name: str
     passed: bool
-    details: str = ""
+    details: str
+
+    def __init__(self, name: str, passed: bool, details: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "details", details)
 
     def __str__(self) -> str:
         line = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
@@ -192,12 +197,21 @@ def suite_matrix() -> Iterator[Check]:
 
 
 def suite_catalog() -> Iterator[Check]:
-    bad = []
+    bad, counted, mismatched = [], 0, []
     for e in catalog.enumerate_all():
         report = catalog.cross_check(e)
         if not report.ok:
             bad.append((e.lie_type, e.family, e.params, report.problems))
+        if report.has_model:
+            counted += 1
+            if catalog.count_mu_automorphisms(catalog.build_label_model(e)) != e.automizer_order:
+                mismatched.append((e.lie_type, e.family, e.params))
     yield Check("label-model cross checks (defe, rank_A, bilinearity)", not bad, str(bad[:3]))
+    yield Check(
+        "automizer orders = mu-automorphism counts of the label models",
+        not mismatched,
+        f"{counted} models" + (f", mismatches {mismatched[:3]}" if mismatched else ""),
+    )
     shapes_ok = True
     for e in catalog.enumerate_type("E8"):
         g = catalog.graph_of(e)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 
@@ -10,6 +9,7 @@ from sympf2 import catalog, verify
 from sympf2.autgrp import count_automorphisms
 from sympf2.catalog import (
     EXPECTED_COUNTS,
+    FamilyEntry,
     LabelModel,
     build_label_model,
     cross_check,
@@ -191,7 +191,11 @@ def test_distinctness_audit_reports_a_parity_tie(monkeypatch):
     entries = enumerate_type("E8")
     a = next(e for e in entries if e.family == "F'_{r,s}")
     i = next(i for i, e in enumerate(entries) if e.family == "F'_{eps,delta,r,s}")
-    b = dataclasses.replace(entries[i], rank=a.rank, rank_a=a.rank_a, defe=a.defe)
+    e = entries[i]
+    b = FamilyEntry(
+        e.lie_type, e.family, e.params, a.rank, a.rank_a, a.defe, e.automizer_order,
+        e.automizer_desc, e.defe_is_convention, e.res, e.res2, e.blocks,
+    )
     planted = entries[:i] + [b] + entries[i + 1:]
     monkeypatch.setattr(catalog, "enumerate_type", lambda lie_type: planted)
     report = distinctness_audit("E8")
@@ -235,6 +239,20 @@ def test_lift_check_fails_on_equal_counts_with_unequal_keys(monkeypatch):
     # still 13 entries, but one key twice and another missing
     monkeypatch.setattr(catalog, "e7_pure_s1_entries", lambda: pures[:-1] + pures[:1])
     assert not lift_line().passed
+
+
+def test_automizer_check_reports_a_planted_mismatch(monkeypatch):
+    def automizer_line():
+        return next(c for c in verify.suite_catalog() if c.name.startswith("automizer orders"))
+
+    assert str(automizer_line()) == (
+        "[PASS] automizer orders = mu-automorphism counts of the label models (85 models)"
+    )
+    count = catalog.count_mu_automorphisms
+    monkeypatch.setattr(catalog, "count_mu_automorphisms", lambda model: count(model) + 1)
+    line = automizer_line()
+    assert not line.passed
+    assert line.details.startswith("85 models, mismatches [('G2', 'F_{r}', (0,))")
 
 
 def test_automizer_orders_match_model_automorphisms():

@@ -317,14 +317,15 @@ def test_generator_size_cap_admits_the_canonical_sizes(tmp_path, capsys):
 
 
 # sha256 of the outputs at the commit before label models became mu tables;
-# the catalog and its checks must not move
+# the catalog and its checks must not move.  The catalog suite's digest was
+# re-pinned when it gained the automizer-order line, its only new text.
 _GOLDEN = {
     ("catalog", "--type", "all", "--format", "csv"):
         "c76dc00b1f15b7ae82ce78d42f55711e8cfff27ddc20760385d178b27bfc6c39",
     ("catalog", "--type", "all", "--format", "text"):
         "612202fb3d8d947148604222bb5cb068e1bbe71c4fcf17c9dfff69ff2ae2c461",
     ("verify", "--suite", "catalog"):
-        "0080cfcf388e3d3fca7fe05a690a7aa3911c8ae36429f199b2db574d2d62ff73",
+        "30a3652fc77351039b345c486325892f4027a00d62fde9369a73e1cebf999b1a",
     ("verify", "--suite", "counts"):
         "b3ca571721d1a33188ed7b22d26b1ea7a2aeb219122aa3d868dac8552a3074d4",
     ("verify", "--suite", "orders"):
