@@ -19,7 +19,7 @@ import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 from .autgrp import (
-    ENUMERATION_RANK_BOUND,
+    COUNT_RANK_BOUND,
     _ImageSearch,
     sp_full_order,
     sp_metric_order,
@@ -632,8 +632,8 @@ def count_mu_automorphisms(model: LabelModel) -> int:
     class tags.
     """
     k = model.rank
-    if k > ENUMERATION_RANK_BOUND:
-        raise ValueError(f"mu automorphism counting is bounded at rank <= {ENUMERATION_RANK_BOUND}")
+    if k > COUNT_RANK_BOUND:
+        raise ValueError(f"mu automorphism counting is bounded at rank <= {COUNT_RANK_BOUND}")
     mu = _unpack(k, model.table)
     return _ImageSearch(k, src_mu=mu, tgt_mu=mu).order()
 

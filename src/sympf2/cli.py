@@ -132,7 +132,9 @@ def _cmd_aut(args, out) -> int:
         return EXIT_INPUT
     print(f"space: {t.label()} (ambient rank {t.ambient_rank})", file=out)
     print(f"order (formula): {_decimal(order)}", file=out)
-    if t.ambient_rank > autgrp.ENUMERATION_RANK_BOUND:
+    # --list needs no bound of its own: above ENUMERATION_RANK_BOUND every
+    # group has more than AUT_LIST_CAP elements, and the cap refused it
+    if t.ambient_rank > autgrp.COUNT_RANK_BOUND:
         print("enumeration skipped: ambient rank exceeds the search bound", file=out)
         return EXIT_OK
     space = sms.canonical(t)

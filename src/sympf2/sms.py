@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .f2core import F2Matrix, _echelonize, _eliminate, _set, _solutions, _span, _Value
 
@@ -110,9 +111,15 @@ class SymplecticMetricSpace(_Value):
         n = len(mu)
         if n == 0 or n & (n - 1):
             raise ValueError(f"mu-table length {n} is not a power of two")
-        if not set(map(type, mu)) <= {int} or not set(mu) <= {0, 1}:
-            raise ValueError("mu values must be 0 or 1")
-        return cls(n.bit_length() - 1, _pack(mu))
+        try:
+            if not set(map(type, mu)) <= {int}:
+                raise ValueError
+            bits = bytes(mu)  # raises ValueError for an int outside 0..255
+            if bits.translate(None, b"\0\1"):
+                raise ValueError
+        except ValueError:
+            raise ValueError("mu values must be 0 or 1") from None
+        return cls(n.bit_length() - 1, _pack(bits))
 
     def mu(self, v: int) -> int:
         return (self.table >> v) & 1
@@ -255,11 +262,18 @@ def defect(space: SymplecticMetricSpace) -> int:
     return (1 << space.rank) - 2 * space.table.bit_count()
 
 
-class _Analysis(NamedTuple):
-    reason: str  # validate's message
-    gram: list[int]  # bit j of row i is m(e_i, e_j)
-    ker: Optional[list[int]]  # a basis of ker m; None, like inv, for an invalid space
-    inv: Optional[InvariantTuple]
+class _Analysis(tuple):
+    """(reason, gram, ker, inv), unpacked as a tuple or read by field name.
+
+    reason is validate's message; bit j of gram[i] is m(e_i, e_j); ker is a
+    basis of ker m and inv the invariant tuple, both None for an invalid space.
+    """
+
+    __slots__ = ()
+    reason = property(itemgetter(0))
+    gram = property(itemgetter(1))
+    ker = property(itemgetter(2))
+    inv = property(itemgetter(3))
 
 
 def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
@@ -274,7 +288,7 @@ def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
     if reason != _VALID:
         if strict:
             raise ValueError(f"not a symplectic metric space: {reason}")
-        return _Analysis(reason, rows, None, None)
+        return _Analysis((reason, rows, None, None))
     ker = _solutions(_eliminate(rows), 0, space.rank)[1]
     d = len(ker)
     eps = 1 if any(space.mu(v) for v in ker) else 0
@@ -292,7 +306,7 @@ def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
             delta = 0
         else:
             raise AssertionError("descended form is not nondegenerate")
-    return _Analysis(reason, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta))
+    return _Analysis((reason, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta)))
 
 
 def invariants(space: SymplecticMetricSpace) -> InvariantTuple:

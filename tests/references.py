@@ -6,7 +6,7 @@ slow enough that only the tests call it.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from sympf2.catalog import GraphInvariant, LabelModel
 from sympf2.f2core import F2Matrix, _eliminate, _span, rank
@@ -111,3 +111,30 @@ def edges(graph: GraphInvariant) -> frozenset[frozenset[int]]:
 
 def unit_mul(a: int, b: int) -> int:
     return UNIT_MUL[a][b]
+
+
+def close_by_bits(
+    points: list[int], mark: bytearray, flag: int, gens: Sequence[tuple[int, ...]], new: int
+) -> None:
+    """autgrp._close with each image an XOR over the set bits of the point.
+
+    The points already listed have been closed under gens[:new]; the ones
+    appended here see every generator.  A generator is the image tuple of a
+    basis, applied to v as the XOR of its entries over the set bits of v.
+    """
+    listed = len(points)
+    fresh = gens[new:]
+    i = 0
+    while i < len(points):
+        v = points[i]
+        for g in fresh if i < listed else gens:
+            x = 0
+            u = v
+            while u:
+                low = u & -u
+                x ^= g[low.bit_length() - 1]
+                u ^= low
+            if not mark[x]:
+                mark[x] = flag
+                points.append(x)
+        i += 1

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from sympf2.autgrp import (
+    COUNT_RANK_BOUND,
     ENUMERATION_RANK_BOUND,
     _ImageSearch,
     _space_search,
@@ -19,12 +20,12 @@ from sympf2.autgrp import (
     sp_order,
     sp_vector_order,
 )
-from sympf2.catalog import build_label_model, enumerate_all, p_order
+from sympf2.catalog import LabelModel, build_label_model, count_mu_automorphisms, enumerate_all, p_order
 from sympf2.f2core import F2Matrix, _eliminate, _solutions, gl_order
 from sympf2.sms import (
+    MAX_RANK,
     InvariantTuple,
     SymplecticMetricSpace,
-    _analyze,
     _unpack,
     admissible_tuples,
     canonical,
@@ -32,7 +33,7 @@ from sympf2.sms import (
 )
 from sympf2.verify import verify_comparisons
 
-from references import inverse, product
+from references import close_by_bits, inverse, product
 
 
 def test_order_examples():
@@ -376,22 +377,74 @@ def test_count_reaches_enumeration_rank_bound():
 
 @pytest.mark.parametrize("eps,delta,r,s", [(0, 1, 0, 5), (0, 0, 0, 6), (1, 0, 3, 4)])
 def test_order_reaches_rank_twelve(eps, delta, r, s):
-    # above ENUMERATION_RANK_BOUND, so the search is built directly.  Each
-    # count takes 0.04-0.15 s on a 2-vCPU 2.1 GHz Xeon; one existence search
-    # per candidate took 1.8-2.3 s.
+    # each count takes 0.04-0.15 s on a 2-vCPU 2.1 GHz Xeon; one existence
+    # search per candidate took 1.8-2.3 s
     space = canonical(InvariantTuple(eps, delta, r, s))
     assert space.rank == 12
-    mu, gram = _unpack(space.rank, space.table), _analyze(space).gram
     start = time.perf_counter()
-    assert _ImageSearch(space.rank, mu, mu, gram, gram).order() == sp_full_order(eps, delta, r, s)
+    assert count_automorphisms(space) == sp_full_order(eps, delta, r, s)
     assert time.perf_counter() - start < 1.0
 
 
-def test_enumeration_rank_bound():
-    with pytest.raises(ValueError):
-        count_automorphisms(canonical(InvariantTuple(0, 0, 9, 0)))
-    with pytest.raises(ValueError):
-        count_pairing_automorphisms(plain_symplectic_space(0, 9))
+def test_counts_above_enumeration_rank_bound():
+    # every metric tuple and every pairing-only space of rank 9-12, and the
+    # chain certificate on a few of rank 9-10: about 3 s together on a
+    # 2-vCPU 2.1 GHz Xeon
+    start = time.perf_counter()
+    checked = 0
+    for t in admissible_tuples(12):
+        if t.ambient_rank > ENUMERATION_RANK_BOUND:
+            assert count_automorphisms(canonical(t)) == sp_full_order(t.eps, t.delta, t.r, t.s), t
+            checked += 1
+    assert checked == 127 - 61
+    for k in range(ENUMERATION_RANK_BOUND + 1, 13):
+        for s in range(k // 2 + 1):
+            space = plain_symplectic_space(s, k - 2 * s)
+            assert count_pairing_automorphisms(space) == sp_vector_order(s, k - 2 * s), (s, k)
+    for t in (InvariantTuple(0, 1, 1, 3), InvariantTuple(1, 0, 2, 3), InvariantTuple(0, 0, 10, 0)):
+        space = canonical(t)
+
+        def preserves(gen):
+            return all(space.mu(_images(gen, v)) == space.mu(v) for v in range(1 << space.rank))
+
+        _check_certificate(
+            _space_search(space, space), preserves, sp_full_order(t.eps, t.delta, t.r, t.s)
+        )
+    assert time.perf_counter() - start < 15.0
+
+
+def test_enumeration_rank_bound(monkeypatch):
+    # listing stops at ENUMERATION_RANK_BOUND; the counts reach sms.MAX_RANK,
+    # which a metric space cannot exceed, and refuse a larger pairing-only
+    # space or label model before the search allocates anything
+    assert (ENUMERATION_RANK_BOUND, COUNT_RANK_BOUND) == (8, MAX_RANK)
+    with pytest.raises(ValueError, match="enumeration is bounded at rank <= 8"):
+        next(enumerate_automorphisms(canonical(InvariantTuple(0, 0, 9, 0))))
+    monkeypatch.setattr("sympf2.autgrp._ImageSearch", None)
+    monkeypatch.setattr("sympf2.catalog._ImageSearch", None)
+    with pytest.raises(ValueError, match="bounded at rank <= 16"):
+        count_pairing_automorphisms(plain_symplectic_space(0, 17))
+    with pytest.raises(ValueError, match="bounded at rank <= 16"):
+        count_mu_automorphisms(LabelModel(17, 0))
+
+
+def test_table_closure_matches_bit_loop(monkeypatch):
+    # the same orbits, listed in the same order, and the same kept generators
+    spaces = [canonical(t) for t in admissible_tuples(ENUMERATION_RANK_BOUND)]
+    rng = random.Random(7)
+    for t in (InvariantTuple(0, 0, 3, 2), InvariantTuple(1, 0, 2, 2), InvariantTuple(0, 1, 1, 2)):
+        spaces += [transport(canonical(t), _random_invertible(rng, t.ambient_rank)) for _ in range(2)]
+    assert len(spaces) == 61 + 6
+    by_tables = [_space_search(space, space)._chain() for space in spaces]
+
+    def close(points, mark, flag, tables, new):
+        # a table's entries at the basis vectors are its generator's basis images
+        gens = [tuple(t[1 << i] for i in range(len(t).bit_length() - 1)) for t in tables]
+        close_by_bits(points, mark, flag, gens, new)
+
+    monkeypatch.setattr("sympf2.autgrp._close", close)
+    for space, chain in zip(spaces, by_tables):
+        assert _space_search(space, space)._chain() == chain, space
 
 
 def test_isomorphism_search_between_transported_spaces():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sympf2 import autgrp, catalog, cli, matgrp
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
+from sympf2.sms import admissible_tuples
 from test_matgrp import inverse_commutator, reference_extract
 
 
@@ -168,8 +169,30 @@ def test_aut_list_refuses_more_than_the_cap(capsys, monkeypatch, argv):
     assert err == f"aut --list refused: the group has more than {cli.AUT_LIST_CAP} elements\n"
 
 
+def test_aut_counts_above_listing_bound(capsys):
+    # ranks 9-16 are counted; only aut --list stops at rank 8
+    code, out, _ = run(capsys, "aut", "--r", "1", "--s", "4")
+    assert code == 0
+    order = sp_full_order(0, 0, 1, 4)
+    assert out == (
+        "space: V_{1,4;0,0} (ambient rank 9)\n"
+        f"order (formula): {order}\n"
+        f"order (enumerated): {order}\n"
+        "agreement: yes\n"
+    )
+
+
+def test_aut_list_bound_is_implied_by_the_cap():
+    # _cmd_aut leaves aut --list above ENUMERATION_RANK_BOUND to AUT_LIST_CAP
+    assert all(
+        sp_full_order(t.eps, t.delta, t.r, t.s) > cli.AUT_LIST_CAP
+        for t in admissible_tuples(autgrp.COUNT_RANK_BOUND)
+        if t.ambient_rank > autgrp.ENUMERATION_RANK_BOUND
+    )
+
+
 def test_aut_beyond_search_bound(capsys):
-    code, out, _ = run(capsys, "aut", "--r", "9")
+    code, out, _ = run(capsys, "aut", "--r", "17")
     assert code == 0
     assert "order (formula): " in out
     assert "enumeration skipped" in out
