@@ -19,17 +19,18 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from sympf2.autgrp import COUNT_RANK_BOUND, count_automorphisms, sp_full_order
-from sympf2.sms import admissible_tuples, canonical
+from sympf2.autgrp import COUNT_RANK_BOUND
+from sympf2.sms import admissible_tuples
 from sympf2.verify import orders_sweep, verify_comparisons
 
 
 def _timed_sweep(max_rank: int) -> list:
+    """orders_sweep on each admissible tuple of rank <= max_rank, its time appended."""
     rows = []
     for t in admissible_tuples(max_rank):
         t0 = time.perf_counter()
-        counted = count_automorphisms(canonical(t))
-        rows.append((t, sp_full_order(t.eps, t.delta, t.r, t.s), counted, time.perf_counter() - t0))
+        (row,) = orders_sweep([t])
+        rows.append((*row, time.perf_counter() - t0))
     return rows
 
 

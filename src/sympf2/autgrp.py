@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from math import prod
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .f2core import F2Matrix, _add_constraint, _eliminate, _solutions, _span, _System, gl_order
 from .sms import (
@@ -29,10 +29,6 @@ from .sms import (
 
 COUNT_RANK_BOUND = MAX_RANK  # stabilizer-chain counts
 ENUMERATION_RANK_BOUND = 8  # listing every isomorphism or automorphism
-# From this rank up a generator's image table is an array('H'), 2 bytes an
-# entry: counting V_{16,0;0,0} (135 tables) peaks at 75 MB and takes 9-13 s,
-# against 363 MB and 23-31 s with lists.  Below it a list is faster to build.
-_ARRAY_TABLE_RANK = 9
 
 
 def sp_order(s: int) -> int:
@@ -128,7 +124,10 @@ class _ImageSearch:
     is still |G|, and the kept generators with these orbits certify it as a
     lower bound without the search (_chain returns both).  Each kept
     generator is expanded once into its image table, f2core's _span of its
-    basis images, and _close maps an orbit point with one lookup in it.
+    basis images, and _close maps an orbit point with one lookup in it.  A
+    table is an array('H'), 2 bytes an entry, which holds every word up to
+    rank 16: counting V_{16,0;0,0} (135 tables) peaks at about 75 MB RSS,
+    against about 360 MB with list tables.
 
     The pairing systems are f2core _System values, grown by one
     _add_constraint per level and read with _solutions; the partners come
@@ -289,7 +288,7 @@ class _ImageSearch:
         orbits: list[list[int]] = [[] for _ in range(k)]
         kept: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
         # the image table of every generator kept so far, levels >= j
-        tables: list[Sequence[int]] = []
+        tables: list[array] = []
         for j in reversed(range(k)):
             e = 1 << j
             # 1 marks the orbit of e_j, 2 the orbits of dead ends; the
@@ -306,8 +305,7 @@ class _ImageSearch:
                     _close([w], mark, 2, tables, 0)
                 else:
                     kept[j].append(leaf)
-                    table = _span(leaf)
-                    tables.append(array("H", table) if k >= _ARRAY_TABLE_RANK else table)
+                    tables.append(array("H", _span(leaf)))
                     _close(orbit, mark, 1, tables, len(tables) - 1)
             orbits[j] = orbit
             if j:
@@ -319,7 +317,7 @@ class _ImageSearch:
         return prod(len(orbit) for orbit in self._chain()[0])
 
 
-def _close(points: list[int], mark: bytearray, flag: int, tables: list[Sequence[int]], new: int) -> None:
+def _close(points: list[int], mark: bytearray, flag: int, tables: list[array], new: int) -> None:
     """Close points, each marked flag, under the generators by marking and appending images.
 
     A generator is given by its image table, _span of its basis images:
@@ -349,9 +347,9 @@ def enumerate_isomorphisms(
     source: SymplecticMetricSpace, target: SymplecticMetricSpace
 ) -> Iterator[F2Matrix]:
     """All invertible T with target.mu(T v) = source.mu(v), ascending by images."""
-    search = _space_search(source, target)
     if source.rank > ENUMERATION_RANK_BOUND:
         raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
+    search = _space_search(source, target)
     if source.rank != target.rank:
         return
     for images in search.tuples():

@@ -7,7 +7,7 @@ the CLI prints them; a suite passes when every one of its checks does.
 from __future__ import annotations
 
 import collections
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import autgrp, catalog, matgrp, sms
 from .f2core import _set, _Value
@@ -31,19 +31,27 @@ class Check(_Value):
         return f"{line} ({self.details})" if self.details else line
 
 
-def orders_sweep() -> list[tuple[sms.InvariantTuple, int, int]]:
-    """(tuple, formula order, enumerated order) for the order verification.
+def orders_sweep(
+    tuples: Optional[Iterable[sms.InvariantTuple]] = None,
+) -> list[tuple[sms.InvariantTuple, int, int]]:
+    """(tuple, formula order, enumerated order) for each of tuples.
 
-    Covers every metric spec with r = 0 and ambient rank <= 6, every r > 0
-    spec of ambient rank <= 6 whose order stays below 2^21, and the rank-7
-    case Sp(3;1,0).  The search counts by orbits along a stabilizer chain,
-    so the 2^21 cap does not reflect its cost; it only keeps the `orders`
-    suite's output fixed.
+    By default, the order verification's own list: every metric spec with
+    r = 0 and ambient rank <= 6, every r > 0 spec of ambient rank <= 6 whose
+    order stays below 2^21, and the rank-7 case Sp(3;1,0).  The search
+    counts by orbits along a stabilizer chain, so the 2^21 cap does not
+    reflect its cost; it only keeps the `orders` suite's output fixed.
     """
-    todo = [(t, autgrp.sp_full_order(t.eps, t.delta, t.r, t.s)) for t in sms.admissible_tuples(6)]
-    todo = [(t, order) for t, order in todo if t.r == 0 or order <= 1 << 21]
-    todo.append((sms.InvariantTuple(1, 0, 0, 3), autgrp.sp_order(3)))
-    return [(t, order, autgrp.count_automorphisms(sms.canonical(t))) for t, order in todo]
+    if tuples is None:
+        tuples = [
+            t for t in sms.admissible_tuples(6)
+            if t.r == 0 or autgrp.sp_full_order(t.eps, t.delta, t.r, t.s) <= 1 << 21
+        ]
+        tuples.append(sms.InvariantTuple(1, 0, 0, 3))
+    return [
+        (t, autgrp.sp_full_order(t.eps, t.delta, t.r, t.s), autgrp.count_automorphisms(sms.canonical(t)))
+        for t in tuples
+    ]
 
 
 def verify_comparisons() -> Iterator[Check]:
