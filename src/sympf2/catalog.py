@@ -144,13 +144,15 @@ class GraphInvariant(_Value):
 class FamilyEntry(_Value):
     """One catalog class; blocks lists its label model's orthogonal factors as
     standard (rank, mu table) blocks, and is None for a formula-only entry.
-    blocks is neither compared nor shown."""
+    bilinear predicts whether the polarization of the label table is
+    bilinear (None: no prediction; stated for E8).  blocks and bilinear are
+    neither compared nor shown."""
 
     _fields = (
         "lie_type", "family", "params", "rank", "rank_a", "defe",
         "automizer_order", "automizer_desc", "defe_is_convention", "res", "res2",
     )
-    __slots__ = _fields + ("blocks",)
+    __slots__ = _fields + ("blocks", "bilinear")
     lie_type: str
     family: str
     params: tuple[int, ...]
@@ -163,6 +165,7 @@ class FamilyEntry(_Value):
     res: Optional[int]
     res2: Optional[int]
     blocks: Optional[tuple[tuple[int, int], ...]]
+    bilinear: Optional[bool]
 
     def __init__(
         self,
@@ -178,6 +181,7 @@ class FamilyEntry(_Value):
         res: Optional[int] = None,
         res2: Optional[int] = None,
         blocks: Optional[tuple[tuple[int, int], ...]] = None,
+        bilinear: Optional[bool] = None,
     ) -> None:
         _set(self, "lie_type", lie_type)
         _set(self, "family", family)
@@ -191,6 +195,7 @@ class FamilyEntry(_Value):
         _set(self, "res", res)
         _set(self, "res2", res2)
         _set(self, "blocks", blocks)
+        _set(self, "bilinear", bilinear)
 
     def sort_key(self) -> tuple:
         return (self.family, self.params)
@@ -401,7 +406,7 @@ def _e8_entries() -> list[FamilyEntry]:
                     rank=3 + r + s, rank_a=r,
                     defe=3 * (1 << (r + 1)) * ((1 << s) - 2),
                     automizer_order=order, automizer_desc=desc, res=0, res2=2,
-                    blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(3)),
+                    blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(3)), bilinear=False,
                 )
             )
     for r in range(3):
@@ -415,7 +420,7 @@ def _e8_entries() -> list[FamilyEntry]:
                     automizer_order=sp_full_order(e, d, r, s),
                     automizer_desc=f"Sp({r},{s};{e},{d})",
                     res=0, res2=1,
-                    blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(2)),
+                    blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(2)), bilinear=True,
                 )
             )
     for e, d in EPS_DELTA:
@@ -432,7 +437,7 @@ def _e8_entries() -> list[FamilyEntry]:
                         automizer_order=(1 << (r + 2 * s + e + 2 * d + 2))
                         * sp_full_order(e2, d2, r, s2),
                         automizer_desc=f"F2^{r + 2 * s + e + 2 * d + 2} : Sp({r},{s2};{e2},{d2})",
-                        res=1, res2=2,
+                        res=1, res2=2, bilinear=False,
                     )
                 )
                 if s >= 1:
@@ -446,6 +451,7 @@ def _e8_entries() -> list[FamilyEntry]:
                             res=0, res2=1,
                             blocks=(_BLOCK_A,) * r + (_BLOCK_C,) * s + (_block_b(1),) * e
                             + (_block_b(2),) * (1 + d),
+                            bilinear=True,
                         )
                     )
     block_defe = {1: 0, 2: 2, 3: 6}
@@ -462,7 +468,7 @@ def _e8_entries() -> list[FamilyEntry]:
                         f"Hom(F2^{s - 1},F2^{r + 1}) : "
                         f"((F2^{r} : GL({r},F2)) x GL({s - 1},F2))"
                     ),
-                    blocks=(_BLOCK_A,) * r + (piece[s],),
+                    blocks=(_BLOCK_A,) * r + (piece[s],), bilinear=s != 3,
                 )
             )
     for r in range(6):
@@ -472,7 +478,7 @@ def _e8_entries() -> list[FamilyEntry]:
                 rank=r, rank_a=r,
                 defe=1 << r, defe_is_convention=True,
                 automizer_order=gl_order(r), automizer_desc=f"GL({r},F2)",
-                blocks=(_BLOCK_A,) * r,
+                blocks=(_BLOCK_A,) * r, bilinear=True,
             )
         )
     return out
@@ -525,13 +531,6 @@ def build_label_model(entry: FamilyEntry) -> Optional[LabelModel]:
 # --- cross checks --------------------------------------------------------------
 
 
-def _e8_expected_non_bilinear(entry: FamilyEntry) -> bool:
-    """The families whose induced pairing fails to be bilinear."""
-    if entry.family in ("F_{r,s}", "F_{eps,delta,r,s}"):
-        return True
-    return entry.family == "F''_{r,s}" and entry.params[1] == 3
-
-
 class CrossCheckReport(_Value):
     __slots__ = _fields = ("entry", "has_model", "problems")
     entry: FamilyEntry
@@ -551,9 +550,10 @@ class CrossCheckReport(_Value):
 def cross_check(entry: FamilyEntry) -> CrossCheckReport:
     """Recount rank, rank_A and defe from the label model; check bilinearity.
 
-    Bilinearity of the induced pairing is asserted only for E8, where it
-    must fail exactly on F_{r,s}, F_{eps,delta,r,s} (no model, so vacuous)
-    and F''_{r,3}.
+    Bilinearity of the induced pairing is checked against the entry's
+    bilinear prediction where its builder states one (the E8 families: it
+    fails exactly on F_{r,s}, F_{eps,delta,r,s} (no model, so vacuous) and
+    F''_{r,3}).
     """
     model = build_label_model(entry)
     if model is None:
@@ -567,9 +567,9 @@ def cross_check(entry: FamilyEntry) -> CrossCheckReport:
     counted_ra = model.translation_rank()
     if counted_ra != entry.rank_a:
         problems.append(f"counted rank_A {counted_ra} != stored {entry.rank_a}")
-    if entry.lie_type == "E8":
+    if entry.bilinear is not None:
         bilinear = model.polarization_is_bilinear()
-        if bilinear == _e8_expected_non_bilinear(entry):
+        if bilinear != entry.bilinear:
             problems.append(
                 f"bilinearity {'holds' if bilinear else 'fails'} against prediction"
             )

@@ -5,8 +5,9 @@ j, -j, k, -k}, optionally twisted by an antilinear conjugation flag, and
 taken modulo the scalar unit group of the field mode (real: +-1, complex:
 +-1 and +-i, quaternion: the central +-1 only).  Products, inverses,
 squares and commutators stay monomial, so all arithmetic is exact.
-Canonical constructions are kept as tensor-slot words (q, x, z) and become
-matrices only on request; generator files take the general matrix path.
+Canonical constructions are kept as tensor-slot words (q, x, z), and the
+closure of a generator file as byte keys (conj, perm, entries); both become
+matrices only on request.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def unit_complex_conj(a: int) -> int:
 _MODE_AXES = {"real": {0}, "complex": {0, 1}, "quaternion": {0, 1, 2, 3}}
 # scalars defining projective equality; for quaternions only the center
 _MODE_SCALARS = {"real": (0, 4), "complex": (0, 1, 4, 5), "quaternion": (0, 4)}
+# The product kernel keeps a column index in one byte, so every matrix has n <= 256.
+GENERATOR_SIZE_CAP = 256
 
 
 class MonomialMatrix(_Value):
@@ -85,6 +88,8 @@ class MonomialMatrix(_Value):
     ) -> None:
         if field_mode not in _MODE_AXES:
             raise ValueError(f"unknown field mode {field_mode!r}")
+        if n > GENERATOR_SIZE_CAP:
+            raise ValueError(f"size {n} exceeds the cap {GENERATOR_SIZE_CAP}")
         if sorted(perm) != list(range(n)) or len(entries) != n:
             raise ValueError("not a permutation with one entry per column")
         axes = _MODE_AXES[field_mode]
@@ -109,18 +114,6 @@ class MonomialMatrix(_Value):
         _set(obj, "field_mode", field_mode)
         return obj
 
-    # The closure's seen set hashes and compares every product: spelled out,
-    # these beat the base's attrgetter calls.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.perm, self.entries, self.field_mode) == (
-                other.n, other.perm, other.entries, other.field_mode
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.perm, self.entries, self.field_mode))
-
     @classmethod
     def identity(cls, n: int, field_mode: str) -> "MonomialMatrix":
         return cls(n, tuple(range(n)), (0,) * n, field_mode)
@@ -133,15 +126,6 @@ class MonomialMatrix(_Value):
     def diagonal(cls, units: Iterable[int], field_mode: str) -> "MonomialMatrix":
         us = tuple(units)
         return cls(len(us), tuple(range(len(us))), us, field_mode)
-
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if self.n != other.n or self.field_mode != other.field_mode:
-            raise ValueError("size or mode mismatch")
-        sp, se, op, oe = self.perm, self.entries, other.perm, other.entries
-        mul = UNIT_MUL
-        perm = tuple([sp[p] for p in op])
-        entries = tuple([mul[se[p]][e] for p, e in zip(op, oe)])
-        return MonomialMatrix._unchecked(self.n, perm, entries, self.field_mode)
 
     def inverse(self) -> "MonomialMatrix":
         perm = [0] * self.n
@@ -163,9 +147,6 @@ class MonomialMatrix(_Value):
         return MonomialMatrix._unchecked(
             self.n, self.perm, tuple(mul[e] for e in self.entries), self.field_mode
         )
-
-    def is_scalar(self) -> bool:
-        return self.perm == tuple(range(self.n)) and len(set(self.entries)) <= 1
 
 
 # Left multiplication by distinct units gives distinct first entries, so the
@@ -201,15 +182,6 @@ class ProjectiveElement(_Value):
         _set(self, "matrix", _canonical_scalar_form(matrix))
         _set(self, "conj", conj)
 
-    # hot in the closure's seen set, as for MonomialMatrix
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.matrix, self.conj) == (other.matrix, other.conj)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.matrix, self.conj))
-
     @property
     def n(self) -> int:
         return self.matrix.n
@@ -219,19 +191,102 @@ class ProjectiveElement(_Value):
         return self.matrix.field_mode
 
 
-def _raw_mul(
-    ma: MonomialMatrix, fa: bool, mb: MonomialMatrix, fb: bool
-) -> tuple[MonomialMatrix, bool]:
-    rhs = mb.conj_entries() if fa else mb
-    return ma * rhs, fa != fb
+# --- the product kernel --------------------------------------------------------
+#
+# A key (conj, perm, entries) is an element with perm and entries as bytes, one
+# byte per column; a byte holds every column index since n <= GENERATOR_SIZE_CAP.
+# Each step of a product then runs over all n columns in one bytes.translate or
+# int conversion.  The tables are 256-byte translate tables: _UNIT_PRODUCT maps
+# a << 3 | b to the unit a b, _SCALE[lam] maps e to lam e, _COMPLEX_CONJ maps e
+# to its complex conjugate (quaternion units never meet it: the antilinear flag
+# exists only in complex mode).
+
+_UNIT_PRODUCT = bytes(UNIT_MUL[a][b] for a in range(8) for b in range(8)).ljust(256, b"\0")
+_SCALE = tuple(_UNIT_PRODUCT[a << 3:(a + 1) << 3].ljust(256, b"\0") for a in range(8))
+_COMPLEX_CONJ = bytes(a ^ 4 if (a & 3) == 1 else a for a in range(8)).ljust(256, b"\0")
+_IDENTITY_PERM = bytes(range(256))
+# per mode, by first entry: the table taking a product to canonical scalar
+# form, None where it is already; _RAW leaves every product raw
+_CANONICAL = {
+    mode: tuple(None if lam == 0 else _SCALE[lam] for lam in best)
+    for mode, best in _BEST_SCALAR.items()
+}
+_RAW = (None,) * 8
+
+_Key = tuple[bool, bytes, bytes]
+
+
+def _product(a: _Key, b: _Key, pad: bytes, scalar: tuple) -> _Key:
+    """The key of (A, a)(B, b) = (A sigma^a(B), a xor b), sigma = entrywise
+    conjugation; pad is bytes(256 - n), and scalar is _CANONICAL[mode] or _RAW.
+
+    Column c of A B' is A's column pb[c] times the unit eb'[c], so its row is
+    pa[pb[c]] and its entry ea[pb[c]] eb'[c].  The gathered entries (< 8) are
+    shifted into bits 3-5 of their byte as one integer, joined with eb', and
+    looked up in _UNIT_PRODUCT.
+    """
+    fa, pa, ea = a
+    fb, pb, eb = b
+    if fa:
+        eb = eb.translate(_COMPLEX_CONJ)
+    gathered = int.from_bytes(pb.translate(ea + pad), "big")
+    raw = ((gathered << 3) | int.from_bytes(eb, "big")).to_bytes(len(pb), "big")
+    raw = raw.translate(_UNIT_PRODUCT)
+    table = scalar[raw[0]] if raw else None
+    return fa != fb, pb.translate(pa + pad), raw if table is None else raw.translate(table)
+
+
+def _pad(x: _Key) -> bytes:
+    return bytes(256 - len(x[1]))
+
+
+def _key_square(x: _Key) -> int:
+    _, perm, entries = _product(x, x, _pad(x), _RAW)
+    if perm != _IDENTITY_PERM[:len(perm)] or entries != entries[:1] * len(entries):
+        raise ValueError("not a projective involution: square is not scalar")
+    return entries[0] if entries else 0
+
+
+def _key_commutator(x: _Key, y: _Key) -> int:
+    pad = _pad(x)
+    _, xy_perm, xy = _product(x, y, pad, _RAW)
+    _, yx_perm, yx = _product(y, x, pad, _RAW)
+    lam = UNIT_MUL[xy[0]][unit_conj(yx[0])] if xy else 0
+    if xy_perm != yx_perm or yx.translate(_SCALE[lam]) != xy:
+        raise ValueError("pair does not projectively commute")
+    return lam
+
+
+def _key(e: ProjectiveElement) -> _Key:
+    """The element's key; keys of one size sort as the elements' (conj, perm,
+    entries) tuples do."""
+    return e.conj, bytes(e.matrix.perm), bytes(e.matrix.entries)
+
+
+def _identity_key(n: int) -> _Key:
+    return False, _IDENTITY_PERM[:n], bytes(n)
+
+
+def _element(key: _Key, field_mode: str) -> ProjectiveElement:
+    """The element of a key, which is already in canonical scalar form."""
+    conj, perm, entries = key
+    matrix = MonomialMatrix._unchecked(len(perm), tuple(perm), tuple(entries), field_mode)
+    obj = object.__new__(ProjectiveElement)
+    _set(obj, "matrix", matrix)
+    _set(obj, "conj", conj)
+    return obj
+
+
+def _require_same_space(a: ProjectiveElement, b: ProjectiveElement) -> None:
+    if a.n != b.n or a.field_mode != b.field_mode:
+        raise ValueError("size or mode mismatch")
 
 
 def multiply(a: ProjectiveElement, b: ProjectiveElement) -> ProjectiveElement:
     """(A, a)(B, b) = (A sigma^a(B), a xor b), sigma = entrywise conjugation."""
-    if a.n != b.n or a.field_mode != b.field_mode:
-        raise ValueError("size or mode mismatch")
-    mat, flag = _raw_mul(a.matrix, a.conj, b.matrix, b.conj)
-    return ProjectiveElement(mat, flag)
+    _require_same_space(a, b)
+    ka, mode = _key(a), a.field_mode
+    return _element(_product(ka, _key(b), _pad(ka), _CANONICAL[mode]), mode)
 
 
 def inverse(a: ProjectiveElement) -> ProjectiveElement:
@@ -250,10 +305,7 @@ def square_scalar(x: ProjectiveElement) -> int:
     representative; for antilinear x it distinguishes the two outer classes
     (the square of the associated real structure).
     """
-    raw, _ = _raw_mul(x.matrix, x.conj, x.matrix, x.conj)
-    if not raw.is_scalar():
-        raise ValueError("not a projective involution: square is not scalar")
-    return raw.entries[0] if raw.n else 0
+    return _key_square(_key(x))
 
 
 def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
@@ -265,14 +317,8 @@ def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
     first entries a of x y and b of y x, and the pair commutes projectively
     exactly when the two perms agree and lambda b_c = a_c in every column.
     """
-    if x.n != y.n or x.field_mode != y.field_mode:
-        raise ValueError("size or mode mismatch")
-    xy, _ = _raw_mul(x.matrix, x.conj, y.matrix, y.conj)
-    yx, _ = _raw_mul(y.matrix, y.conj, x.matrix, x.conj)
-    lam = UNIT_MUL[xy.entries[0]][unit_conj(yx.entries[0])] if xy.n else 0
-    if xy.perm != yx.perm or yx.scale(lam).entries != xy.entries:
-        raise ValueError("pair does not projectively commute")
-    return lam
+    _require_same_space(x, y)
+    return _key_commutator(_key(x), _key(y))
 
 
 def _mu_bit(scalar: int) -> int:
@@ -283,36 +329,37 @@ def _mu_bit(scalar: int) -> int:
     raise ValueError("scalar is not +-1; element has no mu value")
 
 
-def _element_key(e: ProjectiveElement) -> tuple:
-    return e.conj, e.matrix.perm, e.matrix.entries
-
-
 class GeneratedSubgroup(_Value):
     """Closure of a generator list inside the projective unitary quotient.
 
-    Compared and shown by generators and elements; used (the generators
-    that added a coset) and chain (the elements in build order) record how
-    generate() built it.
+    Compared and shown by generators and elements.  keys holds the closure
+    as element keys in the order generate() built it, and used the
+    generators that added a coset.  chain (the elements in build order) and
+    elements (sorted) become ProjectiveElement tuples on first access, and
+    are cached in the instance __dict__.
     """
 
     _fields = ("generators", "elements")
-    __slots__ = _fields + ("used", "chain")
+    __slots__ = ("n", "field_mode", "generators", "used", "keys", "__dict__")
+    n: int
+    field_mode: str
     generators: tuple[ProjectiveElement, ...]
-    elements: tuple[ProjectiveElement, ...]
     used: tuple[ProjectiveElement, ...]
-    chain: tuple[ProjectiveElement, ...]
+    keys: tuple[_Key, ...]
 
     def __init__(
         self,
+        n: int,
+        field_mode: str,
         generators: tuple[ProjectiveElement, ...],
-        elements: tuple[ProjectiveElement, ...],
         used: tuple[ProjectiveElement, ...],
-        chain: tuple[ProjectiveElement, ...],
+        keys: tuple[_Key, ...],
     ) -> None:
+        _set(self, "n", n)
+        _set(self, "field_mode", field_mode)
         _set(self, "generators", generators)
-        _set(self, "elements", elements)
         _set(self, "used", used)
-        _set(self, "chain", chain)
+        _set(self, "keys", keys)
 
     @classmethod
     def generate(
@@ -335,32 +382,48 @@ class GeneratedSubgroup(_Value):
         gens = tuple(generators)
         if not gens:
             raise ValueError("no generators; use trivial() for the trivial group")
-        elements = [identity(gens[0].n, gens[0].field_mode)]
-        seen = set(elements)
+        n, mode = gens[0].n, gens[0].field_mode
+        if any(g.n != n or g.field_mode != mode for g in gens):
+            raise ValueError("size or mode mismatch")
+        pad, scalar = bytes(256 - n), _CANONICAL[mode]
+        chain = [_identity_key(n)]
+        seen = set(chain)
         used: list[ProjectiveElement] = []
+        used_keys: list[_Key] = []
         for g in gens:
-            if g in seen:
+            key = _key(g)
+            if key in seen:
                 continue
             used.append(g)
-            subgroup = elements[1:]  # H without its identity
-            reps = [g]
+            used_keys.append(key)
+            subgroup = chain[1:]  # H without its identity
+            reps = [key]
             for r in reps:  # grows while it is scanned
                 if r in seen:  # its coset is in, and that coset's products are queued
                     continue
                 if len(seen) + len(subgroup) >= cap:
                     raise ValueError("closure exceeds the size cap")
-                coset = [r] + [multiply(h, r) for h in subgroup]
-                elements += coset
+                coset = [r] + [_product(h, r, pad, scalar) for h in subgroup]
+                chain += coset
                 seen.update(coset)
-                reps += [multiply(r, s) for s in used]
-        return cls(gens, tuple(sorted(seen, key=_element_key)), tuple(used), tuple(elements))
+                reps += [_product(r, s, pad, scalar) for s in used_keys]
+        return cls(n, mode, gens, tuple(used), tuple(chain))
 
     @classmethod
     def trivial(cls, n: int, field_mode: str) -> "GeneratedSubgroup":
-        return cls((), (identity(n, field_mode),), (), (identity(n, field_mode),))
+        return cls(n, field_mode, (), (), (_identity_key(n),))
+
+    @cached_property
+    def chain(self) -> tuple[ProjectiveElement, ...]:
+        return tuple(_element(k, self.field_mode) for k in self.keys)
+
+    @cached_property
+    def elements(self) -> tuple[ProjectiveElement, ...]:
+        chain, keys = self.chain, self.keys
+        return tuple(chain[i] for i in sorted(range(len(keys)), key=keys.__getitem__))
 
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def rank(self) -> int:
         o = self.order()
@@ -381,30 +444,30 @@ def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetri
     elements.  Groups containing antilinear elements are rejected; their
     inner parts classify through the twisted comparison identities instead.
 
-    A GeneratedSubgroup is read off generate()'s build order with no
-    products: each used generator g_j of an elementary abelian group
-    doubles the closure, chain[2^j + i] = chain[i] g_j, so chain[v] is the
-    product over the subset v, and a closure that did not double is
-    refused.  The tests multiply the subset products out again as the
-    reference.
+    A GeneratedSubgroup is read off generate()'s build order on its keys,
+    with no products and no element objects: each used generator g_j of an
+    elementary abelian group doubles the closure, keys[2^j + i] = keys[i] g_j,
+    so keys[v] is the product over the subset v, and a closure that did not
+    double is refused.  The tests multiply the subset products out again as
+    the reference.
     """
     if isinstance(group, CanonicalSubgroup):
         return _tabulate(group.words, group._products, _word_square, _word_commutator)
-    if any(e.conj for e in group.elements):
+    keys = group.keys
+    if any(k[0] for k in keys):
         raise ValueError("antilinear elements present: extract the inner part instead")
-    chain = group.chain
-    if len(chain) != 1 << len(group.used):
+    if len(keys) != 1 << len(group.used):
         raise ValueError("not elementary abelian: the closure did not double at each generator")
     if len(group.used) == len(group.generators):
-        basis, coords = group.used, [1 << j for j in range(len(group.used))]
+        coords = [1 << j for j in range(len(group.used))]  # keys[2^j] is g_j
     else:
-        basis, coords, span = [], [], {0}
-        for v in sorted(range(len(chain)), key=lambda v: _element_key(chain[v])):
+        coords, span = [], {0}
+        for v in sorted(range(len(keys)), key=keys.__getitem__):
             if v not in span:
-                basis.append(chain[v])
                 coords.append(v)
                 span |= {x ^ v for x in span}
-    return _tabulate(basis, [chain[x] for x in _span(coords)], square_scalar, commutator_scalar)
+    basis = [keys[v] for v in coords]
+    return _tabulate(basis, [keys[x] for x in _span(coords)], _key_square, _key_commutator)
 
 
 def _tabulate(
@@ -504,7 +567,7 @@ class CanonicalSubgroup(_Value):
 
     @cached_property
     def elements(self) -> tuple[ProjectiveElement, ...]:
-        return tuple(sorted(map(self._element, self._products), key=_element_key))
+        return tuple(sorted(map(self._element, self._products), key=_key))
 
     def order(self) -> int:
         return len(self._products)
@@ -518,8 +581,7 @@ class CanonicalSubgroup(_Value):
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 AMBIENT_SIZE_CAP = 64
-GENERATOR_SIZE_CAP = 1 << 12  # generator files: n is checked before anything is built
-GENERATOR_COUNT_CAP = 64  # and the list length; order <= 2^13 needs at most 13 generators
+GENERATOR_COUNT_CAP = 64  # generator files; order <= 2^13 needs at most 13 generators
 
 
 def canonical_subgroup(target: str, t: InvariantTuple) -> CanonicalSubgroup:

@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 from sympf2.catalog import GraphInvariant, LabelModel
 from sympf2.f2core import F2Matrix, _eliminate, _span, rank
-from sympf2.matgrp import UNIT_MUL
+from sympf2.matgrp import UNIT_MUL, MonomialMatrix, ProjectiveElement, unit_conj
 from sympf2.sms import _unpack
 
 GL_ENUMERATION_BOUND = 5
@@ -111,6 +111,57 @@ def edges(graph: GraphInvariant) -> frozenset[frozenset[int]]:
 
 def unit_mul(a: int, b: int) -> int:
     return UNIT_MUL[a][b]
+
+
+# --- monomial products column by column: the references for matgrp's byte kernel
+
+
+def matrix_product(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
+    """a b: column c of b holds b.entries[c] at row b.perm[c], so column c of
+    a b is column b.perm[c] of a times that entry."""
+    if a.n != b.n or a.field_mode != b.field_mode:
+        raise ValueError("size or mode mismatch")
+    perm = tuple([a.perm[p] for p in b.perm])
+    entries = tuple([UNIT_MUL[a.entries[p]][e] for p, e in zip(b.perm, b.entries)])
+    return MonomialMatrix(a.n, perm, entries, a.field_mode)
+
+
+def raw_mul(
+    ma: MonomialMatrix, fa: bool, mb: MonomialMatrix, fb: bool
+) -> tuple[MonomialMatrix, bool]:
+    """(A, a)(B, b) = (A sigma^a(B), a xor b) with no scalar normalization."""
+    rhs = mb.conj_entries() if fa else mb
+    return matrix_product(ma, rhs), fa != fb
+
+
+def is_scalar(m: MonomialMatrix) -> bool:
+    return m.perm == tuple(range(m.n)) and len(set(m.entries)) <= 1
+
+
+def multiply(a: ProjectiveElement, b: ProjectiveElement) -> ProjectiveElement:
+    if a.n != b.n or a.field_mode != b.field_mode:
+        raise ValueError("size or mode mismatch")
+    return ProjectiveElement(*raw_mul(a.matrix, a.conj, b.matrix, b.conj))
+
+
+def square_scalar(x: ProjectiveElement) -> int:
+    raw, _ = raw_mul(x.matrix, x.conj, x.matrix, x.conj)
+    if not is_scalar(raw):
+        raise ValueError("not a projective involution: square is not scalar")
+    return raw.entries[0] if raw.n else 0
+
+
+def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
+    """lambda = a_0 conj(b_0) from the first entries of x y and y x, when
+    x y = lambda (y x) column by column."""
+    if x.n != y.n or x.field_mode != y.field_mode:
+        raise ValueError("size or mode mismatch")
+    xy, _ = raw_mul(x.matrix, x.conj, y.matrix, y.conj)
+    yx, _ = raw_mul(y.matrix, y.conj, x.matrix, x.conj)
+    lam = UNIT_MUL[xy.entries[0]][unit_conj(yx.entries[0])] if xy.n else 0
+    if xy.perm != yx.perm or yx.scale(lam).entries != xy.entries:
+        raise ValueError("pair does not projectively commute")
+    return lam
 
 
 def close_by_bits(

@@ -129,15 +129,19 @@ def test_cross_check_all_models():
 
 
 def test_e8_bilinearity_pattern():
+    # the builders' stated predictions against the families' tags, and the
+    # tables against both
     for e in enumerate_type("E8"):
+        expected_fail = e.family in ("F_{r,s}", "F_{eps,delta,r,s}") or (
+            e.family == "F''_{r,s}" and e.params[1] == 3
+        )
+        assert e.bilinear is (not expected_fail), e
         model = build_label_model(e)
         if model is None:
             assert e.family == "F_{eps,delta,r,s}"
             continue
-        expected_fail = e.family == "F_{r,s}" or (
-            e.family == "F''_{r,s}" and e.params[1] == 3
-        )
         assert model.polarization_is_bilinear() == (not expected_fail), e
+    assert {e.bilinear for lt in ("G2", "F4", "E6", "E7") for e in enumerate_type(lt)} == {None}
 
 
 def test_graphs():

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,7 +17,7 @@ from sympf2 import autgrp, catalog, cli, matgrp
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
 from sympf2.sms import admissible_tuples
-from test_matgrp import inverse_commutator, reference_extract
+from test_matgrp import MODES, inverse_commutator, reference_extract
 
 
 def run(capsys, *argv):
@@ -301,9 +302,10 @@ def test_aut_cap_admits_rank_600(capsys):
     assert "(ambient rank 600)" in out and "enumeration skipped" in out
 
 
-@pytest.mark.parametrize("n", [matgrp.GENERATOR_SIZE_CAP + 1, 10**9, 10**12])
+@pytest.mark.parametrize("n", [matgrp.GENERATOR_SIZE_CAP + 1, 4096, 4097, 10**9, 10**12])
 def test_classify_generators_refuses_size_above_cap(tmp_path, capsys, n):
-    # the cap is checked before the n-entry identity of the trivial group is built
+    # the cap is checked before the n-entry identity of the trivial group is
+    # built; 4096 was the largest n admitted before column indices became bytes
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"field_mode": "real", "n": n, "generators": []}))
     code, out, err = run(capsys, "classify", "--generators", str(path))
@@ -337,6 +339,16 @@ def test_generator_size_cap_admits_the_canonical_sizes(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--generators", str(path))
     assert code == 0
     assert "group order: 1\n" in out and "V_{0,0;0,0}" in out
+    # at the cap, X^255 (column c to row c ^ 255) and Z_0 (sign (-1)^c) form
+    # a hyperbolic pair; their products gather at column index 255
+    n = matgrp.GENERATOR_SIZE_CAP
+    flip = {"perm": [c ^ (n - 1) for c in range(n)], "entries": ["1"] * n}
+    sign = {"perm": list(range(n)), "entries": ["-1" if c & 1 else "1" for c in range(n)]}
+    path.write_text(json.dumps({"field_mode": "real", "n": n, "generators": [flip, sign]}))
+    code, out, _ = run(capsys, "classify", "--generators", str(path))
+    assert code == 0
+    assert "group order: 4\n" in out and "m(g0,g1)=-1" in out
+    assert "invariants: (eps, delta, r, s) = (0, 0, 0, 1)\n" in out
 
 
 # sha256 of the outputs at the commit before label models became mu tables;
@@ -557,18 +569,50 @@ def _corpus_document(rng):
     return doc
 
 
+def _full_width_document(rng, n, mode, dependent):
+    """Four tensor-slot words q X^x Z^z on n coordinates, conjugated by one
+    random signed permutation P (P g P^-1 on every generator), so perm and
+    entries reach every column index; with dependent, the product of the
+    first two is listed as a fifth.  Antilinear now and then in complex
+    mode."""
+    units = [0, 4] if mode == "real" else [0, 1, 4, 5] if mode == "complex" else list(range(8))
+    words = [(rng.choice(units), rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+    if dependent:
+        words.append(matgrp._word_mul(words[0], words[1]))
+    perm_p = list(range(n))
+    rng.shuffle(perm_p)
+    sign_p = [rng.randrange(2) for _ in range(n)]
+    doc = {"field_mode": mode, "n": n, "generators": []}
+    for word in words:
+        mat = matgrp._word_matrix(word, n, mode)
+        perm, entries = [0] * n, [0] * n
+        for c in range(n):  # P e_c = (-1)^sign_p[c] e_{perm_p[c]}
+            perm[perm_p[c]] = perm_p[mat.perm[c]]
+            entries[perm_p[c]] = mat.entries[c] ^ 4 * (sign_p[c] ^ sign_p[mat.perm[c]])
+        raw = {"perm": perm, "entries": [matgrp.UNIT_NAMES[e] for e in entries]}
+        if mode == "complex" and rng.random() < 0.1:
+            raw["conj"] = True
+        doc["generators"].append(raw)
+    return doc
+
+
 def test_classify_generators_matches_inverse_commutator(tmp_path, monkeypatch):
-    # 200 seeded documents, each classified three times: as is, with the
+    # 200 seeded documents on n <= 4, then 12 of conjugated tensor-slot
+    # words at n = 64 and 256 (two per size and mode, one with a dependent
+    # generator), each classified three times: as is, with the
     # inverse-based commutator patched in (same exit code, stdout and
     # stderr), and with the re-multiplying extraction patched in (same exit
     # code, and the same output when it is 0; the reason an extraction
     # fails may differ)
     rng = random.Random(8)
+    docs = [_corpus_document(rng) for _ in range(200)]
+    for n, mode, dependent in itertools.product((64, 256), MODES, (False, True)):
+        docs.append(_full_width_document(rng, n, mode, dependent))
     codes = collections.Counter()
     paired = 0
-    for idx in range(200):
+    for idx, doc in enumerate(docs):
         path = tmp_path / f"gens{idx}.json"
-        path.write_text(json.dumps(_corpus_document(rng)))
+        path.write_text(json.dumps(doc))
         runs = []
         for name, patch in (
             (None, None),

@@ -1,4 +1,7 @@
+import collections
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,8 @@ from sympf2.matgrp import (
 )
 from sympf2.sms import InvariantTuple, canonical, invariants
 
-from references import unit_mul
+import references
+from references import matrix_product, unit_mul
 
 
 def unit(name):
@@ -75,8 +79,8 @@ def test_multiply_examples():
     tau = conjugation_element(3)
     assert multiply(tau, tau) == identity(3, "complex")
     a, b = i22(), jprime2()
-    raw_ab = a.matrix * b.matrix
-    raw_ba = b.matrix * a.matrix
+    raw_ab = matrix_product(a.matrix, b.matrix)
+    raw_ba = matrix_product(b.matrix, a.matrix)
     assert raw_ab == raw_ba.scale(unit("-1"))
     assert multiply(a, b) == multiply(b, a)  # projectively equal
     assert commutator_scalar(a, b) == unit("-1")
@@ -315,14 +319,18 @@ def breadth_first_closure(generators, cap):
         nxt = []
         for cur in frontier:
             for g in gens:
-                prod = multiply(cur, g)
+                prod = references.multiply(cur, g)
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise ValueError("closure exceeds the size cap")
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return tuple(sorted(seen, key=matgrp._element_key))
+    return tuple(sorted(seen, key=element_tuple))
+
+
+def element_tuple(e):
+    return e.conj, e.matrix.perm, e.matrix.entries
 
 
 MODES = ["real", "complex", "quaternion"]
@@ -377,19 +385,44 @@ def test_generate_skips_listed_generators_already_in_the_group(monkeypatch):
     # a rank-9 group with each generator listed 40 times (360 generators):
     # the breadth-first closure multiplies each of the 512 elements by all
     # 360 of them, the coset closure makes 502 coset products and 45
-    # representative products, and extract_sms, reading the closure's build
-    # order, makes none
+    # representative products in the byte kernel, and extract_sms, reading
+    # the closure's build order, makes none; its kernel calls are the raw
+    # products of 512 squares and 36 commutators.  Neither builds an element
+    # object, nor does parse_generators beyond the listed generators (here
+    # each listed 7 times, under the cap of 64).
     t = InvariantTuple(0, 0, 3, 3)
     group = canonical_subgroup(matgrp.ORTHOGONAL, t)
-    calls = []
-    monkeypatch.setattr(matgrp, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    doc = {"field_mode": group.field_mode, "n": group.n, "generators": [
+        {"perm": list(g.matrix.perm), "entries": [matgrp.UNIT_NAMES[e] for e in g.matrix.entries]}
+        for g in group.generators for _ in range(7)
+    ]}
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            raw = name == "_product" and args[3] is matgrp._RAW
+            calls["raw products" if raw else name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("_product", "_element"):
+        count(matgrp, name)
+    count(ProjectiveElement, "__init__")
     listed = GeneratedSubgroup.generate([g for g in group.generators for _ in range(40)])
+    assert calls == {"_product": 547}
     space = extract_sms(listed)
+    assert calls == {"_product": 547, "raw products": 512 + 2 * 36}
+    calls.clear()
+    parsed = parse_generators(json.dumps(doc))
+    parsed_space = extract_sms(parsed)
     monkeypatch.undo()
-    assert len(calls) == 547
-    assert listed.elements == group.elements
+    assert calls["_element"] == 0 and calls["__init__"] == 63
+    assert listed.elements == parsed.elements == group.elements
     assert invariants(space) == t  # on a greedy basis of the elements
-    assert space == reference_extract(listed)
+    assert space == parsed_space == reference_extract(listed)
 
 
 # --- extract_sms against the re-multiplying extraction ------------------------
@@ -413,16 +446,18 @@ def reference_extract(group):
         for e in group.elements:
             if e not in span:
                 basis.append(e)
-                span |= {multiply(s, e) for s in span}
+                span |= {references.multiply(s, e) for s in span}
     if (1 << len(basis)) != group.order():
         raise ValueError("basis does not span the subgroup")
     elem_of = [ident] * (1 << len(basis))
     for v in range(1, 1 << len(basis)):
         low = (v & -v).bit_length() - 1
-        elem_of[v] = multiply(elem_of[v ^ (1 << low)], basis[low])
+        elem_of[v] = references.multiply(elem_of[v ^ (1 << low)], basis[low])
     if len(set(elem_of)) != len(elem_of):
         raise ValueError("basis is not independent")
-    return matgrp._tabulate(basis, elem_of, square_scalar, commutator_scalar)
+    return matgrp._tabulate(
+        basis, elem_of, references.square_scalar, references.commutator_scalar
+    )
 
 
 # --- commutator_scalar against the inverse-based commutator -------------------
@@ -441,10 +476,10 @@ def inverse_commutator(x, y):
         inv = a.matrix.inverse()
         return (inv.conj_entries() if a.conj else inv), a.conj
 
-    m1, f1 = matgrp._raw_mul(x.matrix, x.conj, y.matrix, y.conj)
-    m2, f2 = matgrp._raw_mul(*raw_inv(x), *raw_inv(y))
-    raw, flag = matgrp._raw_mul(m1, f1, m2, f2)
-    if flag or not raw.is_scalar():
+    m1, f1 = references.raw_mul(x.matrix, x.conj, y.matrix, y.conj)
+    m2, f2 = references.raw_mul(*raw_inv(x), *raw_inv(y))
+    raw, flag = references.raw_mul(m1, f1, m2, f2)
+    if flag or not references.is_scalar(raw):
         raise ValueError("pair does not projectively commute")
     return raw.entries[0] if raw.n else 0
 
@@ -528,6 +563,112 @@ def test_commutator_scalar_matches_inverse_commutator_for_n_up_to_2():
     assert outcomes == set(range(8)) | {"pair does not projectively commute"}
 
 
+# --- the byte kernel against the column-by-column products -------------------
+
+
+def kernel_outcomes(x, y, module, sort_key):
+    """x y, y x, both squares and the commutator by module's multiply,
+    square_scalar and commutator_scalar, each a value or the ValueError's
+    text; then the order in which the elements among them sort by sort_key."""
+    mul, square = module.multiply, module.square_scalar
+    out = [value_or_error(lambda: mul(x, y)), value_or_error(lambda: mul(y, x))]
+    out += [value_or_error(lambda: square(e)) for e in (x, y)]
+    out.append(value_or_error(lambda: module.commutator_scalar(x, y)))
+    elems = [e for e in out[:2] if isinstance(e, ProjectiveElement)] + [x, y]
+    out.append([elems.index(e) for e in sorted(elems, key=sort_key)])
+    return out
+
+
+def assert_kernel_matches(x, y):
+    got = kernel_outcomes(x, y, matgrp, matgrp._key)
+    assert got == kernel_outcomes(x, y, references, element_tuple), (x, y)
+
+
+def element_order(x, mul):
+    """The least k <= 1000 with x^k = 1, else None; orders on n <= 8 stay
+    at or below 8 * 15 (an antilinear flag, a unit, a permutation order)."""
+    ident = identity(x.n, x.field_mode)
+    power = x
+    for k in range(1, 1001):
+        if power == ident:
+            return k
+        power = mul(power, x)
+    return None
+
+
+def conjugated(g, x):
+    return references.multiply(references.multiply(g, x), inverse(g))
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two monomials on n <= 8 in one field mode, antilinear ones in complex
+    mode: random, diagonal, x with its square, or conjugated tensor-slot
+    words (n a power of two), which commute projectively; now and then the
+    sizes or modes differ."""
+    mode = draw(st.sampled_from(MODES))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "diagonal", "square", "slot", "mismatch"]))
+    x = draw(monomials(n, mode))
+    if kind == "random":
+        return x, draw(monomials(n, mode))
+    if kind == "diagonal":
+        diagonal = monomials(n, mode, perms=st.just(tuple(range(n))))
+        return draw(diagonal), draw(diagonal)
+    if kind == "square":
+        return x, references.multiply(x, x)
+    if kind == "mismatch":
+        other = draw(st.sampled_from(MODES))
+        m = n if other != mode else draw(st.integers(1, 8))
+        return x, draw(monomials(m, other))
+    n = 1 << (n.bit_length() - 1)
+    units = (0, 4) if mode == "real" else (0, 1, 4, 5) if mode == "complex" else range(8)
+    word = st.tuples(st.sampled_from(units), st.integers(0, n - 1), st.integers(0, n - 1))
+    flag = st.booleans() if mode == "complex" else st.just(False)
+    g = draw(monomials(n, mode))
+    return tuple(
+        conjugated(g, ProjectiveElement(matgrp._word_matrix(draw(word), n, mode), draw(flag)))
+        for _ in range(2)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_pairs())
+def test_kernel_matches_column_by_column_products(pair):
+    x, y = pair
+    assert_kernel_matches(x, y)
+    assert element_order(x, multiply) == element_order(x, references.multiply)
+
+
+def test_kernel_matches_column_by_column_products_at_full_width():
+    # n = 255 and 256, where perm and entries fill every byte value up to
+    # n - 1: random pairs, diagonal pairs, x with its square, and (n = 256)
+    # conjugated tensor-slot words
+    rng = random.Random(256)
+    for n, mode in itertools.product((255, 256), MODES):
+        units = [u for u in range(8) if (u & 3) in matgrp._MODE_AXES[mode]]
+
+        def monomial(diagonal=False):
+            perm = list(range(n))
+            if not diagonal:
+                rng.shuffle(perm)
+            entries = tuple(rng.choice(units) for _ in range(n))
+            conj = mode == "complex" and rng.random() < 0.5
+            return ProjectiveElement(MonomialMatrix(n, tuple(perm), entries, mode), conj)
+
+        x = monomial()
+        pairs = [(x, monomial()), (monomial(True), monomial(True)), (x, references.multiply(x, x))]
+        if n == 256:
+            g = monomial()
+            words = [(rng.choice(units), rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+            slots = [
+                conjugated(g, ProjectiveElement(matgrp._word_matrix(w, n, mode))) for w in words
+            ]
+            pairs += [(slots[0], slots[1]), (slots[2], slots[3])]
+        for x, y in pairs:
+            assert_kernel_matches(x, y)
+
+
 def test_generator_file_round_trip():
     doc = """
     {"field_mode": "real", "n": 4,
@@ -565,7 +706,7 @@ def word_pairs(draw, mode):
 def test_word_arithmetic_matches_matrices(mode, data):
     n, a, b = data.draw(word_pairs(mode))
     ma, mb = matgrp._word_matrix(a, n, mode), matgrp._word_matrix(b, n, mode)
-    assert matgrp._word_matrix(matgrp._word_mul(a, b), n, mode) == ma * mb
+    assert matgrp._word_matrix(matgrp._word_mul(a, b), n, mode) == matrix_product(ma, mb)
     pa, pb = ProjectiveElement(ma), ProjectiveElement(mb)
     product = ProjectiveElement(matgrp._word_matrix(matgrp._word_mul(a, b), n, mode))
     assert product == multiply(pa, pb)

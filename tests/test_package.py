@@ -77,7 +77,8 @@ def _group(*gens):
 
 def _unrecorded(group):
     # the same generators and elements, without generate()'s build record
-    return matgrp.GeneratedSubgroup(group.generators, group.elements, (), ())
+    keys = tuple(sorted(group.keys))
+    return matgrp.GeneratedSubgroup(group.n, group.field_mode, group.generators, (), keys)
 
 
 # (make, a value differing in a compared field, None or a value of make()'s
