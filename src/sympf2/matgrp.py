@@ -445,11 +445,11 @@ def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetri
     inner parts classify through the twisted comparison identities instead.
 
     A GeneratedSubgroup is read off generate()'s build order on its keys,
-    with no products and no element objects: each used generator g_j of an
-    elementary abelian group doubles the closure, keys[2^j + i] = keys[i] g_j,
-    so keys[v] is the product over the subset v, and a closure that did not
-    double is refused.  The tests multiply the subset products out again as
-    the reference.
+    with no subset products formed and no element objects built: each used
+    generator g_j of an elementary abelian group doubles the closure,
+    keys[2^j + i] = keys[i] g_j, so keys[v] is the product over the subset
+    v, and a closure that did not double is refused.  The tests multiply
+    the subset products out again as the reference.
     """
     if isinstance(group, CanonicalSubgroup):
         return _tabulate(group.words, group._products, _word_square, _word_commutator)
