@@ -97,6 +97,51 @@ def test_classify_generators_rejects_malformed(tmp_path, capsys, generators):
     assert err.startswith("invalid generator document: ")
 
 
+NOT_A_PERMUTATION = "not a permutation with one entry per column"
+ANTILINEAR_OUTSIDE_COMPLEX = "antilinear flag only exists in complex mode"
+
+
+@pytest.mark.parametrize(
+    "mode, generator, reason",
+    [
+        ("real", {"perm": [0, 0], "entries": ["1", "1"]}, NOT_A_PERMUTATION),
+        ("real", {"perm": [0, 2], "entries": ["1", "1"]}, NOT_A_PERMUTATION),
+        ("real", {"perm": [-1, 0], "entries": ["1", "1"]}, NOT_A_PERMUTATION),
+        ("real", {"perm": [0, 256], "entries": ["1", "1"]}, NOT_A_PERMUTATION),
+        ("real", {"perm": [0, 1], "entries": ["1"]}, NOT_A_PERMUTATION),
+        ("real", {"perm": [0, 1], "entries": ["1", "1", "1"]}, NOT_A_PERMUTATION),
+        ("real", {"perm": [0, 0], "entries": ["i", "1"]}, NOT_A_PERMUTATION),
+        ("real", {"perm": [False, True], "entries": ["1", "1"]},
+         "generator 0: 'perm' must be a list of 2 integers"),
+        ("real", {"perm": [0, 1], "entries": ["1", "i"]}, "entry 1 is not a unit of mode real"),
+        ("real", {"perm": [0, 1], "entries": ["k", "i"]}, "entry 3 is not a unit of mode real"),
+        ("real", {"perm": [0, 1], "entries": ["1", "i"], "conj": True},
+         "entry 1 is not a unit of mode real"),
+        ("complex", {"perm": [0, 1], "entries": ["k", "1"]},
+         "entry 3 is not a unit of mode complex"),
+        ("real", {"perm": [0, 1], "entries": ["1", "1"], "conj": True},
+         ANTILINEAR_OUTSIDE_COMPLEX),
+        ("quaternion", {"perm": [1, 0], "entries": ["j", "1"], "conj": True},
+         ANTILINEAR_OUTSIDE_COMPLEX),
+    ],
+    ids=[
+        "repeated-column", "column-past-n", "negative-column", "column-256",
+        "entries-short", "entries-long", "perm-before-units", "bool-perm",
+        "i-in-real", "first-bad-unit", "units-before-flag", "k-in-complex",
+        "flag-in-real", "flag-in-quaternion",
+    ],
+)
+def test_classify_generators_rejection_messages(tmp_path, capsys, mode, generator, reason):
+    # the exact message of each check the generator constructor makes, and
+    # the order of those checks: permutation and length, first bad unit,
+    # then the antilinear flag
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field_mode": mode, "n": 2, "generators": [generator]}))
+    assert run(capsys, "classify", "--generators", str(path)) == (
+        2, "", f"invalid generator document: {reason}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "doc",
     [
