@@ -4,10 +4,11 @@ Elements are monomial matrices with entries in the unit set {1, -1, i, -i,
 j, -j, k, -k}, optionally twisted by an antilinear conjugation flag, and
 taken modulo the scalar unit group of the field mode (real: +-1, complex:
 +-1 and +-i, quaternion: the central +-1 only).  Products, inverses,
-squares and commutators stay monomial, so all arithmetic is exact.
-Canonical constructions are kept as tensor-slot words (q, x, z), and the
-closure of a generator file as byte keys (conj, perm, entries); both become
-matrices only on request.
+squares and commutators stay monomial, so all arithmetic is exact.  An
+element holds its perm and entries as bytes, so (conj, perm, entries) is
+the key the product kernel runs on.  Canonical constructions are kept as
+tensor-slot words (q, x, z), and the closure of a generator file as keys;
+both become elements only on request.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .f2core import _set, _span, _Value
@@ -60,136 +62,12 @@ def unit_conj(a: int) -> int:
     return a if (a & 3) == 0 else a ^ 4
 
 
-def unit_complex_conj(a: int) -> int:
-    """Complex conjugation; only the 1 and i axes may appear."""
-    if (a & 3) >= 2:
-        raise ValueError("complex conjugation applied to a quaternion unit")
-    return a ^ 4 if (a & 3) == 1 else a
-
-
-_MODE_AXES = {"real": {0}, "complex": {0, 1}, "quaternion": {0, 1, 2, 3}}
+# the unit codes of each mode: +-1 (real), +-1 and +-i (complex), all eight
+_MODE_UNITS = {"real": {0, 4}, "complex": {0, 1, 4, 5}, "quaternion": set(range(8))}
 # scalars defining projective equality; for quaternions only the center
 _MODE_SCALARS = {"real": (0, 4), "complex": (0, 1, 4, 5), "quaternion": (0, 4)}
-# The product kernel keeps a column index in one byte, so every matrix has n <= 256.
+# The product kernel keeps a column index in one byte, so every element has n <= 256.
 GENERATOR_SIZE_CAP = 256
-
-
-class MonomialMatrix(_Value):
-    """n x n monomial matrix: column c holds entries[c] at row perm[c]."""
-
-    __slots__ = _fields = ("n", "perm", "entries", "field_mode")
-    n: int
-    perm: tuple[int, ...]
-    entries: tuple[int, ...]
-    field_mode: str
-
-    def __init__(
-        self, n: int, perm: tuple[int, ...], entries: tuple[int, ...], field_mode: str
-    ) -> None:
-        if field_mode not in _MODE_AXES:
-            raise ValueError(f"unknown field mode {field_mode!r}")
-        if n > GENERATOR_SIZE_CAP:
-            raise ValueError(f"size {n} exceeds the cap {GENERATOR_SIZE_CAP}")
-        if sorted(perm) != list(range(n)) or len(entries) != n:
-            raise ValueError("not a permutation with one entry per column")
-        axes = _MODE_AXES[field_mode]
-        for e in entries:
-            if not isinstance(e, int) or not 0 <= e < 8 or (e & 3) not in axes:
-                raise ValueError(f"entry {e!r} is not a unit of mode {field_mode}")
-        _set(self, "n", n)
-        _set(self, "perm", perm)
-        _set(self, "entries", entries)
-        _set(self, "field_mode", field_mode)
-
-    @classmethod
-    def _unchecked(
-        cls, n: int, perm: tuple[int, ...], entries: tuple[int, ...], field_mode: str
-    ) -> "MonomialMatrix":
-        # products and scalings of valid monomials are valid; skip the
-        # O(n log n) revalidation on these hot paths
-        obj = object.__new__(cls)
-        _set(obj, "n", n)
-        _set(obj, "perm", perm)
-        _set(obj, "entries", entries)
-        _set(obj, "field_mode", field_mode)
-        return obj
-
-    @classmethod
-    def identity(cls, n: int, field_mode: str) -> "MonomialMatrix":
-        return cls(n, tuple(range(n)), (0,) * n, field_mode)
-
-    @classmethod
-    def scalar(cls, n: int, unit: int, field_mode: str) -> "MonomialMatrix":
-        return cls(n, tuple(range(n)), (unit,) * n, field_mode)
-
-    @classmethod
-    def diagonal(cls, units: Iterable[int], field_mode: str) -> "MonomialMatrix":
-        us = tuple(units)
-        return cls(len(us), tuple(range(len(us))), us, field_mode)
-
-    def inverse(self) -> "MonomialMatrix":
-        perm = [0] * self.n
-        entries = [0] * self.n
-        for c in range(self.n):
-            perm[self.perm[c]] = c
-            entries[self.perm[c]] = unit_conj(self.entries[c])
-        return MonomialMatrix._unchecked(self.n, tuple(perm), tuple(entries), self.field_mode)
-
-    def conj_entries(self) -> "MonomialMatrix":
-        """Entrywise complex conjugation (the twist across an antilinear factor)."""
-        return MonomialMatrix._unchecked(
-            self.n, self.perm, tuple(unit_complex_conj(e) for e in self.entries), self.field_mode
-        )
-
-    def scale(self, unit: int) -> "MonomialMatrix":
-        """Left multiplication by a scalar unit."""
-        mul = UNIT_MUL[unit]
-        return MonomialMatrix._unchecked(
-            self.n, self.perm, tuple(mul[e] for e in self.entries), self.field_mode
-        )
-
-
-# Left multiplication by distinct units gives distinct first entries, so the
-# first entry alone decides which scalar multiple has the smallest entry
-# tuple: _BEST_SCALAR[mode][e] is the mode scalar minimizing lam * e.
-_BEST_SCALAR = {
-    mode: tuple(min(scalars, key=lambda lam: UNIT_MUL[lam][e]) for e in range(8))
-    for mode, scalars in _MODE_SCALARS.items()
-}
-
-
-def _canonical_scalar_form(m: MonomialMatrix) -> MonomialMatrix:
-    lam = _BEST_SCALAR[m.field_mode][m.entries[0]] if m.n else 0
-    return m if lam == 0 else m.scale(lam)
-
-
-class ProjectiveElement(_Value):
-    """A monomial matrix modulo scalars, with an optional antilinear flag.
-
-    Instances are stored as the canonical scalar representative: among the
-    scalar multiples, the one whose entry tuple is smallest in the unit
-    code order (+1, +i, +j, +k, -1, -i, -j, -k), so the first nonzero
-    entry in column order is minimized.
-    """
-
-    __slots__ = _fields = ("matrix", "conj")
-    matrix: MonomialMatrix
-    conj: bool
-
-    def __init__(self, matrix: MonomialMatrix, conj: bool = False) -> None:
-        if conj and matrix.field_mode != "complex":
-            raise ValueError("antilinear flag only exists in complex mode")
-        _set(self, "matrix", _canonical_scalar_form(matrix))
-        _set(self, "conj", conj)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    @property
-    def field_mode(self) -> str:
-        return self.matrix.field_mode
-
 
 # --- the product kernel --------------------------------------------------------
 #
@@ -199,14 +77,22 @@ class ProjectiveElement(_Value):
 # int conversion.  The tables are 256-byte translate tables: _UNIT_PRODUCT maps
 # a << 3 | b to the unit a b, _SCALE[lam] maps e to lam e, _COMPLEX_CONJ maps e
 # to its complex conjugate (quaternion units never meet it: the antilinear flag
-# exists only in complex mode).
+# exists only in complex mode), _UNIT_CONJ maps e to its quaternion conjugate.
 
 _UNIT_PRODUCT = bytes(UNIT_MUL[a][b] for a in range(8) for b in range(8)).ljust(256, b"\0")
 _SCALE = tuple(_UNIT_PRODUCT[a << 3:(a + 1) << 3].ljust(256, b"\0") for a in range(8))
 _COMPLEX_CONJ = bytes(a ^ 4 if (a & 3) == 1 else a for a in range(8)).ljust(256, b"\0")
+_UNIT_CONJ = bytes(map(unit_conj, range(8))).ljust(256, b"\0")
 _IDENTITY_PERM = bytes(range(256))
-# per mode, by first entry: the table taking a product to canonical scalar
-# form, None where it is already; _RAW leaves every product raw
+# Left multiplication by distinct units gives distinct first entries, so the
+# first entry alone decides which scalar multiple has the smallest entry
+# string: _BEST_SCALAR[mode][e] is the mode scalar minimizing lam * e.
+_BEST_SCALAR = {
+    mode: tuple(min(scalars, key=lambda lam: UNIT_MUL[lam][e]) for e in range(8))
+    for mode, scalars in _MODE_SCALARS.items()
+}
+# per mode, by first entry: the table taking an entry string to canonical
+# scalar form, None where it is already; _RAW leaves every product raw
 _CANONICAL = {
     mode: tuple(None if lam == 0 else _SCALE[lam] for lam in best)
     for mode, best in _BEST_SCALAR.items()
@@ -214,6 +100,54 @@ _CANONICAL = {
 _RAW = (None,) * 8
 
 _Key = tuple[bool, bytes, bytes]
+
+
+class ProjectiveElement(_Value):
+    """A monomial matrix modulo scalars, with an optional antilinear flag.
+
+    Column c holds the unit entries[c] at row perm[c]; perm and entries are
+    bytes, one byte per column, so (conj, perm, entries) is the element's
+    key in the product kernel.  The entries are stored in canonical scalar
+    form: among the scalar multiples, the one whose entry string is smallest
+    in the unit code order (+1, +i, +j, +k, -1, -i, -j, -k), so the first
+    entry is minimized.  perm and entries may be given as any sequences of
+    ints.  The constructor raises ValueError unless perm is a permutation of
+    range(n) with n <= GENERATOR_SIZE_CAP, entries holds one unit of the mode
+    per column, and the antilinear flag is set only in complex mode.
+    """
+
+    __slots__ = _fields = ("field_mode", "conj", "perm", "entries")
+    field_mode: str
+    conj: bool
+    perm: bytes
+    entries: bytes
+
+    def __init__(
+        self, field_mode: str, conj: bool, perm: Sequence[int], entries: Sequence[int]
+    ) -> None:
+        if field_mode not in _MODE_UNITS:
+            raise ValueError(f"unknown field mode {field_mode!r}")
+        n = len(perm)
+        if n > GENERATOR_SIZE_CAP:
+            raise ValueError(f"size {n} exceeds the cap {GENERATOR_SIZE_CAP}")
+        if sorted(perm) != list(range(n)) or len(entries) != n:
+            raise ValueError("not a permutation with one entry per column")
+        units = _MODE_UNITS[field_mode]
+        for e in entries:
+            if not isinstance(e, int) or e not in units:
+                raise ValueError(f"entry {e!r} is not a unit of mode {field_mode}")
+        if conj and field_mode != "complex":
+            raise ValueError("antilinear flag only exists in complex mode")
+        entries = bytes(entries)
+        table = _CANONICAL[field_mode][entries[0]] if n else None
+        _set(self, "field_mode", field_mode)
+        _set(self, "conj", conj)
+        _set(self, "perm", bytes(perm))
+        _set(self, "entries", entries if table is None else entries.translate(table))
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
 
 
 def _product(a: _Key, b: _Key, pad: bytes, scalar: tuple) -> _Key:
@@ -257,24 +191,12 @@ def _key_commutator(x: _Key, y: _Key) -> int:
     return lam
 
 
-def _key(e: ProjectiveElement) -> _Key:
-    """The element's key; keys of one size sort as the elements' (conj, perm,
-    entries) tuples do."""
-    return e.conj, bytes(e.matrix.perm), bytes(e.matrix.entries)
+# an element's key is its last three fields
+_key = attrgetter("conj", "perm", "entries")
 
 
 def _identity_key(n: int) -> _Key:
     return False, _IDENTITY_PERM[:n], bytes(n)
-
-
-def _element(key: _Key, field_mode: str) -> ProjectiveElement:
-    """The element of a key, which is already in canonical scalar form."""
-    conj, perm, entries = key
-    matrix = MonomialMatrix._unchecked(len(perm), tuple(perm), tuple(entries), field_mode)
-    obj = object.__new__(ProjectiveElement)
-    _set(obj, "matrix", matrix)
-    _set(obj, "conj", conj)
-    return obj
 
 
 def _require_same_space(a: ProjectiveElement, b: ProjectiveElement) -> None:
@@ -285,17 +207,22 @@ def _require_same_space(a: ProjectiveElement, b: ProjectiveElement) -> None:
 def multiply(a: ProjectiveElement, b: ProjectiveElement) -> ProjectiveElement:
     """(A, a)(B, b) = (A sigma^a(B), a xor b), sigma = entrywise conjugation."""
     _require_same_space(a, b)
-    ka, mode = _key(a), a.field_mode
-    return _element(_product(ka, _key(b), _pad(ka), _CANONICAL[mode]), mode)
+    mode = a.field_mode
+    return ProjectiveElement(mode, *_product(_key(a), _key(b), bytes(256 - a.n), _CANONICAL[mode]))
 
 
 def inverse(a: ProjectiveElement) -> ProjectiveElement:
-    inv = a.matrix.inverse()
-    return ProjectiveElement(inv.conj_entries() if a.conj else inv, a.conj)
+    """(A, a)^-1 = (sigma^a(A^-1), a): column perm[c] of A^-1 holds the
+    conjugate of entries[c] at row c."""
+    perm = bytes(sorted(range(a.n), key=a.perm.__getitem__))
+    entries = perm.translate(a.entries + bytes(256 - a.n)).translate(_UNIT_CONJ)
+    return ProjectiveElement(
+        a.field_mode, a.conj, perm, entries.translate(_COMPLEX_CONJ) if a.conj else entries
+    )
 
 
 def identity(n: int, field_mode: str) -> ProjectiveElement:
-    return ProjectiveElement(MonomialMatrix.identity(n, field_mode))
+    return ProjectiveElement(field_mode, False, range(n), bytes(n))
 
 
 def square_scalar(x: ProjectiveElement) -> int:
@@ -415,7 +342,7 @@ class GeneratedSubgroup(_Value):
 
     @cached_property
     def chain(self) -> tuple[ProjectiveElement, ...]:
-        return tuple(_element(k, self.field_mode) for k in self.keys)
+        return tuple(ProjectiveElement(self.field_mode, *k) for k in self.keys)
 
     @cached_property
     def elements(self) -> tuple[ProjectiveElement, ...]:
@@ -518,20 +445,20 @@ def _word_commutator(a: _Word, b: _Word) -> int:
     return units ^ (((z1 & x2).bit_count() ^ (z2 & x1).bit_count()) & 1) << 2
 
 
-def _word_matrix(a: _Word, n: int, mode: str) -> MonomialMatrix:
+def _word_matrix(a: _Word, n: int) -> tuple[bytes, bytes]:
+    """The perm and entries of the word's matrix on n coordinates."""
     q, x, z = a
     neg = q ^ 4
-    perm = tuple([c ^ x for c in range(n)])
-    entries = tuple([neg if (z & c).bit_count() & 1 else q for c in range(n)])
-    return MonomialMatrix(n, perm, entries, mode)
+    entries = [neg if (z & c).bit_count() & 1 else q for c in range(n)]
+    return bytes([c ^ x for c in range(n)]), bytes(entries)
 
 
 class CanonicalSubgroup(_Value):
     """The subgroup generated by independent tensor-slot words.
 
     Offers what callers of GeneratedSubgroup use; generators and elements
-    become matrices on first access, in the order generate() gives them,
-    and are cached in the instance __dict__.
+    become ProjectiveElements on first access, in the order generate() gives
+    them, and are cached in the instance __dict__.
     """
 
     _fields = ("n", "field_mode", "words")
@@ -559,7 +486,7 @@ class CanonicalSubgroup(_Value):
         return table
 
     def _element(self, w: _Word) -> ProjectiveElement:
-        return ProjectiveElement(_word_matrix(w, self.n, self.field_mode))
+        return ProjectiveElement(self.field_mode, False, *_word_matrix(w, self.n))
 
     @cached_property
     def generators(self) -> tuple[ProjectiveElement, ...]:
@@ -634,19 +561,18 @@ def block_partition(group: GeneratedSubgroup | CanonicalSubgroup) -> list[tuple[
     elems = list(group.elements)
     n = elems[0].n
     for e in elems:
-        m = e.matrix
-        if any(m.perm[c] != c for c in range(n)) or any(x not in (0, 4) for x in m.entries):
+        if e.perm != _IDENTITY_PERM[:n] or e.entries.translate(None, b"\0\4"):
             raise ValueError("subgroup is not +-1 diagonal")
-        negs = sum(1 for x in m.entries if x == 4)
+        negs = e.entries.count(4)
         if negs not in (0, n // 2):
             raise ValueError(
                 f"element with {negs} entries -1 violates the half-and-half "
-                f"property: {m.entries}"
+                f"property: {tuple(e.entries)}"
             )
     r = group.rank()
     buckets: dict[tuple[int, ...], list[int]] = {}
     for c in range(n):
-        sig = tuple(e.matrix.entries[c] for e in elems)
+        sig = tuple(e.entries[c] for e in elems)
         buckets.setdefault(sig, []).append(c)
     parts = sorted(tuple(v) for v in buckets.values())
     if len(parts) != 1 << r or any(len(p) != n >> r for p in parts):
@@ -659,13 +585,12 @@ def block_partition(group: GeneratedSubgroup | CanonicalSubgroup) -> list[tuple[
 
 def conjugation_element(n: int) -> ProjectiveElement:
     """The plain antilinear involution (entrywise conjugation) on C^n."""
-    return ProjectiveElement(MonomialMatrix.identity(n, "complex"), conj=True)
+    return ProjectiveElement("complex", True, range(n), bytes(n))
 
 
 def diag_involution(n: int, p: int) -> ProjectiveElement:
     """[I_{p,n-p}] = [diag(-I_p, I_{n-p})] as a projective element."""
-    units = tuple(4 if c < p else 0 for c in range(n))
-    return ProjectiveElement(MonomialMatrix.diagonal(units, "complex"))
+    return ProjectiveElement("complex", False, range(n), [4] * p + [0] * (n - p))
 
 
 class TwistedCheckReport(_Value):
@@ -693,16 +618,12 @@ def twisted_mu_identity_check(z: ProjectiveElement, x: ProjectiveElement) -> Twi
         raise ValueError("z must be antilinear")
     commutator_scalar(z, x)  # raises when the pair does not projectively commute
     n = z.n
-    is_diag = all(x.matrix.perm[c] == c for c in range(n)) and all(
-        e in (0, 4) for e in x.matrix.entries
-    )
-    z_plain = all(z.matrix.perm[c] == c for c in range(n)) and all(
-        e == 0 for e in z.matrix.entries
-    )
+    is_diag = x.perm == _IDENTITY_PERM[:n] and not x.entries.translate(None, b"\0\4")
+    z_plain = z.perm == _IDENTITY_PERM[:n] and z.entries == bytes(n)
     if not (is_diag and z_plain):
         return TwistedCheckReport(None, None)
-    u_units = tuple(UNIT_CODES["i"] if e == 4 else 0 for e in x.matrix.entries)
-    u = ProjectiveElement(MonomialMatrix.diagonal(u_units, "complex"))
+    u_units = [UNIT_CODES["i"] if e == 4 else 0 for e in x.entries]
+    u = ProjectiveElement("complex", False, range(n), u_units)
     zx = multiply(z, x)
     conj_ok = multiply(multiply(u, z), inverse(u)) == zx
     mu_ok = (_mu_bit(square_scalar(z)) ^ _mu_bit(square_scalar(zx))) == _mu_bit(
@@ -734,7 +655,7 @@ def parse_generators(text: str) -> GeneratedSubgroup:
         if key not in doc:
             raise ValueError(f"generator document needs field {key!r}")
     mode, n, raw = doc["field_mode"], doc["n"], doc["generators"]
-    if not isinstance(mode, str) or mode not in _MODE_AXES:
+    if not isinstance(mode, str) or mode not in _MODE_UNITS:
         raise ValueError(f"unknown field mode {mode!r}")
     if not _is_int(n) or n < 1:
         raise ValueError("'n' must be a positive integer")
@@ -755,8 +676,7 @@ def parse_generators(text: str) -> GeneratedSubgroup:
             raise ValueError(f"generator {idx}: 'entries' must be a list of unit names")
         if not isinstance(conj, bool):
             raise ValueError(f"generator {idx}: 'conj' must be true or false")
-        matrix = MonomialMatrix(n, tuple(perm), tuple(UNIT_CODES[e] for e in entries), mode)
-        gens.append(ProjectiveElement(matrix, conj))
+        gens.append(ProjectiveElement(mode, conj, perm, [UNIT_CODES[e] for e in entries]))
     if not gens:
         return GeneratedSubgroup.trivial(n, mode)
     return GeneratedSubgroup.generate(gens)

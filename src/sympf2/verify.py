@@ -157,14 +157,14 @@ def suite_matrix() -> Iterator[Check]:
 
     def pe(perm, entries, mode):
         codes = tuple(matgrp.UNIT_CODES[e] for e in entries)
-        return matgrp.ProjectiveElement(matgrp.MonomialMatrix(len(perm), perm, codes, mode))
+        return matgrp.ProjectiveElement(mode, False, perm, codes)
 
     i22 = pe((0, 1, 2, 3), ("-1", "-1", "1", "1"), "real")
     jp2 = pe((2, 3, 0, 1), ("1", "1", "1", "1"), "real")
     j2 = pe((2, 3, 0, 1), ("-1", "-1", "1", "1"), "real")
     k1 = pe((1, 0, 3, 2), ("-1", "1", "1", "-1"), "real")
-    iI = matgrp.ProjectiveElement(matgrp.MonomialMatrix.scalar(2, matgrp.UNIT_CODES["i"], "quaternion"))
-    jI = matgrp.ProjectiveElement(matgrp.MonomialMatrix.scalar(2, matgrp.UNIT_CODES["j"], "quaternion"))
+    iI = pe((0, 1), ("i", "i"), "quaternion")
+    jI = pe((0, 1), ("j", "j"), "quaternion")
     neg = matgrp.UNIT_CODES["-1"]
     pos = matgrp.UNIT_CODES["1"]
     yield Check(

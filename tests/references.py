@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 from sympf2.catalog import GraphInvariant, LabelModel
 from sympf2.f2core import F2Matrix, _eliminate, _span, rank
-from sympf2.matgrp import UNIT_MUL, MonomialMatrix, ProjectiveElement, unit_conj
+from sympf2.matgrp import UNIT_MUL, ProjectiveElement, unit_conj
 from sympf2.sms import _unpack
 
 GL_ENUMERATION_BOUND = 5
@@ -114,41 +114,68 @@ def unit_mul(a: int, b: int) -> int:
 
 
 # --- monomial products column by column: the references for matgrp's byte kernel
+#
+# A raw matrix is a pair (perm, entries) of int sequences: column c holds the
+# unit entries[c] at row perm[c].  Nothing here rescales to a canonical form.
+
+RawMatrix = tuple[Sequence[int], Sequence[int]]
 
 
-def matrix_product(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    """a b: column c of b holds b.entries[c] at row b.perm[c], so column c of
-    a b is column b.perm[c] of a times that entry."""
-    if a.n != b.n or a.field_mode != b.field_mode:
-        raise ValueError("size or mode mismatch")
-    perm = tuple([a.perm[p] for p in b.perm])
-    entries = tuple([UNIT_MUL[a.entries[p]][e] for p, e in zip(b.perm, b.entries)])
-    return MonomialMatrix(a.n, perm, entries, a.field_mode)
+def raw(e: ProjectiveElement) -> RawMatrix:
+    """The element's stored representative as a raw matrix."""
+    return tuple(e.perm), tuple(e.entries)
 
 
-def raw_mul(
-    ma: MonomialMatrix, fa: bool, mb: MonomialMatrix, fb: bool
-) -> tuple[MonomialMatrix, bool]:
+def scale(m: RawMatrix, unit: int) -> RawMatrix:
+    """Left multiplication by a scalar unit."""
+    perm, entries = m
+    return tuple(perm), tuple([UNIT_MUL[unit][e] for e in entries])
+
+
+def conj_entries(m: RawMatrix) -> RawMatrix:
+    """Entrywise complex conjugation (the twist across an antilinear factor)."""
+    perm, entries = m
+    return tuple(perm), tuple([e ^ 4 if (e & 3) == 1 else e for e in entries])
+
+
+def raw_inverse(m: RawMatrix) -> RawMatrix:
+    """Column perm[c] of the inverse holds the conjugate of entries[c] at row c."""
+    perm, entries = m
+    inv, inv_entries = [0] * len(perm), [0] * len(perm)
+    for c, (p, e) in enumerate(zip(perm, entries)):
+        inv[p], inv_entries[p] = c, unit_conj(e)
+    return tuple(inv), tuple(inv_entries)
+
+
+def matrix_product(a: RawMatrix, b: RawMatrix) -> RawMatrix:
+    """a b: column c of b holds its entry e at row p, so column c of a b is
+    column p of a times e."""
+    (pa, ea), (pb, eb) = a, b
+    return tuple([pa[p] for p in pb]), tuple([UNIT_MUL[ea[p]][e] for p, e in zip(pb, eb)])
+
+
+def raw_mul(a: RawMatrix, fa: bool, b: RawMatrix, fb: bool) -> tuple[RawMatrix, bool]:
     """(A, a)(B, b) = (A sigma^a(B), a xor b) with no scalar normalization."""
-    rhs = mb.conj_entries() if fa else mb
-    return matrix_product(ma, rhs), fa != fb
+    return matrix_product(a, conj_entries(b) if fa else b), fa != fb
 
 
-def is_scalar(m: MonomialMatrix) -> bool:
-    return m.perm == tuple(range(m.n)) and len(set(m.entries)) <= 1
+def is_scalar(m: RawMatrix) -> bool:
+    perm, entries = m
+    return tuple(perm) == tuple(range(len(perm))) and len(set(entries)) <= 1
 
 
 def multiply(a: ProjectiveElement, b: ProjectiveElement) -> ProjectiveElement:
     if a.n != b.n or a.field_mode != b.field_mode:
         raise ValueError("size or mode mismatch")
-    return ProjectiveElement(*raw_mul(a.matrix, a.conj, b.matrix, b.conj))
+    m, flag = raw_mul(raw(a), a.conj, raw(b), b.conj)
+    return ProjectiveElement(a.field_mode, flag, *m)
 
 
 def square_scalar(x: ProjectiveElement) -> int:
-    raw, _ = raw_mul(x.matrix, x.conj, x.matrix, x.conj)
-    if not is_scalar(raw):
+    m, _ = raw_mul(raw(x), x.conj, raw(x), x.conj)
+    if not is_scalar(m):
         raise ValueError("not a projective involution: square is not scalar")
-    return raw.entries[0] if raw.n else 0
+    return m[1][0] if x.n else 0
 
 
 def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
@@ -156,10 +183,10 @@ def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
     x y = lambda (y x) column by column."""
     if x.n != y.n or x.field_mode != y.field_mode:
         raise ValueError("size or mode mismatch")
-    xy, _ = raw_mul(x.matrix, x.conj, y.matrix, y.conj)
-    yx, _ = raw_mul(y.matrix, y.conj, x.matrix, x.conj)
-    lam = UNIT_MUL[xy.entries[0]][unit_conj(yx.entries[0])] if xy.n else 0
-    if xy.perm != yx.perm or yx.scale(lam).entries != xy.entries:
+    (xy_perm, xy), _ = raw_mul(raw(x), x.conj, raw(y), y.conj)
+    (yx_perm, yx), _ = raw_mul(raw(y), y.conj, raw(x), x.conj)
+    lam = UNIT_MUL[xy[0]][unit_conj(yx[0])] if x.n else 0
+    if xy_perm != yx_perm or scale((yx_perm, yx), lam)[1] != xy:
         raise ValueError("pair does not projectively commute")
     return lam
 

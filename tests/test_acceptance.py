@@ -144,9 +144,7 @@ def test_criterion_7_matrix_model_round_trip():
 
         def pe(perm, entries, mode):
             codes = tuple(matgrp.UNIT_CODES[e] for e in entries)
-            return matgrp.ProjectiveElement(
-                matgrp.MonomialMatrix(len(perm), perm, codes, mode)
-            )
+            return matgrp.ProjectiveElement(mode, False, perm, codes)
 
         neg = matgrp.UNIT_CODES["-1"]
         pos = matgrp.UNIT_CODES["1"]
@@ -154,12 +152,8 @@ def test_criterion_7_matrix_model_round_trip():
         jp2 = pe((2, 3, 0, 1), ("1", "1", "1", "1"), "real")
         j2 = pe((2, 3, 0, 1), ("-1", "-1", "1", "1"), "real")
         k1 = pe((1, 0, 3, 2), ("-1", "1", "1", "-1"), "real")
-        iI = matgrp.ProjectiveElement(
-            matgrp.MonomialMatrix.scalar(2, matgrp.UNIT_CODES["i"], "quaternion")
-        )
-        jI = matgrp.ProjectiveElement(
-            matgrp.MonomialMatrix.scalar(2, matgrp.UNIT_CODES["j"], "quaternion")
-        )
+        iI = pe((0, 1), ("i", "i"), "quaternion")
+        jI = pe((0, 1), ("j", "j"), "quaternion")
         # Gamma0/Gamma1: mu = (+1, +1), m = -1
         assert matgrp.commutator_scalar(i22, jp2) == neg
         assert matgrp.square_scalar(i22) == pos and matgrp.square_scalar(jp2) == pos

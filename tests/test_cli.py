@@ -569,31 +569,30 @@ def _corpus_generator(rng, mode, n, earlier):
     else diagonal units, a shift or clock matrix of n = 4 (commutator +-i
     in complex mode), a random monomial, or a repeat or product of earlier
     generators; antilinear now and then in complex mode."""
-    units = [u for u in range(8) if (u & 3) in matgrp._MODE_AXES[mode]]
+    units = sorted(matgrp._MODE_UNITS[mode])
     kind = rng.choice(["slot", "slot", "slot", "diagonal", "clock", "random", "dependent"])
     conj = mode == "complex" and rng.random() < 0.25
     if kind == "dependent" and earlier:
         a, b = rng.choice(earlier), rng.choice(earlier)
         return matgrp.multiply(a, b) if rng.random() < 0.5 else a
     if kind == "diagonal":
-        mat = matgrp.MonomialMatrix.diagonal([rng.choice(units) for _ in range(n)], mode)
+        perm, entries = range(n), [rng.choice(units) for _ in range(n)]
     elif kind == "clock" and n == 4:
         if rng.random() < 0.5:
-            mat = matgrp.MonomialMatrix(4, (1, 2, 3, 0), (0,) * 4, mode)
+            perm, entries = (1, 2, 3, 0), (0,) * 4
         else:
-            clock = [0]  # powers of i, or of -1 in real mode
+            entries = [0]  # powers of i, or of -1 in real mode
             for _ in range(3):
-                clock.append(matgrp.UNIT_MUL[clock[-1]][1 if mode != "real" else 4])
-            mat = matgrp.MonomialMatrix.diagonal(clock, mode)
+                entries.append(matgrp.UNIT_MUL[entries[-1]][1 if mode != "real" else 4])
+            perm = range(4)
     elif kind == "random":
         perm = list(range(n))
         rng.shuffle(perm)
-        entries = tuple(rng.choice(units) for _ in range(n))
-        mat = matgrp.MonomialMatrix(n, tuple(perm), entries, mode)
+        entries = [rng.choice(units) for _ in range(n)]
     else:
         q = rng.choice([u for u in units if (u & 3) < 2] if rng.random() < 0.8 else units)
-        mat = matgrp._word_matrix((q, rng.randrange(n), rng.randrange(n)), n, mode)
-    return matgrp.ProjectiveElement(mat, conj)
+        perm, entries = matgrp._word_matrix((q, rng.randrange(n), rng.randrange(n)), n)
+    return matgrp.ProjectiveElement(mode, conj, perm, entries)
 
 
 def _corpus_document(rng):
@@ -604,8 +603,8 @@ def _corpus_document(rng):
         gens.append(_corpus_generator(rng, mode, n, gens))
     doc = {"field_mode": mode, "n": n, "generators": []}
     for g in gens:
-        entries = [matgrp.UNIT_NAMES[e] for e in g.matrix.entries]
-        raw = {"perm": list(g.matrix.perm), "entries": entries}
+        entries = [matgrp.UNIT_NAMES[e] for e in g.entries]
+        raw = {"perm": list(g.perm), "entries": entries}
         if g.conj or rng.random() < 0.1:
             raw["conj"] = g.conj
         doc["generators"].append(raw)
@@ -629,11 +628,11 @@ def _full_width_document(rng, n, mode, dependent):
     sign_p = [rng.randrange(2) for _ in range(n)]
     doc = {"field_mode": mode, "n": n, "generators": []}
     for word in words:
-        mat = matgrp._word_matrix(word, n, mode)
+        word_perm, word_entries = matgrp._word_matrix(word, n)
         perm, entries = [0] * n, [0] * n
         for c in range(n):  # P e_c = (-1)^sign_p[c] e_{perm_p[c]}
-            perm[perm_p[c]] = perm_p[mat.perm[c]]
-            entries[perm_p[c]] = mat.entries[c] ^ 4 * (sign_p[c] ^ sign_p[mat.perm[c]])
+            perm[perm_p[c]] = perm_p[word_perm[c]]
+            entries[perm_p[c]] = word_entries[c] ^ 4 * (sign_p[c] ^ sign_p[word_perm[c]])
         raw = {"perm": perm, "entries": [matgrp.UNIT_NAMES[e] for e in entries]}
         if mode == "complex" and rng.random() < 0.1:
             raw["conj"] = True

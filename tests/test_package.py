@@ -68,7 +68,7 @@ def _entry(**changes):
 
 
 def _pe(entries, conj=False):
-    return matgrp.ProjectiveElement(matgrp.MonomialMatrix.diagonal(entries, "complex"), conj)
+    return matgrp.ProjectiveElement("complex", conj, range(len(entries)), entries)
 
 
 def _group(*gens):
@@ -96,11 +96,6 @@ _VALUES = {
     ),
     sms.SymplecticMetricSpace: (
         lambda: sms.SymplecticMetricSpace(1, 2), sms.SymplecticMetricSpace(1, 0), None
-    ),
-    matgrp.MonomialMatrix: (
-        lambda: matgrp.MonomialMatrix(2, (1, 0), (0, 4), "real"),
-        matgrp.MonomialMatrix(2, (1, 0), (4, 4), "real"),
-        None,
     ),
     matgrp.ProjectiveElement: (lambda: _pe((0, 4)), _pe((0, 4), conj=True), None),
     matgrp.GeneratedSubgroup: (
