@@ -130,6 +130,10 @@ class ProjectiveElement(_Value):
         n = len(perm)
         if n > GENERATOR_SIZE_CAP:
             raise ValueError(f"size {n} exceeds the cap {GENERATOR_SIZE_CAP}")
+        try:
+            perm = bytes(perm)
+        except (TypeError, ValueError):  # a column index that is not an int in 0..255
+            perm = b""
         if sorted(perm) != list(range(n)) or len(entries) != n:
             raise ValueError("not a permutation with one entry per column")
         units = _MODE_UNITS[field_mode]
@@ -142,7 +146,7 @@ class ProjectiveElement(_Value):
         table = _CANONICAL[field_mode][entries[0]] if n else None
         _set(self, "field_mode", field_mode)
         _set(self, "conj", conj)
-        _set(self, "perm", bytes(perm))
+        _set(self, "perm", perm)
         _set(self, "entries", entries if table is None else entries.translate(table))
 
     @property

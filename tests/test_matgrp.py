@@ -147,6 +147,24 @@ def test_scalar_canonicalization_stability(mode, n, conj, data):
     assert ProjectiveElement(mode, conj, perm, scale((perm, entries), lam)[1]) == e
 
 
+@pytest.mark.parametrize(
+    "perm, entries, reason",
+    [
+        ([0.0, 1.0], [0, 0], "not a permutation with one entry per column"),
+        ([None, 0], [0, 0], "not a permutation with one entry per column"),
+        ([0, 256], [0, 0], "not a permutation with one entry per column"),
+        ([0, 1], [0, 1.0], "entry 1.0 is not a unit of mode real"),
+        ([0, 1], [0, -4], "entry -4 is not a unit of mode real"),
+    ],
+)
+def test_constructor_refuses_values_that_are_not_column_indices_or_units(perm, entries, reason):
+    # ints outside 0..255 and non-ints, which bytes() would refuse or misread,
+    # raise the constructor's own ValueError
+    with pytest.raises(ValueError) as exc:
+        ProjectiveElement("real", False, perm, entries)
+    assert str(exc.value) == reason
+
+
 small_monomials = st.builds(
     lambda perm, signs: ProjectiveElement("real", False, perm, [4 * s for s in signs]),
     st.permutations(range(3)).map(tuple),
