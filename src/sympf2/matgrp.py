@@ -71,8 +71,9 @@ GENERATOR_SIZE_CAP = 256
 
 # --- the product kernel --------------------------------------------------------
 #
-# A key (conj, perm, entries) is an element with perm and entries as bytes, one
-# byte per column; a byte holds every column index since n <= GENERATOR_SIZE_CAP.
+# A key (conj, perm, entries) is the last three fields of a ProjectiveElement:
+# perm and entries are bytes, one byte per column; a byte holds every column
+# index since n <= GENERATOR_SIZE_CAP.
 # Each step of a product then runs over all n columns in one bytes.translate or
 # int conversion.  The tables are 256-byte translate tables: _UNIT_PRODUCT maps
 # a << 3 | b to the unit a b, _SCALE[lam] maps e to lam e, _COMPLEX_CONJ maps e
