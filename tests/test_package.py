@@ -59,6 +59,32 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert added & {"dataclasses", "inspect"} == set()
 
 
+def test_fields_the_benchmark_reads():
+    # perfbench/worker.py reads these fields, not only the tests: its witness
+    # check takes [r.bits for r in t.row_data] of isomorphism_to_canonical,
+    # its catalog item reads .entry, .has_model and .ok of every cross_check
+    # report, and the traced run counts len(elements) of each closure.
+    for t in sms.admissible_tuples(6):
+        k = t.ambient_rank
+        shear = f2core.F2Matrix.from_row_bits([(3 << i) & ((1 << k) - 1) for i in range(k)], k)
+        for space in (sms.canonical(t), sms.transport(sms.canonical(t), shear)):
+            witness = sms.isomorphism_to_canonical(space)
+            assert (witness.rows, witness.cols) == (k, k), t
+            assert [r.bits for r in witness.row_data] == witness.row_bits(), t
+            assert sms.transport(space, witness) == sms.canonical(t), t
+    for e in catalog.enumerate_all():
+        report = catalog.cross_check(e)
+        assert report.entry == e and report.ok, report.problems
+        assert report.has_model == (e.blocks is not None), e
+    swap = matgrp.ProjectiveElement("complex", False, (1, 0, 3, 2), bytes(4))
+    diag = [_pe((0, 4, 0, 4)), _pe((0, 0, 4, 4)), _pe((0, 4, 4, 0)), _pe((1, 1, 1, 1))]
+    for gens in ([diag[0]], diag, diag + [swap]):
+        group = _group(*gens)
+        assert len(group.elements) == group.order() == len(set(group.elements)), gens
+    trivial = matgrp.GeneratedSubgroup.trivial(4, "complex")
+    assert trivial.elements == (matgrp.identity(4, "complex"),) and trivial.order() == 1
+
+
 def _entry(**changes):
     fields = dict(
         lie_type="E8", family="F_{r}", params=(1,), rank=1, rank_a=0, defe=0,
