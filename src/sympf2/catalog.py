@@ -531,6 +531,7 @@ def build_label_model(entry: FamilyEntry) -> Optional[LabelModel]:
 # --- cross checks --------------------------------------------------------------
 
 
+# the one report record left, since the benchmark reads entry, has_model and ok
 class CrossCheckReport(_Value):
     __slots__ = _fields = ("entry", "has_model", "problems")
     entry: FamilyEntry
@@ -641,34 +642,15 @@ def count_mu_automorphisms(model: LabelModel) -> int:
 # --- distinctness audit ---------------------------------------------------------
 
 
-class AuditReport(_Value):
-    __slots__ = _fields = ("lie_type", "ok", "lines", "cross_family_collisions")
-    lie_type: str
-    ok: bool
-    lines: tuple[str, ...]
-    cross_family_collisions: tuple[tuple[str, str], ...]
-
-    def __init__(
-        self,
-        lie_type: str,
-        ok: bool,
-        lines: tuple[str, ...],
-        cross_family_collisions: tuple[tuple[str, str], ...],
-    ) -> None:
-        _set(self, "lie_type", lie_type)
-        _set(self, "ok", ok)
-        _set(self, "lines", lines)
-        _set(self, "cross_family_collisions", cross_family_collisions)
-
-
-def distinctness_audit(lie_type: str) -> AuditReport:
+def distinctness_audit(lie_type: str) -> tuple[bool, tuple[str, ...], tuple[tuple[str, str], ...]]:
     """Within-family separation by (rank, rank_A, defe); cross-family report.
 
     Cross-family ties on the numeric triple are emitted together with the
     discriminator that resolves them (family structure, or residual ranks
     for E8); the E8 candidate pattern between F'_{r,s} and
     F'_{eps,delta,r,s} is additionally checked to be empty, which is the
-    parity argument.
+    parity argument.  Returns (ok, report lines, cross-family collisions),
+    a collision being the labels of a tied pair.
     """
     entries = enumerate_type(lie_type)
     lines = []
@@ -720,7 +702,7 @@ def distinctness_audit(lie_type: str) -> AuditReport:
         lines.append("parity check: no F'_{r,s} vs F'_{eps,delta,r,s} tie exists")
 
     collisions = tuple((f"{a.family}{a.params}", f"{b.family}{b.params}") for a, b in ties)
-    return AuditReport(lie_type, ok, tuple(lines), collisions)
+    return ok, tuple(lines), collisions
 
 
 def e8_lift_entries() -> list[FamilyEntry]:

@@ -78,7 +78,8 @@ class F2Vector(_Value):
 
 
 class F2Matrix(_Value):
-    """A rows x cols matrix over GF(2); row_data[i] is row i."""
+    """A rows x cols matrix over GF(2); row_data[i] is row i.  The rows stay
+    F2Vectors because the benchmark's witness check reads row_data[i].bits."""
 
     __slots__ = _fields = ("rows", "cols", "row_data")
     rows: int

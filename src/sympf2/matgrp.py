@@ -17,7 +17,7 @@ import itertools
 import json
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .f2core import _set, _span, _Value
 from .sms import InvariantTuple, SymplecticMetricSpace, _pack, require_valid
@@ -266,9 +266,9 @@ class GeneratedSubgroup(_Value):
 
     Compared and shown by generators and elements.  keys holds the closure
     as element keys in the order generate() built it, and used the
-    generators that added a coset.  chain (the elements in build order) and
-    elements (sorted) become ProjectiveElement tuples on first access, and
-    are cached in the instance __dict__.
+    generators that added a coset.  elements, the closure sorted by key,
+    becomes a ProjectiveElement tuple on first access and is cached in the
+    instance __dict__.
     """
 
     _fields = ("generators", "elements")
@@ -346,13 +346,8 @@ class GeneratedSubgroup(_Value):
         return cls(n, field_mode, (), (), (_identity_key(n),))
 
     @cached_property
-    def chain(self) -> tuple[ProjectiveElement, ...]:
-        return tuple(ProjectiveElement(self.field_mode, *k) for k in self.keys)
-
-    @cached_property
     def elements(self) -> tuple[ProjectiveElement, ...]:
-        chain, keys = self.chain, self.keys
-        return tuple(chain[i] for i in sorted(range(len(keys)), key=keys.__getitem__))
+        return tuple(ProjectiveElement(self.field_mode, *k) for k in sorted(self.keys))
 
     def order(self) -> int:
         return len(self.keys)
@@ -598,43 +593,30 @@ def diag_involution(n: int, p: int) -> ProjectiveElement:
     return ProjectiveElement("complex", False, range(n), [4] * p + [0] * (n - p))
 
 
-class TwistedCheckReport(_Value):
-    __slots__ = _fields = ("conjugation_identity", "mu_product_identity")
-    conjugation_identity: Optional[bool]
-    mu_product_identity: Optional[bool]
-
-    def __init__(
-        self, conjugation_identity: Optional[bool], mu_product_identity: Optional[bool]
-    ) -> None:
-        _set(self, "conjugation_identity", conjugation_identity)
-        _set(self, "mu_product_identity", mu_product_identity)
-
-
-def twisted_mu_identity_check(z: ProjectiveElement, x: ProjectiveElement) -> TwistedCheckReport:
-    """Verify the conjugation recipe tying an antilinear z to z x.
+def twisted_mu_identity_check(z: ProjectiveElement, x: ProjectiveElement) -> tuple[bool, bool]:
+    """Verify the conjugation recipe tying the plain antilinear z to z x.
 
     For plain z (identity matrix part) and x = a +-1 diagonal with negative
     part P, the element u = [diag(i on P, 1 off P)] satisfies u z u^-1 = z x,
     so z and z x are conjugate; and the square scalars then satisfy
     mu(z) mu(zx) = mu-value of x in the z-fixed real form, which for plain z
-    is the square scalar of x itself.
+    is the square scalar of x itself.  Returns the pair (conjugation
+    identity holds, mu product identity holds); any other z or x raises
+    ValueError.
     """
     if not z.conj:
         raise ValueError("z must be antilinear")
-    commutator_scalar(z, x)  # raises when the pair does not projectively commute
     n = z.n
-    is_diag = x.perm == _IDENTITY_PERM[:n] and not x.entries.translate(None, b"\0\4")
-    z_plain = z.perm == _IDENTITY_PERM[:n] and z.entries == bytes(n)
-    if not (is_diag and z_plain):
-        return TwistedCheckReport(None, None)
+    if z.perm != _IDENTITY_PERM[:n] or z.entries != bytes(n):
+        raise ValueError("z must be plain: entrywise conjugation")
+    if x.perm != z.perm or x.entries.translate(None, b"\0\4"):
+        raise ValueError("x must be +-1 diagonal of the size of z")
     u_units = [UNIT_CODES["i"] if e == 4 else 0 for e in x.entries]
     u = ProjectiveElement("complex", False, range(n), u_units)
-    zx = multiply(z, x)
+    zx = multiply(z, x)  # raises unless x is in complex mode too
     conj_ok = multiply(multiply(u, z), inverse(u)) == zx
-    mu_ok = (_mu_bit(square_scalar(z)) ^ _mu_bit(square_scalar(zx))) == _mu_bit(
-        square_scalar(x)
-    )
-    return TwistedCheckReport(conj_ok, mu_ok)
+    mu_ok = _mu_bit(square_scalar(z)) ^ _mu_bit(square_scalar(zx)) == _mu_bit(square_scalar(x))
+    return conj_ok, mu_ok
 
 
 # --- generator file format ----------------------------------------------------

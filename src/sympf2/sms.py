@@ -267,6 +267,7 @@ class _Analysis(tuple):
 
     reason is validate's message; bit j of gram[i] is m(e_i, e_j); ker is a
     basis of ker m and inv the invariant tuple, both None for an invalid space.
+    The field names stay: autgrp._space_search reads gram and ker by name.
     """
 
     __slots__ = ()

@@ -198,8 +198,7 @@ def suite_matrix() -> Iterator[Check]:
     for n in range(1, 9):
         z = matgrp.conjugation_element(n)
         for p in range(0, n + 1):
-            rep = matgrp.twisted_mu_identity_check(z, matgrp.diag_involution(n, p))
-            if rep.conjugation_identity is not True or rep.mu_product_identity is not True:
+            if not all(matgrp.twisted_mu_identity_check(z, matgrp.diag_involution(n, p))):
                 twist_fail += 1
     yield Check("twisted conjugation identity u z u^-1 = z x for all p <= n <= 8", twist_fail == 0)
 
@@ -235,7 +234,7 @@ def suite_catalog() -> Iterator[Check]:
     yield Check("E8 graph shapes (bipartite / single vertex / empty)", shapes_ok)
     yield Check(
         "distinctness audit across all types",
-        all(catalog.distinctness_audit(lt).ok for lt in catalog.LIE_TYPES),
+        all(catalog.distinctness_audit(lt)[0] for lt in catalog.LIE_TYPES),
     )
     lifts, pures = lift_keys()
     yield Check(

@@ -179,9 +179,7 @@ def test_criterion_8_twisted_identity():
             z = matgrp.conjugation_element(n)
             for p in range(n + 1):
                 x = matgrp.diag_involution(n, p)
-                report = matgrp.twisted_mu_identity_check(z, x)
-                assert report.conjugation_identity is True, (n, p)
-                assert report.mu_product_identity is True, (n, p)
+                assert matgrp.twisted_mu_identity_check(z, x) == (True, True), (n, p)
 
 
 def test_criterion_9_e8_model_cross_checks():
@@ -219,13 +217,13 @@ def test_criterion_9_e8_model_cross_checks():
 def test_criterion_10_distinctness_audit():
     with _Criterion(10, "within-family separation and cross-family resolution", 5.0):
         for lt in catalog.LIE_TYPES:
-            report = catalog.distinctness_audit(lt)
-            assert report.ok, report.lines
-        e8 = catalog.distinctness_audit("E8")
+            ok, lines, _ = catalog.distinctness_audit(lt)
+            assert ok, lines
+        _, _, e8_collisions = catalog.distinctness_audit("E8")
         # the parity argument: the candidate family pair has no surviving tie
         assert not any(
             "F'_{r,s}" in a and "F'_{eps,delta" in b or "F'_{eps,delta" in a and "F'_{r,s}" in b
-            for a, b in e8.cross_family_collisions
+            for a, b in e8_collisions
         )
         assert len(catalog.e8_lift_entries()) == 13
         assert len(catalog.e7_pure_s1_entries()) == 13

@@ -174,20 +174,18 @@ def test_graph_example_one_seven():
 
 def test_distinctness_audit():
     for lt in catalog.LIE_TYPES:
-        report = distinctness_audit(lt)
-        assert report.ok, report.lines
+        ok, lines, _ = distinctness_audit(lt)
+        assert ok, lines
     # the only E8 numeric ties pair the Res=1 family against the Res=0 one,
     # so residual ranks resolve all of them
-    e8 = distinctness_audit("E8")
-    assert len(e8.cross_family_collisions) == 4
+    _, _, e8_collisions = distinctness_audit("E8")
+    assert len(e8_collisions) == 4
     assert all(
         "F_{eps,delta,r,s}" in a or "F_{eps,delta,r,s}" in b
-        for a, b in e8.cross_family_collisions
+        for a, b in e8_collisions
     )
-    e6 = distinctness_audit("E6")
-    assert len(e6.cross_family_collisions) == 9
-    e7 = distinctness_audit("E7")
-    assert len(e7.cross_family_collisions) == 13
+    assert len(distinctness_audit("E6")[2]) == 9
+    assert len(distinctness_audit("E7")[2]) == 13
 
 
 def test_distinctness_audit_reports_a_parity_tie(monkeypatch):
@@ -202,10 +200,10 @@ def test_distinctness_audit_reports_a_parity_tie(monkeypatch):
     )
     planted = entries[:i] + [b] + entries[i + 1:]
     monkeypatch.setattr(catalog, "enumerate_type", lambda lie_type: planted)
-    report = distinctness_audit("E8")
-    assert not report.ok
-    assert f"PARITY VIOLATION: {a.params} vs {b.params} not separated" in report.lines
-    assert (f"{b.family}{b.params}", f"{a.family}{a.params}") in report.cross_family_collisions
+    ok, lines, collisions = distinctness_audit("E8")
+    assert not ok
+    assert f"PARITY VIOLATION: {a.params} vs {b.params} not separated" in lines
+    assert (f"{b.family}{b.params}", f"{a.family}{a.params}") in collisions
 
 
 def test_lift_consistency():

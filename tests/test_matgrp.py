@@ -281,9 +281,20 @@ def test_twisted_identity_small():
     for n in range(1, 9):
         z = conjugation_element(n)
         for p in range(n + 1):
-            report = twisted_mu_identity_check(z, diag_involution(n, p))
-            assert report.conjugation_identity is True
-            assert report.mu_product_identity is True
+            assert twisted_mu_identity_check(z, diag_involution(n, p)) == (True, True)
+
+
+def test_twisted_identity_refuses_other_pairs():
+    # the recipe holds for plain z and +-1 diagonal x only; any other pair raises
+    z = conjugation_element(4)
+    with pytest.raises(ValueError, match="z must be plain"):
+        twisted_mu_identity_check(multiply(z, j2("complex")), diag_involution(4, 2))
+    with pytest.raises(ValueError, match=r"x must be \+-1 diagonal"):
+        twisted_mu_identity_check(z, j2("complex"))
+    with pytest.raises(ValueError, match=r"x must be \+-1 diagonal"):
+        twisted_mu_identity_check(z, diag_involution(3, 1))
+    with pytest.raises(ValueError, match="z must be antilinear"):
+        twisted_mu_identity_check(diag_involution(4, 1), diag_involution(4, 2))
 
 
 def test_twisted_j_case():

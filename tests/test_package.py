@@ -134,9 +134,6 @@ _VALUES = {
         matgrp.canonical_subgroup(matgrp.ORTHOGONAL, sms.InvariantTuple(0, 0, 2, 0)),
         None,
     ),
-    matgrp.TwistedCheckReport: (
-        lambda: matgrp.TwistedCheckReport(True, None), matgrp.TwistedCheckReport(True, True), None
-    ),
     catalog.LabelModel: (lambda: catalog.LabelModel(1, 2), catalog.LabelModel(1, 2, "s"), None),
     catalog.GraphInvariant: (
         lambda: catalog.GraphInvariant((1,), (0,), "single_vertex", None),
@@ -147,11 +144,6 @@ _VALUES = {
     catalog.CrossCheckReport: (
         lambda: catalog.CrossCheckReport(_entry(), True, ()),
         catalog.CrossCheckReport(_entry(), True, ("model rank 2 != stored 1",)),
-        None,
-    ),
-    catalog.AuditReport: (
-        lambda: catalog.AuditReport("E8", True, ("family F_{r}: 1 entries",), ()),
-        catalog.AuditReport("E8", False, ("family F_{r}: 1 entries",), ()),
         None,
     ),
     verify.Check: (lambda: verify.Check("rank 3", True), verify.Check("rank 3", True, "64"), None),
