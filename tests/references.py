@@ -159,6 +159,38 @@ def raw_mul(a: RawMatrix, fa: bool, b: RawMatrix, fb: bool) -> tuple[RawMatrix, 
     return matrix_product(a, conj_entries(b) if fa else b), fa != fb
 
 
+REFERENCE_UNITS = {"real": {0, 4}, "complex": {0, 1, 4, 5}, "quaternion": set(range(8))}
+REFERENCE_SCALARS = {"real": (0, 4), "complex": (0, 1, 4, 5), "quaternion": (0, 4)}
+
+
+def checked_fields(
+    field_mode: str, conj: bool, perm: Sequence, entries: Sequence
+) -> tuple[str, bool, bytes, bytes]:
+    """The fields of ProjectiveElement(field_mode, conj, perm, entries), or
+    the ValueError it raises, with its checks written column by column: the
+    mode, n <= 256, perm a permutation of range(n) with one entry per column,
+    each entry in turn a unit of the mode, then the antilinear flag.  The
+    entries come back as the least entry string among the scalar multiples."""
+    if field_mode not in REFERENCE_UNITS:
+        raise ValueError(f"unknown field mode {field_mode!r}")
+    n = len(perm)
+    if n > 256:
+        raise ValueError(f"size {n} exceeds the cap 256")
+    try:
+        perm = bytes(perm)
+    except (TypeError, ValueError):  # a column index that is not an int in 0..255
+        perm = b""
+    if sorted(perm) != list(range(n)) or len(entries) != n:
+        raise ValueError("not a permutation with one entry per column")
+    for e in entries:
+        if not isinstance(e, int) or e not in REFERENCE_UNITS[field_mode]:
+            raise ValueError(f"entry {e!r} is not a unit of mode {field_mode}")
+    if conj and field_mode != "complex":
+        raise ValueError("antilinear flag only exists in complex mode")
+    least = min(scale((perm, entries), lam)[1] for lam in REFERENCE_SCALARS[field_mode])
+    return field_mode, conj, perm, bytes(least)
+
+
 def is_scalar(m: RawMatrix) -> bool:
     perm, entries = m
     return tuple(perm) == tuple(range(len(perm))) and len(set(entries)) <= 1

@@ -142,6 +142,40 @@ def test_classify_generators_rejection_messages(tmp_path, capsys, mode, generato
     )
 
 
+NOT_UNIT_NAMES = "generator 0: 'entries' must be a list of unit names"
+NOT_TWO_INTEGERS = "generator 0: 'perm' must be a list of 2 integers"
+
+
+@pytest.mark.parametrize(
+    "generator, reason",
+    [
+        ({"perm": [0, 1], "entries": "11"}, NOT_UNIT_NAMES),
+        ({"perm": [0, 1], "entries": ["1", 1]}, NOT_UNIT_NAMES),
+        ({"perm": [0, 1], "entries": [None, "1"]}, NOT_UNIT_NAMES),
+        ({"perm": [0, 1], "entries": ["1", True]}, NOT_UNIT_NAMES),
+        ({"perm": [0, 1], "entries": [["1"], "1"]}, NOT_UNIT_NAMES),
+        ({"perm": [0, 1], "entries": ["+1", "1"]}, NOT_UNIT_NAMES),
+        ({"perm": [None, 1], "entries": ["1", "1"]}, NOT_TWO_INTEGERS),
+        ({"perm": [0, 1.0], "entries": ["1", "1"]}, NOT_TWO_INTEGERS),
+        ({"perm": [[0], 1], "entries": ["1", "1"]}, NOT_TWO_INTEGERS),
+        ({"perm": [0, 2**70], "entries": ["1", "1"]}, NOT_A_PERMUTATION),
+    ],
+    ids=[
+        "entries-string", "entry-int", "entry-null", "entry-true", "entry-list",
+        "entry-unknown-name", "perm-null", "perm-float", "perm-list", "perm-huge-int",
+    ],
+)
+def test_classify_generators_document_messages(tmp_path, capsys, generator, reason):
+    # the exact message of each type check on a generator's fields in the
+    # document; an int too large for a column index passes them and is
+    # refused by the constructor
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field_mode": "real", "n": 2, "generators": [generator]}))
+    assert run(capsys, "classify", "--generators", str(path)) == (
+        2, "", f"invalid generator document: {reason}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -165,6 +165,60 @@ def test_constructor_refuses_values_that_are_not_column_indices_or_units(perm, e
     assert str(exc.value) == reason
 
 
+# what a caller might put where a column index or a unit code goes
+odd_values = st.sampled_from([True, False, 0.0, 1.5, -1, -4, 256, 2**70, None, "1"]) | st.integers(
+    -300, 300
+)
+
+
+@st.composite
+def constructor_arguments(draw):
+    """A mode (now and then an unknown one), a flag, and a perm and entries
+    that start valid and then may get odd values, repeats, one column too
+    many or too few, or become bytes; n runs up to 6 and over the cap."""
+    mode = draw(st.sampled_from(MODES * 3 + ["octonion"]))
+    n = draw(st.sampled_from([*range(7), *range(1, 7), 255, 256, 257]))
+    units = sorted(references.REFERENCE_UNITS.get(mode, range(8)))
+    columns = [
+        draw(st.permutations(range(n))),
+        draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)),
+    ]
+    for values, edits in zip(columns, ([0, 0, 0, 0, 1, 2], [0, 0, 1, 2])):
+        for _ in range(draw(st.sampled_from(edits))):
+            if values:
+                spot = draw(st.integers(0, len(values) - 1))
+                values[spot] = draw(odd_values | st.sampled_from(values))
+        length = draw(st.sampled_from(["same"] * 4 + ["shorter", "longer"]))
+        if length == "shorter" and values:
+            values.pop()
+        elif length == "longer":
+            values.append(draw(odd_values | st.sampled_from(units)))
+    if draw(st.booleans()):
+        columns = [bytes_if_possible(values) for values in columns]
+    return mode, draw(st.booleans()), *columns
+
+
+def bytes_if_possible(values):
+    try:
+        return bytes(values)
+    except (TypeError, ValueError):
+        return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructor_arguments())
+def test_constructor_matches_column_by_column_checks(arguments):
+    # the same element or the same message as the checks written column by
+    # column; bools pass as the column indices and unit codes 0 and 1, as
+    # bytes() reads them
+    def fields():
+        e = ProjectiveElement(*arguments)
+        return e.field_mode, e.conj, e.perm, e.entries
+
+    expected = value_or_error(lambda: references.checked_fields(*arguments))
+    assert value_or_error(fields) == expected
+
+
 small_monomials = st.builds(
     lambda perm, signs: ProjectiveElement("real", False, perm, [4 * s for s in signs]),
     st.permutations(range(3)).map(tuple),
