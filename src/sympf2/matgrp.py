@@ -63,7 +63,7 @@ def unit_conj(a: int) -> int:
 
 
 # the unit codes of each mode: +-1 (real), +-1 and +-i (complex), all eight
-_MODE_UNITS = {"real": {0, 4}, "complex": {0, 1, 4, 5}, "quaternion": set(range(8))}
+_MODE_UNITS = {"real": b"\0\4", "complex": b"\0\1\4\5", "quaternion": bytes(range(8))}
 # scalars defining projective equality; for quaternions only the center
 _MODE_SCALARS = {"real": (0, 4), "complex": (0, 1, 4, 5), "quaternion": (0, 4)}
 # The product kernel keeps a column index in one byte, so every element has n <= 256.
@@ -135,20 +135,24 @@ class ProjectiveElement(_Value):
             perm = bytes(perm)
         except (TypeError, ValueError):  # a column index that is not an int in 0..255
             perm = b""
-        if sorted(perm) != list(range(n)) or len(entries) != n:
+        # n distinct bytes below n, as bytes; b"" has too few for any n > 0
+        if perm.translate(None, _IDENTITY_PERM[:n]) or len(set(perm)) != n or len(entries) != n:
             raise ValueError("not a permutation with one entry per column")
         units = _MODE_UNITS[field_mode]
-        for e in entries:
-            if not isinstance(e, int) or e not in units:
-                raise ValueError(f"entry {e!r} is not a unit of mode {field_mode}")
+        try:
+            codes = bytes(entries)
+        except (TypeError, ValueError):  # an entry that is not an int in 0..255
+            codes = b"\xff"  # a unit of no mode
+        if codes.translate(None, units):  # name the first entry that is not a unit
+            bad = next(e for e in entries if not isinstance(e, int) or e not in set(units))
+            raise ValueError(f"entry {bad!r} is not a unit of mode {field_mode}")
         if conj and field_mode != "complex":
             raise ValueError("antilinear flag only exists in complex mode")
-        entries = bytes(entries)
-        table = _CANONICAL[field_mode][entries[0]] if n else None
+        table = _CANONICAL[field_mode][codes[0]] if n else None
         _set(self, "field_mode", field_mode)
         _set(self, "conj", conj)
         _set(self, "perm", perm)
-        _set(self, "entries", entries if table is None else entries.translate(table))
+        _set(self, "entries", codes if table is None else codes.translate(table))
 
     @property
     def n(self) -> int:
@@ -219,7 +223,8 @@ def multiply(a: ProjectiveElement, b: ProjectiveElement) -> ProjectiveElement:
 def inverse(a: ProjectiveElement) -> ProjectiveElement:
     """(A, a)^-1 = (sigma^a(A^-1), a): column perm[c] of A^-1 holds the
     conjugate of entries[c] at row c."""
-    perm = bytes(sorted(range(a.n), key=a.perm.__getitem__))
+    rows = _IDENTITY_PERM[:a.n]
+    perm = rows.translate(bytes.maketrans(a.perm, rows))  # perm[a.perm[c]] = c
     entries = perm.translate(a.entries + bytes(256 - a.n)).translate(_UNIT_CONJ)
     return ProjectiveElement(
         a.field_mode, a.conj, perm, entries.translate(_COMPLEX_CONJ) if a.conj else entries
@@ -227,7 +232,9 @@ def inverse(a: ProjectiveElement) -> ProjectiveElement:
 
 
 def identity(n: int, field_mode: str) -> ProjectiveElement:
-    return ProjectiveElement(field_mode, False, range(n), bytes(n))
+    # range(n) past the cap, so the constructor refuses the size
+    perm = _IDENTITY_PERM[:n] if n <= GENERATOR_SIZE_CAP else range(n)
+    return ProjectiveElement(field_mode, False, perm, bytes(n))
 
 
 def square_scalar(x: ProjectiveElement) -> int:
@@ -622,10 +629,6 @@ def twisted_mu_identity_check(z: ProjectiveElement, x: ProjectiveElement) -> tup
 # --- generator file format ----------------------------------------------------
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def parse_generators(text: str) -> GeneratedSubgroup:
     """Generator file: JSON with field_mode, n, and a generator list.
 
@@ -644,7 +647,7 @@ def parse_generators(text: str) -> GeneratedSubgroup:
     mode, n, raw = doc["field_mode"], doc["n"], doc["generators"]
     if not isinstance(mode, str) or mode not in _MODE_UNITS:
         raise ValueError(f"unknown field mode {mode!r}")
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true and false are bools, not ints
         raise ValueError("'n' must be a positive integer")
     if n > GENERATOR_SIZE_CAP:
         raise ValueError(f"'n' = {n} exceeds the generator size cap {GENERATOR_SIZE_CAP}")
@@ -655,15 +658,20 @@ def parse_generators(text: str) -> GeneratedSubgroup:
     gens = []
     for idx, g in enumerate(raw):
         perm, entries, conj = g.get("perm"), g.get("entries"), g.get("conj", False)
-        if not isinstance(perm, list) or len(perm) != n or not all(map(_is_int, perm)):
+        # by type, as for n: bytes() would take true and false
+        if not isinstance(perm, list) or len(perm) != n or not set(map(type, perm)) <= {int}:
             raise ValueError(f"generator {idx}: 'perm' must be a list of {n} integers")
-        if not isinstance(entries, list) or not all(
-            isinstance(e, str) and e in UNIT_CODES for e in entries
-        ):
+        codes = None
+        if isinstance(entries, list):
+            try:
+                codes = bytes(map(UNIT_CODES.__getitem__, entries))
+            except (KeyError, TypeError):  # a value that is not a unit name, or unhashable
+                pass
+        if codes is None:
             raise ValueError(f"generator {idx}: 'entries' must be a list of unit names")
         if not isinstance(conj, bool):
             raise ValueError(f"generator {idx}: 'conj' must be true or false")
-        gens.append(ProjectiveElement(mode, conj, perm, [UNIT_CODES[e] for e in entries]))
+        gens.append(ProjectiveElement(mode, conj, perm, codes))
     if not gens:
         return GeneratedSubgroup.trivial(n, mode)
     return GeneratedSubgroup.generate(gens)
