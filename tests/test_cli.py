@@ -647,14 +647,14 @@ def _corpus_document(rng):
     return doc
 
 
-def _full_width_document(rng, n, mode, dependent):
-    """Four tensor-slot words q X^x Z^z on n coordinates, conjugated by one
+def _full_width_document(rng, n, mode, dependent, count=4):
+    """count tensor-slot words q X^x Z^z on n coordinates, conjugated by one
     random signed permutation P (P g P^-1 on every generator), so perm and
     entries reach every column index; with dependent, the product of the
-    first two is listed as a fifth.  Antilinear now and then in complex
-    mode."""
+    first two is listed as well.  Antilinear now and then in complex mode.
+    The CI workflow times parse_generators on these documents too."""
     units = [0, 4] if mode == "real" else [0, 1, 4, 5] if mode == "complex" else list(range(8))
-    words = [(rng.choice(units), rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+    words = [(rng.choice(units), rng.randrange(n), rng.randrange(n)) for _ in range(count)]
     if dependent:
         words.append(matgrp._word_mul(words[0], words[1]))
     perm_p = list(range(n))

@@ -166,8 +166,8 @@ def test_constructor_refuses_values_that_are_not_column_indices_or_units(perm, e
 
 
 # what a caller might put where a column index or a unit code goes
-odd_values = st.sampled_from([True, False, 0.0, 1.5, -1, -4, 256, 2**70, None, "1"]) | st.integers(
-    -300, 300
+odd_values = st.integers(-300, 300) | st.sampled_from(
+    [True, False, 0.0, 1.5, -1, -4, 256, 2**70, None, "1"]
 )
 
 
@@ -439,11 +439,12 @@ def monomials(n, mode, perms=None):
     )
 
 
-@given(st.sampled_from(MODES), st.integers(1, 8), st.data())
+@settings(deadline=None)
+@given(st.sampled_from(MODES), st.integers(1, 8) | st.just(256), st.data())
 def test_inverse_round_trip(mode, n, data):
-    # in every mode, antilinear elements included: inverse(a) is the
-    # column-by-column inverse, conjugated entrywise when a is antilinear,
-    # and a inverse(a) = inverse(a) a = 1
+    # in every mode, antilinear elements included, n from 1 to 8 and
+    # n = 256: inverse(a) is the column-by-column inverse, conjugated
+    # entrywise when a is antilinear, and a inverse(a) = inverse(a) a = 1
     a = data.draw(monomials(n, mode))
     inv = references.raw_inverse(raw(a))
     expected = ProjectiveElement(mode, a.conj, *(references.conj_entries(inv) if a.conj else inv))
