@@ -135,14 +135,14 @@ class ProjectiveElement(_Value):
             perm = bytes(perm)
         except (TypeError, ValueError):  # a column index that is not an int in 0..255
             perm = b""
-        # n distinct bytes below n, as bytes; b"" has too few for any n > 0
+        # a permutation of range(n): n distinct bytes, none of them n or above
         if perm.translate(None, _IDENTITY_PERM[:n]) or len(set(perm)) != n or len(entries) != n:
             raise ValueError("not a permutation with one entry per column")
         units = _MODE_UNITS[field_mode]
         try:
             codes = bytes(entries)
         except (TypeError, ValueError):  # an entry that is not an int in 0..255
-            codes = b"\xff"  # a unit of no mode
+            codes = b"\xff"  # no mode's unit, so the scan below runs
         if codes.translate(None, units):  # name the first entry that is not a unit
             bad = next(e for e in entries if not isinstance(e, int) or e not in set(units))
             raise ValueError(f"entry {bad!r} is not a unit of mode {field_mode}")
