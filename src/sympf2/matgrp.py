@@ -232,9 +232,7 @@ def inverse(a: ProjectiveElement) -> ProjectiveElement:
 
 
 def identity(n: int, field_mode: str) -> ProjectiveElement:
-    # range(n) past the cap, so the constructor refuses the size
-    perm = _IDENTITY_PERM[:n] if n <= GENERATOR_SIZE_CAP else range(n)
-    return ProjectiveElement(field_mode, False, perm, bytes(n))
+    return ProjectiveElement(field_mode, False, range(n), bytes(n))
 
 
 def square_scalar(x: ProjectiveElement) -> int:
