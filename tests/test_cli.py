@@ -176,6 +176,37 @@ def test_classify_generators_document_messages(tmp_path, capsys, generator, reas
     )
 
 
+# x = I (x) [[0, i], [1, 0]] squares to iI, so it has no mu value; a =
+# diag(1, 1, -1, -1) is an involution, and g = diag(1, 1, i, i) squares to a.
+# {a, g} passes the doubling check (a is listed before g) and g then fails
+# the square check.
+X_SQUARES_TO_I = {"perm": [1, 0, 3, 2], "entries": ["1", "i", "1", "i"]}
+A_INVOLUTION = {"perm": [0, 1, 2, 3], "entries": ["1", "1", "-1", "-1"]}
+G_SQUARES_TO_A = {"perm": [0, 1, 2, 3], "entries": ["1", "1", "i", "i"]}
+NO_MU_VALUE = "scalar is not +-1; element has no mu value"
+NOT_AN_INVOLUTION = "not a projective involution: square is not scalar"
+
+
+@pytest.mark.parametrize(
+    "generators, order, reason",
+    [
+        ([X_SQUARES_TO_I], 2, NO_MU_VALUE),
+        ([A_INVOLUTION, G_SQUARES_TO_A], 4, NOT_AN_INVOLUTION),
+        # both faults: the first subset product, in the doubling order, that
+        # has one names it
+        ([X_SQUARES_TO_I, A_INVOLUTION, G_SQUARES_TO_A], 8, NO_MU_VALUE),
+        ([A_INVOLUTION, G_SQUARES_TO_A, X_SQUARES_TO_I], 8, NOT_AN_INVOLUTION),
+    ],
+    ids=["square-i", "z4-type", "square-i-first", "z4-type-first"],
+)
+def test_classify_generators_extraction_failures(tmp_path, capsys, generators, order, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field_mode": "complex", "n": 4, "generators": generators}))
+    assert run(capsys, "classify", "--generators", str(path)) == (
+        1, f"group order: {order}\nextraction failed: {reason}\n", ""
+    )
+
+
 @pytest.mark.parametrize(
     "doc",
     [

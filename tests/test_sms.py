@@ -1,12 +1,13 @@
 import collections
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympf2 import cli, sms
+from sympf2 import cli, matgrp, sms
 from sympf2.autgrp import count_automorphisms
 from sympf2.f2core import F2Matrix, _echelonize, _span
 from sympf2.sms import (
@@ -539,3 +540,13 @@ def test_one_gram_and_one_validity_check_per_call(monkeypatch, tmp_path):
         assert per_call(cli.main, ["classify", "--mu-table", str(path)]) == one_each, t
         path.write_text(to_mu_table_json(SymplecticMetricSpace(space.rank, space.table ^ 2)))
         assert per_call(cli.main, ["classify", "--mu-table", str(path)]) == one_each, t
+    # extract_sms checks the pairing against the Gram rows of its one validity check
+    for target in (matgrp.ORTHOGONAL, matgrp.SYMPLECTIC):
+        group = matgrp.canonical_subgroup(target, InvariantTuple(0, 1, 1, 1))
+        assert per_call(matgrp.extract_sms, group) == one_each, target
+        doc = {"field_mode": group.field_mode, "n": group.n, "generators": [
+            {"perm": list(g.perm), "entries": [matgrp.UNIT_NAMES[e] for e in g.entries]}
+            for g in group.generators
+        ]}
+        parsed = matgrp.parse_generators(json.dumps(doc))
+        assert per_call(matgrp.extract_sms, parsed) == one_each, target
