@@ -179,19 +179,14 @@ def _product(a: _Key, b: _Key, pad: bytes, scalar: tuple) -> _Key:
     return fa != fb, pb.translate(pa + pad), raw if table is None else raw.translate(table)
 
 
-def _pad(x: _Key) -> bytes:
-    return bytes(256 - len(x[1]))
-
-
-def _key_square(x: _Key) -> int:
-    _, perm, entries = _product(x, x, _pad(x), _RAW)
+def _key_square(x: _Key, pad: bytes) -> int:
+    _, perm, entries = _product(x, x, pad, _RAW)
     if perm != _IDENTITY_PERM[:len(perm)] or entries != entries[:1] * len(entries):
         raise ValueError("not a projective involution: square is not scalar")
     return entries[0] if entries else 0
 
 
-def _key_commutator(x: _Key, y: _Key) -> int:
-    pad = _pad(x)
+def _key_commutator(x: _Key, y: _Key, pad: bytes) -> int:
     _, xy_perm, xy = _product(x, y, pad, _RAW)
     _, yx_perm, yx = _product(y, x, pad, _RAW)
     lam = UNIT_MUL[xy[0]][unit_conj(yx[0])] if xy else 0
@@ -242,7 +237,7 @@ def square_scalar(x: ProjectiveElement) -> int:
     representative; for antilinear x it distinguishes the two outer classes
     (the square of the associated real structure).
     """
-    return _key_square(_key(x))
+    return _key_square(_key(x), bytes(256 - x.n))
 
 
 def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
@@ -255,7 +250,7 @@ def commutator_scalar(x: ProjectiveElement, y: ProjectiveElement) -> int:
     exactly when the two perms agree and lambda b_c = a_c in every column.
     """
     _require_same_space(x, y)
-    return _key_commutator(_key(x), _key(y))
+    return _key_commutator(_key(x), _key(y), bytes(256 - x.n))
 
 
 def _mu_bit(scalar: int) -> int:
@@ -384,7 +379,7 @@ def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetri
     the subset products out again as the reference.
     """
     if isinstance(group, CanonicalSubgroup):
-        return _tabulate(group.words, group._products, _word_square, _word_commutator)
+        return _tabulate(group.words, _squares(group._products), _word_commutator)
     keys = group.keys
     if any(k[0] for k in keys):
         raise ValueError("antilinear elements present: extract the inner part instead")
@@ -398,24 +393,30 @@ def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetri
             if v not in span:
                 coords.append(v)
                 span |= {x ^ v for x in span}
+    pad = bytes(256 - len(keys[0][1]))
+    # element by element, so the first faulty subset product names its fault;
+    # -1 is the unit code 4
+    squares = [_mu_bit(_key_square(keys[x], pad)) << 2 for x in _span(coords)]
     basis = [keys[v] for v in coords]
-    return _tabulate(basis, [keys[x] for x in _span(coords)], _key_square, _key_commutator)
+    return _tabulate(basis, squares, lambda x, y: _key_commutator(x, y, pad))
 
 
-def _tabulate(
-    basis: Sequence, elem_of: Sequence, square: Callable, commutator: Callable
-) -> SymplecticMetricSpace:
-    """mu from square(elem_of[v]), checked against commutator() on the basis.
+def _tabulate(basis: Sequence, squares: list[int], commutator: Callable) -> SymplecticMetricSpace:
+    """mu from the square scalars of the subset products (entry v for the
+    subset v of the basis), checked against commutator() on the basis.
 
-    One check per unordered pair i < j: commutator(x, x) = 1 and m(v, v) = 0,
-    and commutator(y, x) = commutator(x, y)^-1 while m is symmetric, so the
-    other pairs pass or fail with these and the first failure is the same.
+    One check per unordered pair i < j, against the Gram rows of the validity
+    check: commutator(x, x) = 1 and m(v, v) = 0, and commutator(y, x) =
+    commutator(x, y)^-1 while m is symmetric, so the other pairs pass or fail
+    with these and the first failure is the same.
     """
-    k = len(basis)
-    space = SymplecticMetricSpace(k, _pack([_mu_bit(square(e)) for e in elem_of]))
-    require_valid(space)
-    for i, j in itertools.combinations(range(k), 2):
-        if _mu_bit(commutator(basis[i], basis[j])) != space.m(1 << i, 1 << j):
+    codes = bytes(squares)
+    if codes.translate(None, b"\0\4"):
+        raise ValueError("scalar is not +-1; element has no mu value")
+    space = SymplecticMetricSpace(len(basis), _pack(codes.replace(b"\4", b"\1")))
+    gram = require_valid(space)
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        if _mu_bit(commutator(basis[i], basis[j])) != gram[i] >> j & 1:
             raise ValueError("mu/m compatibility violation: modeling bug")
     return space
 
@@ -426,21 +427,24 @@ def _tabulate(
 # coordinates: column c holds q (-1)^{|z & c|} at row c ^ x.  The word
 # (q, x, z) is the binary symplectic form of a Pauli operator (Aaronson and
 # Gottesman, PRA 70, 052328, 2004), so products, square scalars and
-# commutator scalars are a unit-table lookup plus popcount parities.
+# commutator scalars are a unit-table lookup plus popcount parities.  The
+# product and square kernels run over a whole list of words, one
+# comprehension each.
 
 _Word = tuple[int, int, int]
 
 
-def _word_mul(a: _Word, b: _Word) -> _Word:
-    """The word of the matrix product a b."""
-    q1, x1, z1 = a
-    q2, x2, z2 = b
-    return UNIT_MUL[q1][q2] ^ ((z1 & x2).bit_count() & 1) << 2, x1 ^ x2, z1 ^ z2
+def _times(table: list[_Word], w: _Word) -> list[_Word]:
+    """The word of the matrix product p w for each word p in table."""
+    q, x, z = w
+    by = [row[q] for row in UNIT_MUL]  # by[p] = p q
+    return [(by[qp] ^ ((zp & x).bit_count() & 1) << 2, xp ^ x, zp ^ z) for qp, xp, zp in table]
 
 
-def _word_square(a: _Word) -> int:
-    q, x, z = a
-    return UNIT_MUL[q][q] ^ ((x & z).bit_count() & 1) << 2
+def _squares(table: list[_Word]) -> list[int]:
+    """The square scalar of each word in table."""
+    sq = [row[q] for q, row in enumerate(UNIT_MUL)]  # sq[q] = q q
+    return [sq[q] ^ ((x & z).bit_count() & 1) << 2 for q, x, z in table]
 
 
 def _word_commutator(a: _Word, b: _Word) -> int:
@@ -483,9 +487,9 @@ class CanonicalSubgroup(_Value):
         characteristic vector of the subset.  Raises unless they are distinct."""
         table = [(0, 0, 0)]
         for w in self.words:
-            table += [_word_mul(p, w) for p in table]
-        best = _BEST_SCALAR[self.field_mode]
-        table = [(UNIT_MUL[best[q]][q], x, z) for q, x, z in table]
+            table += _times(table, w)
+        best = [UNIT_MUL[lam][q] for q, lam in enumerate(_BEST_SCALAR[self.field_mode])]
+        table = [(best[q], x, z) for q, x, z in table]
         if len(set(table)) != len(table):
             raise ValueError("generators are not independent")
         return table

@@ -227,10 +227,13 @@ def validate(space: SymplecticMetricSpace) -> tuple[bool, str]:
     return reason == _VALID, reason
 
 
-def require_valid(space: SymplecticMetricSpace) -> None:
-    ok, msg = validate(space)
-    if not ok:
-        raise ValueError(f"not a symplectic metric space: {msg}")
+def require_valid(space: SymplecticMetricSpace) -> list[int]:
+    """The Gram rows of a valid space (bit j of row i is m(e_i, e_j)); raises otherwise."""
+    rows = _gram_rows(space)
+    reason = _validity(space, rows)
+    if reason != _VALID:
+        raise ValueError(f"not a symplectic metric space: {reason}")
+    return rows
 
 
 def _split_kernel(space: SymplecticMetricSpace, ker: list[int]) -> tuple[list[int], Optional[int]]:

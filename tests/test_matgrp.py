@@ -558,7 +558,7 @@ def reference_extract(group):
     if len(set(elem_of)) != len(elem_of):
         raise ValueError("basis is not independent")
     return matgrp._tabulate(
-        basis, elem_of, references.square_scalar, references.commutator_scalar
+        basis, [references.square_scalar(e) for e in elem_of], references.commutator_scalar
     )
 
 
@@ -799,13 +799,61 @@ def word_pairs(draw, mode):
 @given(data=st.data())
 def test_word_arithmetic_matches_matrices(mode, data):
     n, a, b = data.draw(word_pairs(mode))
-    ab = matgrp._word_mul(a, b)
+    [ab] = matgrp._times([a], b)
     product = matrix_product(matgrp._word_matrix(a, n), matgrp._word_matrix(b, n))
     assert tuple(map(tuple, matgrp._word_matrix(ab, n))) == product
     pa, pb = word_element(mode, a, n), word_element(mode, b, n)
     assert word_element(mode, ab, n) == multiply(pa, pb)
-    assert matgrp._word_square(a) == square_scalar(pa)
+    assert matgrp._squares([a]) == [square_scalar(pa)]
     assert matgrp._word_commutator(a, b) == commutator_scalar(pa, pb)
+
+
+@st.composite
+def independent_words(draw, mode):
+    """n = 2^slots with up to 6 slots, and words on it with units of the mode
+    that are independent modulo scalars: the class of q X^x Z^z is (x, z)
+    and, in quaternion mode, the axis q & 3 (i j = k is 1 ^ 2 = 3)."""
+    slots = draw(st.integers(0, 6))
+    n = 1 << slots
+    units = (0, 4) if mode == "real" else tuple(range(8))
+    word = st.tuples(st.sampled_from(units), st.integers(0, n - 1), st.integers(0, n - 1))
+    words, span = [], {0}
+    for q, x, z in draw(st.lists(word, max_size=8)):
+        v = (q & 3) << 2 * slots | x << slots | z
+        if v not in span:
+            words.append((q, x, z))
+            span |= {s ^ v for s in span}
+    return n, words
+
+
+@pytest.mark.parametrize("mode", ["real", "quaternion"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_word_kernels_match_products_element_by_element(mode, data):
+    # entry v of the product table is the product of the words in the subset
+    # v, in list order and in canonical scalar form, and its square scalar is
+    # entry v of the squares: multiplied out as matrices for n <= 16, by the
+    # word formula above that
+    n, words = data.draw(independent_words(mode))
+    products = matgrp.CanonicalSubgroup(n, mode, tuple(words))._products
+    squares = matgrp._squares(products)
+    assert len(products) == len(squares) == 1 << len(words)
+    for v, (word, square) in enumerate(zip(products, squares)):
+        factors = [w for i, w in enumerate(words) if v >> i & 1]
+        if n <= 16:
+            matrix = (range(n), (0,) * n)
+            for f in factors:
+                matrix = matrix_product(matrix, matgrp._word_matrix(f, n))
+            element = ProjectiveElement(mode, False, *matrix)
+            assert matgrp._word_matrix(word, n) == (element.perm, element.entries)
+            assert square == references.square_scalar(element)
+        else:
+            q = x = z = 0
+            for q2, x2, z2 in factors:  # moving Z^z past X^x2 gives (-1)^|z & x2|
+                q = unit_mul(q, q2) ^ ((z & x2).bit_count() & 1) << 2
+                x, z = x ^ x2, z ^ z2
+            assert word == (q & 3, x, z)  # the scalar multiple with the least q
+            assert square == unit_mul(q, q) ^ ((x & z).bit_count() & 1) << 2
 
 
 # The matrix patterns canonical_subgroup is defined by, built column by column.
