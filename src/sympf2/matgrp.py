@@ -393,7 +393,7 @@ def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetri
             if v not in span:
                 coords.append(v)
                 span |= {x ^ v for x in span}
-    pad = bytes(256 - len(keys[0][1]))
+    pad = bytes(256 - group.n)
     # element by element, so the first faulty subset product names its fault;
     # -1 is the unit code 4
     squares = [_mu_bit(_key_square(keys[x], pad)) << 2 for x in _span(coords)]
