@@ -7,8 +7,9 @@ taken modulo the scalar unit group of the field mode (real: +-1, complex:
 squares and commutators stay monomial, so all arithmetic is exact.  An
 element holds its perm and entries as bytes, so (conj, perm, entries) is
 the key the product kernel runs on.  Canonical constructions are kept as
-tensor-slot words (q, x, z), and the closure of a generator file as keys;
-both become elements only on request.
+tensor-slot words (q, x, z), their subset products as packed projective
+classes of words, and the closure of a generator file as keys; all become
+elements only on request.
 """
 
 from __future__ import annotations
@@ -375,11 +376,12 @@ def extract_sms(group: GeneratedSubgroup | CanonicalSubgroup) -> SymplecticMetri
     with no subset products formed and no element objects built: each used
     generator g_j of an elementary abelian group doubles the closure,
     keys[2^j + i] = keys[i] g_j, so keys[v] is the product over the subset
-    v, and a closure that did not double is refused.  The tests multiply
-    the subset products out again as the reference.
+    v, and a closure that did not double is refused.  A CanonicalSubgroup is
+    read off its packed classes, with no signed product formed.  The tests
+    multiply the subset products out again as the reference.
     """
     if isinstance(group, CanonicalSubgroup):
-        return _tabulate(group.words, _squares(group._products), _word_commutator)
+        return _tabulate(group.words, _squares(group._products, group.n), _word_commutator)
     keys = group.keys
     if any(k[0] for k in keys):
         raise ValueError("antilinear elements present: extract the inner part instead")
@@ -427,24 +429,20 @@ def _tabulate(basis: Sequence, squares: list[int], commutator: Callable) -> Symp
 # coordinates: column c holds q (-1)^{|z & c|} at row c ^ x.  The word
 # (q, x, z) is the binary symplectic form of a Pauli operator (Aaronson and
 # Gottesman, PRA 70, 052328, 2004), so products, square scalars and
-# commutator scalars are a unit-table lookup plus popcount parities.  The
-# product and square kernels run over a whole list of words, one
-# comprehension each.
+# commutator scalars are a unit-table lookup plus popcount parities.  Modulo
+# scalars a word is its class best[q] << 2 slots | x << slots | z: best[q], the
+# q of canonical scalar form, is an axis (0 or 2 in complex mode, where i is a
+# scalar), and axes multiply by XOR, so a product's class is the XOR of classes.
 
 _Word = tuple[int, int, int]
 
 
-def _times(table: list[_Word], w: _Word) -> list[_Word]:
-    """The word of the matrix product p w for each word p in table."""
-    q, x, z = w
-    by = [row[q] for row in UNIT_MUL]  # by[p] = p q
-    return [(by[qp] ^ ((zp & x).bit_count() & 1) << 2, xp ^ x, zp ^ z) for qp, xp, zp in table]
-
-
-def _squares(table: list[_Word]) -> list[int]:
-    """The square scalar of each word in table."""
+def _squares(table: list[int], n: int) -> list[int]:
+    """The square scalar of the canonical word of each class on n coordinates."""
     sq = [row[q] for q, row in enumerate(UNIT_MUL)]  # sq[q] = q q
-    return [sq[q] ^ ((x & z).bit_count() & 1) << 2 for q, x, z in table]
+    slots = n.bit_length() - 1
+    axis, mask = 2 * slots, n - 1
+    return [sq[p >> axis] ^ ((p >> slots & p & mask).bit_count() & 1) << 2 for p in table]
 
 
 def _word_commutator(a: _Word, b: _Word) -> int:
@@ -463,8 +461,9 @@ def _word_matrix(a: _Word, n: int) -> tuple[bytes, bytes]:
 
 
 class CanonicalSubgroup(_Value):
-    """The subgroup generated by independent tensor-slot words.
+    """The subgroup generated by tensor-slot words independent modulo scalars.
 
+    Its subset products are the F2 span of the words' packed classes.
     Offers what callers of GeneratedSubgroup use; generators and elements
     become ProjectiveElements on first access, in the order generate() gives
     them, and are cached in the instance __dict__.
@@ -482,14 +481,12 @@ class CanonicalSubgroup(_Value):
         _set(self, "words", words)
 
     @cached_property
-    def _products(self) -> list[_Word]:
-        """All 2^k subset products in canonical scalar form; index v is the
+    def _products(self) -> list[int]:
+        """The classes of all 2^k subset products; index v is the
         characteristic vector of the subset.  Raises unless they are distinct."""
-        table = [(0, 0, 0)]
-        for w in self.words:
-            table += _times(table, w)
+        s = self.n.bit_length() - 1
         best = [UNIT_MUL[lam][q] for q, lam in enumerate(_BEST_SCALAR[self.field_mode])]
-        table = [(best[q], x, z) for q, x, z in table]
+        table = _span([best[q] << 2 * s | x << s | z for q, x, z in self.words])
         if len(set(table)) != len(table):
             raise ValueError("generators are not independent")
         return table
@@ -503,7 +500,9 @@ class CanonicalSubgroup(_Value):
 
     @cached_property
     def elements(self) -> tuple[ProjectiveElement, ...]:
-        return tuple(sorted(map(self._element, self._products), key=_key))
+        s, mask = self.n.bit_length() - 1, self.n - 1
+        words = [(p >> 2 * s, p >> s & mask, p & mask) for p in self._products]
+        return tuple(sorted(map(self._element, words), key=_key))
 
     def order(self) -> int:
         return len(self._products)

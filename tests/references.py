@@ -163,6 +163,27 @@ REFERENCE_UNITS = {"real": {0, 4}, "complex": {0, 1, 4, 5}, "quaternion": set(ra
 REFERENCE_SCALARS = {"real": (0, 4), "complex": (0, 1, 4, 5), "quaternion": (0, 4)}
 
 
+# --- tensor-slot words q X^x Z^z: the signed references for matgrp's classes
+
+Word = tuple[int, int, int]
+
+
+def word_product(a: Word, b: Word) -> Word:
+    """The word of the matrix product a b, sign included: moving Z^z of a
+    past X^x of b gives (-1)^|z & x|."""
+    q1, x1, z1 = a
+    q2, x2, z2 = b
+    return UNIT_MUL[q1][q2] ^ ((z1 & x2).bit_count() & 1) << 2, x1 ^ x2, z1 ^ z2
+
+
+def word_class(mode: str, w: Word, slots: int) -> int:
+    """The word's class modulo the scalars of the mode: the least q among its
+    scalar multiples, then x, then z, packed with x and z slots bits wide."""
+    q, x, z = w
+    least = min(UNIT_MUL[lam][q] for lam in REFERENCE_SCALARS[mode])
+    return least << 2 * slots | x << slots | z
+
+
 def checked_fields(
     field_mode: str, conj: bool, perm: Sequence, entries: Sequence
 ) -> tuple[str, bool, bytes, bytes]:

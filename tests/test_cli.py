@@ -17,6 +17,7 @@ from sympf2 import autgrp, catalog, cli, matgrp
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
 from sympf2.sms import admissible_tuples
+import references
 from test_matgrp import MODES, inverse_commutator, reference_extract
 
 
@@ -687,7 +688,7 @@ def _full_width_document(rng, n, mode, dependent, count=4):
     units = [0, 4] if mode == "real" else [0, 1, 4, 5] if mode == "complex" else list(range(8))
     words = [(rng.choice(units), rng.randrange(n), rng.randrange(n)) for _ in range(count)]
     if dependent:
-        words += matgrp._times(words[:1], words[1])
+        words.append(references.word_product(words[0], words[1]))
     perm_p = list(range(n))
     rng.shuffle(perm_p)
     sign_p = [rng.randrange(2) for _ in range(n)]

@@ -799,47 +799,67 @@ def word_pairs(draw, mode):
 @given(data=st.data())
 def test_word_arithmetic_matches_matrices(mode, data):
     n, a, b = data.draw(word_pairs(mode))
-    [ab] = matgrp._times([a], b)
+    ab = references.word_product(a, b)
     product = matrix_product(matgrp._word_matrix(a, n), matgrp._word_matrix(b, n))
     assert tuple(map(tuple, matgrp._word_matrix(ab, n))) == product
     pa, pb = word_element(mode, a, n), word_element(mode, b, n)
     assert word_element(mode, ab, n) == multiply(pa, pb)
-    assert matgrp._squares([a]) == [square_scalar(pa)]
+    slots = n.bit_length() - 1
+    assert matgrp._squares([references.word_class(mode, a, slots)], n) == [square_scalar(pa)]
     assert matgrp._word_commutator(a, b) == commutator_scalar(pa, pb)
+
+
+@pytest.mark.parametrize("mode", sorted(matgrp._BEST_SCALAR))
+def test_scalar_class_is_an_xor_homomorphism(mode):
+    # the class of a product of words is the XOR of their classes, so the
+    # subset products of CanonicalSubgroup are the span of the generators'
+    # classes; best is the lookup _products packs q through
+    best = [unit_mul(lam, q) for q, lam in enumerate(matgrp._BEST_SCALAR[mode])]
+    assert max(best) < 4  # the class field above x and z is two bits wide
+    for a, b in itertools.product(range(8), repeat=2):
+        assert best[unit_mul(a, b)] == best[a] ^ best[b], (a, b)
 
 
 @st.composite
 def independent_words(draw, mode):
     """n = 2^slots with up to 6 slots, and words on it with units of the mode
-    that are independent modulo scalars: the class of q X^x Z^z is (x, z)
-    and, in quaternion mode, the axis q & 3 (i j = k is 1 ^ 2 = 3)."""
+    that are independent modulo scalars: their classes (references.word_class)
+    are independent.  The class of q X^x Z^z is (x, z) and the least q of its
+    scalar multiples: q & 3 in real and quaternion mode, but 0 for +-1 and
+    +-i in complex mode, where i is a scalar."""
     slots = draw(st.integers(0, 6))
     n = 1 << slots
-    units = (0, 4) if mode == "real" else tuple(range(8))
+    units = sorted(references.REFERENCE_UNITS[mode])
     word = st.tuples(st.sampled_from(units), st.integers(0, n - 1), st.integers(0, n - 1))
     words, span = [], {0}
-    for q, x, z in draw(st.lists(word, max_size=8)):
-        v = (q & 3) << 2 * slots | x << slots | z
+    for w in draw(st.lists(word, max_size=8)):
+        v = references.word_class(mode, w, slots)
         if v not in span:
-            words.append((q, x, z))
+            words.append(w)
             span |= {s ^ v for s in span}
     return n, words
 
 
-@pytest.mark.parametrize("mode", ["real", "quaternion"])
+@pytest.mark.parametrize("mode", MODES)
 @settings(deadline=None)
 @given(data=st.data())
 def test_word_kernels_match_products_element_by_element(mode, data):
-    # entry v of the product table is the product of the words in the subset
-    # v, in list order and in canonical scalar form, and its square scalar is
-    # entry v of the squares: multiplied out as matrices for n <= 16, by the
-    # word formula above that
+    # entry v of the product table is the class of the product of the words
+    # in the subset v, taken in list order with its sign, and its square
+    # scalar is entry v of the squares: multiplied out as matrices for
+    # n <= 16, by the word formula above that
     n, words = data.draw(independent_words(mode))
+    slots = n.bit_length() - 1
     products = matgrp.CanonicalSubgroup(n, mode, tuple(words))._products
-    squares = matgrp._squares(products)
+    squares = matgrp._squares(products, n)
     assert len(products) == len(squares) == 1 << len(words)
-    for v, (word, square) in enumerate(zip(products, squares)):
+    for v, (packed, square) in enumerate(zip(products, squares)):
         factors = [w for i, w in enumerate(words) if v >> i & 1]
+        signed = (0, 0, 0)
+        for f in factors:
+            signed = references.word_product(signed, f)
+        assert packed == references.word_class(mode, signed, slots)
+        word = (packed >> 2 * slots, packed >> slots & n - 1, packed & n - 1)
         if n <= 16:
             matrix = (range(n), (0,) * n)
             for f in factors:
@@ -848,11 +868,7 @@ def test_word_kernels_match_products_element_by_element(mode, data):
             assert matgrp._word_matrix(word, n) == (element.perm, element.entries)
             assert square == references.square_scalar(element)
         else:
-            q = x = z = 0
-            for q2, x2, z2 in factors:  # moving Z^z past X^x2 gives (-1)^|z & x2|
-                q = unit_mul(q, q2) ^ ((z & x2).bit_count() & 1) << 2
-                x, z = x ^ x2, z ^ z2
-            assert word == (q & 3, x, z)  # the scalar multiple with the least q
+            q, x, z = word  # the scalar multiple with the least q
             assert square == unit_mul(q, q) ^ ((x & z).bit_count() & 1) << 2
 
 
@@ -947,9 +963,17 @@ def test_canonical_words_match_generated_group():
 
 
 def test_dependent_words_are_rejected():
-    # Z_0 and -Z_0 are one projective element
-    group = matgrp.CanonicalSubgroup(2, "real", ((0, 0, 1), (4, 0, 1)))
-    with pytest.raises(ValueError, match="not independent"):
-        extract_sms(group)
-    with pytest.raises(ValueError, match="not independent"):
-        group.order()
+    # each list is dependent only modulo the scalars of its mode
+    cases = [
+        (2, "real", ((0, 0, 1), (4, 0, 1))),  # Z_0 and -Z_0 are one projective element
+        (4, "quaternion", ((1, 1, 2), (5, 1, 2))),  # i X Z and -i X Z
+        (4, "complex", ((0, 3, 1), (1, 3, 1))),  # X Z and i X Z: i is a scalar
+        (4, "complex", ((5, 2, 0), (4, 1, 3), (0, 3, 3))),  # their product is i times the third
+        (2, "quaternion", ((1, 1, 0), (2, 0, 1), (3, 1, 1))),  # (i X)(j Z)(k X Z) = 1
+    ]
+    for n, mode, words in cases:
+        group = matgrp.CanonicalSubgroup(n, mode, words)
+        with pytest.raises(ValueError, match="not independent"):
+            extract_sms(group)
+        with pytest.raises(ValueError, match="not independent"):
+            group.order()
