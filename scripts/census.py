@@ -3,8 +3,9 @@
 
 For every function mu with mu(0) = 0, check whether its polarization is
 bilinear, classify the valid ones by their invariant tuple, and partition
-them into basis-change orbits.  Orbit sizes times automorphism-group orders
-should multiply back to |GL(k, 2)|, which the table prints for inspection.
+them into basis-change orbits.  By orbit-stabilizer, each class's table
+count times its automorphism-group order is |GL(k, 2)|; the table prints
+both, and the script exits 1 if any class misses.
 """
 
 import argparse
@@ -32,11 +33,17 @@ def main() -> int:
     print()
     print(f"{'class':>16} {'tables':>8} {'|Aut|':>10} {'orbit*|Aut|':>12}")
     gl = gl_order(k)
+    missed = []
     for t in sorted(classes, key=lambda t: (t.eps, t.delta, t.r, t.s)):
         count = classes[t]
         aut = sp_full_order(t.eps, t.delta, t.r, t.s)
         print(f"{t.label():>16} {count:>8} {aut:>10} {count * aut:>12}")
+        if count * aut != gl:
+            missed.append(t.label())
     print(f"{'':>16} {len(valid):>8} {'':>10} {'|GL|=' + str(gl):>12}")
+    if missed:
+        print(f"orbit*|Aut| != |GL({k},2)| for {', '.join(missed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -340,7 +340,8 @@ def _space_search(source: SymplecticMetricSpace, target: SymplecticMetricSpace) 
     """The search for maps source -> target, after one validation of each."""
     src = _unpack(source.rank, source.table), _analyze(source)
     tgt = src if target is source else (_unpack(target.rank, target.table), _analyze(target))
-    return _ImageSearch(source.rank, src[0], tgt[0], src[1].gram, tgt[1].gram, tgt[1].ker)
+    (src_mu, (_, src_gram, _, _)), (tgt_mu, (_, tgt_gram, tgt_ker, _)) = src, tgt
+    return _ImageSearch(source.rank, src_mu, tgt_mu, src_gram, tgt_gram, tgt_ker)
 
 
 def enumerate_isomorphisms(

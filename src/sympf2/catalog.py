@@ -2,10 +2,12 @@
 
 The catalog is formula-driven: each family contributes one entry per
 admissible parameter tuple, carrying its rank, translation-subgroup rank,
-defect index, residual ranks and Automizer order.  A family whose label
-model is an orthogonal product of standard blocks states those blocks in
-its builder, and every stored number is recounted from the model; every
-other family is formula-only.  No Lie-theoretic computation happens
+defect index, residual ranks and Automizer order.  A class's label model
+is its square map as a mu table, a SymplecticMetricSpace whose polarization
+need not be bilinear, with mu = 1 exactly on the s1 involutions.  A family
+whose label model is an orthogonal product of standard blocks states those
+blocks in its builder, and every stored number is recounted from the model;
+every other family is formula-only.  No Lie-theoretic computation happens
 anywhere.
 
 Entry counts per type are (4, 12, 51, 78, 66).
@@ -18,14 +20,7 @@ import io
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
-from .autgrp import (
-    COUNT_RANK_BOUND,
-    _ImageSearch,
-    sp_full_order,
-    sp_metric_order,
-    sp_order,
-    sp_vector_order,
-)
+from .autgrp import _ImageSearch, sp_full_order, sp_metric_order, sp_order, sp_vector_order
 from .f2core import _set, _Value, gl_order
 from .sms import (
     EPS_DELTA,
@@ -46,46 +41,6 @@ def hom_order(a: int, b: int) -> int:
 def p_order(r: int, s: int) -> int:
     """|P(r,s,F2)|: invertible blockwise upper triangular (r,s) matrices."""
     return gl_order(r) * gl_order(s) * (1 << (r * s))
-
-
-class LabelModel(_Value):
-    """A subgroup's mu table; the conjugacy-class tags are a view of it.
-
-    The identity is tagged "1", elements with mu = 1 (mu = -1 as a sign)
-    sigma_tag, the others "s2".  sigma_tag is "s1", or "s" for G2, whose
-    involutions form a single class.
-    """
-
-    __slots__ = _fields = ("rank", "table", "sigma_tag")
-    rank: int
-    table: int
-    sigma_tag: str
-
-    def __init__(self, rank: int, table: int, sigma_tag: str = "s1") -> None:
-        if table & 1 or table >> (1 << rank):
-            raise ValueError("mu table must have 2^rank bits and vanish at the identity")
-        _set(self, "rank", rank)
-        _set(self, "table", table)
-        _set(self, "sigma_tag", sigma_tag)
-
-    def defect(self) -> int:
-        return defect(SymplecticMetricSpace(self.rank, self.table))
-
-    def translation_subgroup(self) -> list[int]:
-        """A_F = {x : mu(x) = +1 and m(x, y) = +1 for all y}, listed fully.
-
-        That is mu(x + y) = mu(y) for all y: the translated table T_x is T.
-        """
-        return sorted(x for x, moved in _translates(self.rank, self.table) if moved == self.table)
-
-    def translation_rank(self) -> int:
-        n = len(self.translation_subgroup())
-        if n & (n - 1):
-            raise AssertionError(f"translation subgroup of {self} has {n} elements")
-        return n.bit_length() - 1
-
-    def polarization_is_bilinear(self) -> bool:
-        return validate(SymplecticMetricSpace(self.rank, self.table))[0]
 
 
 def _block(bits: list[int]) -> tuple[int, int]:
@@ -514,18 +469,34 @@ def enumerate_all() -> list[FamilyEntry]:
 # --- label models ------------------------------------------------------------
 
 
-def build_label_model(entry: FamilyEntry) -> Optional[LabelModel]:
+def build_label_model(entry: FamilyEntry) -> Optional[SymplecticMetricSpace]:
     """The product of the blocks stated with the entry's family, or None.
 
-    G2, F4, the two inner E6 families and the E8 families except
-    F_{eps,delta,r,s} state blocks; every other family (all of E7, the two
-    outer E6 families, and E8 F_{eps,delta,r,s}) is formula-only and
+    The model is the subgroup's square map as a mu table, mu = 1 exactly on
+    the s1 involutions (the s involutions for G2); its polarization need not
+    be bilinear.  G2, F4, the two inner E6 families and the E8 families
+    except F_{eps,delta,r,s} state blocks; every other family (all of E7,
+    the two outer E6 families, and E8 F_{eps,delta,r,s}) is formula-only and
     returns None rather than a guess.
     """
     if entry.blocks is None:
         return None
-    sigma_tag = "s" if entry.lie_type == "G2" else "s1"
-    return LabelModel(*_orthogonal_product(entry.blocks), sigma_tag=sigma_tag)
+    return SymplecticMetricSpace(*_orthogonal_product(entry.blocks))
+
+
+def translation_subgroup(model: SymplecticMetricSpace) -> list[int]:
+    """A_F = {x : mu(x) = +1 and m(x, y) = +1 for all y}, listed fully.
+
+    That is mu(x + y) = mu(y) for all y: the translated table T_x is T.
+    """
+    return sorted(x for x, moved in _translates(model.rank, model.table) if moved == model.table)
+
+
+def translation_rank(model: SymplecticMetricSpace) -> int:
+    n = len(translation_subgroup(model))
+    if n & (n - 1):
+        raise AssertionError(f"translation subgroup of {model} has {n} elements")
+    return n.bit_length() - 1
 
 
 # --- cross checks --------------------------------------------------------------
@@ -562,14 +533,14 @@ def cross_check(entry: FamilyEntry) -> CrossCheckReport:
     problems = []
     if model.rank != entry.rank:
         problems.append(f"model rank {model.rank} != stored {entry.rank}")
-    counted_defe = model.defect()
+    counted_defe = defect(model)
     if entry.defe is not None and counted_defe != entry.defe:
         problems.append(f"counted defe {counted_defe} != stored {entry.defe}")
-    counted_ra = model.translation_rank()
+    counted_ra = translation_rank(model)
     if counted_ra != entry.rank_a:
         problems.append(f"counted rank_A {counted_ra} != stored {entry.rank_a}")
     if entry.bilinear is not None:
-        bilinear = model.polarization_is_bilinear()
+        bilinear = validate(model)[0]
         if bilinear != entry.bilinear:
             problems.append(
                 f"bilinearity {'holds' if bilinear else 'fails'} against prediction"
@@ -583,19 +554,20 @@ def graph_of(entry: FamilyEntry) -> Optional[GraphInvariant]:
     return None if model is None else _quotient_graph(model)
 
 
-def _quotient_graph(model: LabelModel) -> GraphInvariant:
-    """Vertices: the least element of each A_F-coset of s1 elements.
+def _quotient_graph(model: SymplecticMetricSpace) -> GraphInvariant:
+    """Vertices: the least element of each A_F-coset of elements with mu = 1.
 
-    Reps a and b are joined when a + b is tagged s2, that is mu(a + b) = 0.
-    With R the bit set of the reps, a's neighbourhood is R & ~T_a minus a,
-    where bit b of the translated table T_a is mu(a + b).  One walk of the
-    translated tables gives A_F and T_x for every s1 element x.
+    In an E8 label model those are the s1 elements.  Reps a and b are joined
+    when mu(a + b) = 0 (a + b is tagged s2).  With R the bit set of the
+    reps, a's neighbourhood is R & ~T_a minus a, where bit b of the
+    translated table T_a is mu(a + b).  One walk of the translated tables
+    gives A_F and T_x for every x with mu(x) = 1.
     """
-    table, a_f, moved = model.table, [], {}  # moved[x] = T_x for the s1 elements x
+    table, a_f, moved = model.table, [], {}  # moved[x] = T_x for the x with mu(x) = 1
     for x, t in _translates(model.rank, table):
         if t == table:
             a_f.append(x)
-        if model.sigma_tag == "s1" and table >> x & 1:
+        if table >> x & 1:
             moved[x] = t
     rep = {x: min(x ^ a for a in a_f) for x in moved}
     reps = sorted(set(rep.values()))
@@ -623,18 +595,17 @@ def _classify_graph(neighbours: Sequence[int]) -> tuple[str, Optional[tuple[int,
     return "other", None
 
 
-def count_mu_automorphisms(model: LabelModel) -> int:
+def count_mu_automorphisms(model: SymplecticMetricSpace) -> int:
     """Invertible matrices preserving the mu table, counted by search.
 
     The autgrp search core's stabilizer-chain count (_ImageSearch.order:
     one existence search per orbit, each automorphism found kept as a
     generator) with the span-check rule, so non-bilinear tables work too.
     Labels are functions of mu, so this is also the group preserving the
-    class tags.
+    class tags.  The rank is at most sms.MAX_RANK, the count's bound, since
+    the space type refuses any larger one.
     """
     k = model.rank
-    if k > COUNT_RANK_BOUND:
-        raise ValueError(f"mu automorphism counting is bounded at rank <= {COUNT_RANK_BOUND}")
     mu = _unpack(k, model.table)
     return _ImageSearch(k, src_mu=mu, tgt_mu=mu).order()
 
@@ -722,15 +693,15 @@ def e7_pure_s1_entries() -> list[FamilyEntry]:
     return [e for e in enumerate_type("E7") if e.family in ("F'''_{r,s}", "F''_{r}")]
 
 
-def model_has_full_hx(model: LabelModel) -> bool:
-    """True when some s1 element x satisfies H_x = F in the label model.
+def model_has_full_hx(model: SymplecticMetricSpace) -> bool:
+    """True when some x satisfies mu(x + y) = mu(y) + 1 for every y.
 
-    H_x = {y : tag(x + y) != tag(y)} is all of F exactly when
-    mu(x + y) = mu(y) + 1 for every y.
+    Such an x has mu(x) = 1 (take y = 0), so in an E8 label model it is an
+    s1 element with H_x = {y : tag(x + y) != tag(y)} all of F.
     """
     k, table = model.rank, model.table
     flipped = table ^ ((1 << (1 << k)) - 1)
-    return model.sigma_tag == "s1" and any(moved == flipped for _, moved in _translates(k, table))
+    return any(moved == flipped for _, moved in _translates(k, table))
 
 
 # --- export -------------------------------------------------------------------

@@ -176,11 +176,11 @@ def _solutions(system: _System, rhs: int, width: int) -> tuple[Optional[int], li
     return particular, basis
 
 
-def _eliminate(rows: Sequence[int], combos: bool = False) -> _System:
-    """The system of the constraints rows[i], with combos only when asked."""
+def _eliminate(rows: Sequence[int]) -> _System:
+    """The system of the constraints rows[i], every combo 0 (for rhs = 0)."""
     system: _System = ([], [])
-    for i, row in enumerate(rows):
-        system = _add_constraint(system, row, 1 << i if combos else 0)
+    for row in rows:
+        system = _add_constraint(system, row, 0)
     return system
 
 

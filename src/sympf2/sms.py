@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .f2core import F2Matrix, _echelonize, _eliminate, _set, _solutions, _span, _Value
@@ -265,24 +264,14 @@ def defect(space: SymplecticMetricSpace) -> int:
     return (1 << space.rank) - 2 * space.table.bit_count()
 
 
-class _Analysis(tuple):
-    """(reason, gram, ker, inv), unpacked as a tuple or read by field name.
+def _analyze(
+    space: SymplecticMetricSpace, strict: bool = True
+) -> tuple[str, list[int], Optional[list[int]], Optional[InvariantTuple]]:
+    """(reason, gram, ker, inv): validate once, then read ker m and
+    (eps, delta, r, s) off the same Gram rows.
 
     reason is validate's message; bit j of gram[i] is m(e_i, e_j); ker is a
     basis of ker m and inv the invariant tuple, both None for an invalid space.
-    The field names stay: autgrp._space_search reads gram and ker by name.
-    """
-
-    __slots__ = ()
-    reason = property(itemgetter(0))
-    gram = property(itemgetter(1))
-    ker = property(itemgetter(2))
-    inv = property(itemgetter(3))
-
-
-def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
-    """Validate once, then read ker m and (eps, delta, r, s) off the same Gram rows.
-
     An invalid space raises ValueError as require_valid does, or with
     strict=False gives validate's reason.  mu is linear on ker m, so it is
     nonzero there (eps = 1) exactly when it is nonzero on a basis vector.
@@ -292,7 +281,7 @@ def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
     if reason != _VALID:
         if strict:
             raise ValueError(f"not a symplectic metric space: {reason}")
-        return _Analysis((reason, rows, None, None))
+        return reason, rows, None, None
     ker = _solutions(_eliminate(rows), 0, space.rank)[1]
     d = len(ker)
     eps = 1 if any(space.mu(v) for v in ker) else 0
@@ -310,11 +299,11 @@ def _analyze(space: SymplecticMetricSpace, strict: bool = True) -> _Analysis:
             delta = 0
         else:
             raise AssertionError("descended form is not nondegenerate")
-    return _Analysis((reason, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta)))
+    return reason, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta)
 
 
 def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
-    return _analyze(space).inv
+    return _analyze(space)[3]
 
 
 def canonical(t: InvariantTuple) -> SymplecticMetricSpace:
@@ -445,7 +434,7 @@ def census(k: int):
     classes: dict[InvariantTuple, int] = {}
     for table in range(0, 1 << (1 << k), 2):
         space = SymplecticMetricSpace(k, table)
-        inv = _analyze(space, strict=False).inv
+        inv = _analyze(space, strict=False)[3]
         if inv is not None:
             valid.append(space)
             classes[inv] = classes.get(inv, 0) + 1

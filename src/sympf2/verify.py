@@ -249,7 +249,7 @@ def lift_keys() -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     when the two lists are equal and their keys distinct."""
     lifts = [catalog.build_label_model(e) for e in catalog.e8_lift_entries()]
     return (
-        sorted((m.rank - 1, m.translation_rank()) for m in lifts),
+        sorted((m.rank - 1, catalog.translation_rank(m)) for m in lifts),
         sorted((e.rank, e.rank_a) for e in catalog.e7_pure_s1_entries()),
     )
 

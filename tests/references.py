@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from sympf2.catalog import GraphInvariant, LabelModel
-from sympf2.f2core import F2Matrix, _eliminate, _span, rank
+from sympf2.catalog import GraphInvariant
+from sympf2.f2core import F2Matrix, _add_constraint, _span, _System, rank
 from sympf2.matgrp import UNIT_MUL, ProjectiveElement, unit_conj
-from sympf2.sms import _unpack
+from sympf2.sms import SymplecticMetricSpace, _unpack
 
 GL_ENUMERATION_BOUND = 5
 
@@ -75,17 +75,21 @@ def inverse(m: F2Matrix) -> F2Matrix:
     if m.rows != m.cols or rank(m) != m.rows:
         raise ValueError("matrix is not invertible")
     # full rank leaves unit rows e_p = combo_p . m: the combos are the rows of m^-1
-    pivots, _ = _eliminate(m.row_bits(), combos=True)
+    system: _System = ([], [])
+    for i, row in enumerate(m.row_bits()):
+        system = _add_constraint(system, row, 1 << i)
+    pivots, _ = system
     return F2Matrix.from_row_bits([c for _, c, _ in sorted(pivots, key=lambda p: p[2])], m.rows)
 
 
-def labels(model: LabelModel) -> tuple[str, ...]:
-    """The class tag of every element: "1", model.sigma_tag where mu = 1, "s2" elsewhere."""
-    tags = ("s2", model.sigma_tag)
+def labels(model: SymplecticMetricSpace) -> tuple[str, ...]:
+    """The class tag of every element of a label model: "1", then "s1"
+    where mu = 1 and "s2" elsewhere."""
+    tags = ("s2", "s1")
     return ("1",) + tuple(tags[b] for b in _unpack(model.rank, model.table)[1:])
 
 
-def count_label_automorphisms(model: LabelModel) -> int:
+def count_label_automorphisms(model: SymplecticMetricSpace) -> int:
     """Brute force over GL(rank, 2): matrices preserving the label table."""
     if model.rank > 4:
         raise ValueError("label automorphism brute force is bounded at rank <= 4")

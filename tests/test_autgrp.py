@@ -20,7 +20,7 @@ from sympf2.autgrp import (
     sp_order,
     sp_vector_order,
 )
-from sympf2.catalog import LabelModel, build_label_model, count_mu_automorphisms, enumerate_all, p_order
+from sympf2.catalog import build_label_model, enumerate_all, p_order
 from sympf2.f2core import F2Matrix, _eliminate, _solutions, gl_order
 from sympf2.sms import (
     MAX_RANK,
@@ -415,17 +415,16 @@ def test_counts_above_enumeration_rank_bound():
 
 def test_enumeration_rank_bound(monkeypatch):
     # listing stops at ENUMERATION_RANK_BOUND; the counts reach sms.MAX_RANK,
-    # which a metric space cannot exceed, and refuse a larger pairing-only
-    # space or label model before the search allocates anything
+    # which a metric space (a label model too) cannot exceed, and refuse a
+    # larger pairing-only space before the search allocates anything
     assert (ENUMERATION_RANK_BOUND, COUNT_RANK_BOUND) == (8, MAX_RANK)
     with pytest.raises(ValueError, match="enumeration is bounded at rank <= 8"):
         next(enumerate_automorphisms(canonical(InvariantTuple(0, 0, 9, 0))))
     monkeypatch.setattr("sympf2.autgrp._ImageSearch", None)
-    monkeypatch.setattr("sympf2.catalog._ImageSearch", None)
     with pytest.raises(ValueError, match="bounded at rank <= 16"):
         count_pairing_automorphisms(plain_symplectic_space(0, 17))
-    with pytest.raises(ValueError, match="bounded at rank <= 16"):
-        count_mu_automorphisms(LabelModel(17, 0))
+    with pytest.raises(ValueError, match="outside supported range"):
+        SymplecticMetricSpace(17, 0)
 
 
 def test_table_closure_matches_bit_loop(monkeypatch):

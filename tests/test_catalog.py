@@ -10,7 +10,6 @@ from sympf2.autgrp import count_automorphisms
 from sympf2.catalog import (
     EXPECTED_COUNTS,
     FamilyEntry,
-    LabelModel,
     build_label_model,
     cross_check,
     distinctness_audit,
@@ -23,8 +22,9 @@ from sympf2.catalog import (
     graph_of,
     model_has_full_hx,
     p_order,
+    translation_subgroup,
 )
-from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _coordinates, canonical
+from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _coordinates, canonical, validate
 
 from references import count_label_automorphisms, edges, labels
 from test_sms import _translate
@@ -97,9 +97,10 @@ def test_models_exist_exactly_where_stated():
             assert (model is not None) == (e.family != "F_{eps,delta,r,s}")
 
 
-# sha256 of one line per modelled entry (key, rank, table, sigma tag),
-# recorded before the models moved into the builders' blocks: it pins every
-# table and which entries have a model.
+# sha256 of one line per modelled entry (key, rank, table, the tag of the
+# mu = 1 class: "s" for G2, whose involutions form a single class, else
+# "s1"), recorded before the models moved into the builders' blocks: it pins
+# every table and which entries have a model.
 _MODEL_DIGEST = "7d6af75d6788fac9e279ece2f0435b1e52ca5a8b4646392bf449f9fc1dad8aab"
 
 
@@ -109,7 +110,8 @@ def test_label_model_digest():
         m = build_label_model(e)
         if m is not None:
             key = f"{e.lie_type}|{e.family}|{','.join(map(str, e.params))}"
-            lines.append(f"{key} {m.rank} {m.table:x} {m.sigma_tag}\n")
+            tag = "s" if e.lie_type == "G2" else "s1"
+            lines.append(f"{key} {m.rank} {m.table:x} {tag}\n")
     assert len(lines) == 85
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == _MODEL_DIGEST
 
@@ -140,7 +142,7 @@ def test_e8_bilinearity_pattern():
         if model is None:
             assert e.family == "F_{eps,delta,r,s}"
             continue
-        assert model.polarization_is_bilinear() == (not expected_fail), e
+        assert validate(model)[0] == (not expected_fail), e
     assert {e.bilinear for lt in ("G2", "F4", "E6", "E7") for e in enumerate_type(lt)} == {None}
 
 
@@ -285,14 +287,20 @@ def test_automizer_orders_rank_five_to_eight():
 
 
 def test_e6_inner_sms_automizers():
-    # the inner E6 family indexed by (eps, delta, r, s) is a metric space;
-    # its Automizer order is the full automorphism group order of that space
-    for e in enumerate_type("E6"):
-        if e.family != "F'_{eps,delta,r,s}":
-            continue
+    # a label model with a bilinear polarization (the inner E6 family indexed
+    # by (eps, delta, r, s) among them) is a metric space, and its Automizer
+    # order is the full automorphism group order of that space: the
+    # affine-solution rule and the span-check rule count it alike
+    checked = 0
+    for e in enumerate_all():
         model = build_label_model(e)
-        space = SymplecticMetricSpace(model.rank, model.table)
-        assert count_automorphisms(space) == e.automizer_order
+        if model is None or not validate(model)[0]:
+            continue
+        assert (
+            count_automorphisms(model) == catalog.count_mu_automorphisms(model) == e.automizer_order
+        ), e
+        checked += 1
+    assert checked == 62
 
 
 def test_export_csv_shape():
@@ -349,7 +357,7 @@ def _oracle_translation_subgroup(model):
     tags = labels(model)
 
     def mu(v):
-        return tags[v] in ("s1", "s")
+        return tags[v] == "s1"
 
     size = 1 << model.rank
     return [
@@ -390,30 +398,25 @@ def test_label_models_are_tables():
         m = build_label_model(e)
         if m is None:
             continue
-        assert m.sigma_tag == ("s" if e.lie_type == "G2" else "s1")
         tags = labels(m)
         assert tags[0] == "1" and len(tags) == 1 << m.rank
-        assert all((tag == m.sigma_tag) == (m.table >> v & 1) for v, tag in enumerate(tags))
+        assert all((tag == "s1") == (m.table >> v & 1) for v, tag in enumerate(tags))
         checked += 1
     assert checked == 85
-    with pytest.raises(ValueError):
-        LabelModel(1, 3)  # mu(identity) = 1
-    with pytest.raises(ValueError):
-        LabelModel(1, 4)  # more than 2^rank bits
 
 
 def test_translation_subgroup_matches_label_oracle():
     for model in _label_models():
-        assert model.translation_subgroup() == _oracle_translation_subgroup(model), model
+        assert translation_subgroup(model) == _oracle_translation_subgroup(model), model
 
 
 def test_full_hx_matches_label_oracle():
     for model in _label_models():
         assert model_has_full_hx(model) == _oracle_full_hx(model), model
-    # the table test alone passes G2 F_{1}: mu(x + y) = mu(y) + 1 for x = 1;
-    # its involutions are tagged s, not s1, so H_x = F fails
+    # the table predicate alone passes G2 F_{1}: mu(x + y) = mu(y) + 1 for
+    # x = 1; only E8 models reach it in the library
     g2 = build_label_model(by_key("G2", "F_{r}", (1,)))
-    assert g2.sigma_tag == "s" and not model_has_full_hx(g2)
+    assert model_has_full_hx(g2)
     assert _translate(1, g2.table, 1) == g2.table ^ 0b11
 
 
@@ -425,7 +428,7 @@ def test_quotient_graph_matches_label_oracle():
 
 def test_quotient_graph_rejects_a_table_not_constant_on_cosets(monkeypatch):
     model = build_label_model(by_key("E8", "F_{r,s}", (1, 1)))
-    a_f = model.translation_subgroup()
+    a_f = translation_subgroup(model)
     assert len(a_f) > 1
     # an s1 element that is not the least of its A_F-coset
     x = next(x for x in range(1 << model.rank) if model.table >> x & 1 and min(x ^ a for a in a_f) != x)
@@ -507,4 +510,4 @@ def tables_with_translations(draw, max_rank=9):
 def test_gray_walk_translation_subgroup_matches_translate(data):
     k, table = data
     want = [x for x in range(1 << k) if _translate(k, table, x) == table]
-    assert LabelModel(k, table).translation_subgroup() == want
+    assert translation_subgroup(SymplecticMetricSpace(k, table)) == want

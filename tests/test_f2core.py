@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from sympf2.f2core import (
     F2Matrix,
+    _add_constraint,
     _echelonize,
     _eliminate,
     _solutions,
@@ -22,7 +23,10 @@ def kernel_basis(rows, cols):
 
 def solve(rows, rhs, cols):
     """Some x with parity(rows[i] & x) = bit i of rhs, or None."""
-    return _solutions(_eliminate(rows, combos=True), rhs, cols)[0]
+    system = ([], [])
+    for i, row in enumerate(rows):
+        system = _add_constraint(system, row, 1 << i)
+    return _solutions(system, rhs, cols)[0]
 
 
 def apply(rows, v):

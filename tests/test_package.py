@@ -134,7 +134,6 @@ _VALUES = {
         matgrp.canonical_subgroup(matgrp.ORTHOGONAL, sms.InvariantTuple(0, 0, 2, 0)),
         None,
     ),
-    catalog.LabelModel: (lambda: catalog.LabelModel(1, 2), catalog.LabelModel(1, 2, "s"), None),
     catalog.GraphInvariant: (
         lambda: catalog.GraphInvariant((1,), (0,), "single_vertex", None),
         catalog.GraphInvariant((1,), (0,), "empty", None),

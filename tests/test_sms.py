@@ -72,6 +72,7 @@ def test_validate_examples():
     assert not validate(one_nonzero)[0]
     four_even = space_of([0, 1, 1, 1, 1, 0, 0, 0])
     assert validate(four_even)[0]
+    assert validate(SymplecticMetricSpace(1, 3)) == (False, "mu(0) must be 0")
 
 
 def test_validate_against_brute_force_rank_le_3():
@@ -97,14 +98,14 @@ def test_rank3_parity_rule():
 
 def translation_basis(space):
     """A basis of A_V = {x in ker m : mu(x) = 0}."""
-    return _split_kernel(space, _analyze(space).ker)[0]
+    return _split_kernel(space, _analyze(space)[2])[0]
 
 
 def test_kernel_examples():
-    assert _analyze(HYPERBOLIC).ker == []
-    assert len(_analyze(SymplecticMetricSpace(3, 0)).ker) == 3
+    assert _analyze(HYPERBOLIC)[2] == []
+    assert len(_analyze(SymplecticMetricSpace(3, 0))[2]) == 3
     v110 = canonical(InvariantTuple(0, 0, 1, 1))
-    assert _analyze(v110).ker == [0b001]
+    assert _analyze(v110)[2] == [0b001]
 
 
 def test_translation_subgroup_examples():
@@ -121,7 +122,7 @@ def test_translation_inside_kernel():
             continue
         space = canonical(InvariantTuple(eps, delta, r, s))
         a = translation_basis(space)
-        ker = _analyze(space).ker
+        ker = _analyze(space)[2]
         assert _echelonize(ker + a) == _echelonize(ker)
         assert not any(space.mu(v) for v in a)
 
@@ -327,6 +328,8 @@ def test_mu_table_json_round_trip():
     assert parse_mu_table(doc).table == ALL_ONES.table
     with pytest.raises(ValueError):
         parse_mu_table('{"rank": 2, "mu": [0, 0, 0]}')
+    with pytest.raises(ValueError, match="does not have length"):
+        SymplecticMetricSpace(1, 4)  # more than 2^rank bits
 
 
 def test_rank_zero_space():
