@@ -21,7 +21,6 @@ from .sms import (
     MAX_RANK,
     InvariantTuple,
     SymplecticMetricSpace,
-    SymplecticVectorSpace,
     _analyze,
     _unpack,
     canonical,
@@ -374,27 +373,29 @@ def count_automorphisms(space: SymplecticMetricSpace) -> int:
     return _space_search(space, space).order()
 
 
-def plain_symplectic_space(s: int, t: int) -> SymplecticVectorSpace:
-    """(V, m) of rank 2s + t with s hyperbolic pairs and a t-dim radical."""
+def plain_symplectic_space(s: int, t: int) -> tuple[int, ...]:
+    """The Gram rows of (V, m) of rank 2s + t with s hyperbolic pairs and a
+    t-dim radical: bit j of row i is m(e_i, e_j)."""
     k = 2 * s + t
     rows = [0] * k
     for p in range(s):
         rows[2 * p] |= 1 << (2 * p + 1)
         rows[2 * p + 1] |= 1 << (2 * p)
-    return SymplecticVectorSpace(k, tuple(rows))
+    return tuple(rows)
 
 
-def count_pairing_automorphisms(space: SymplecticVectorSpace) -> int:
-    """|Sp(s;t)| of a pairing-only space: invertible matrices preserving m.
+def count_pairing_automorphisms(gram: tuple[int, ...]) -> int:
+    """|Sp(s;t)| of a pairing-only space, given by its Gram rows: invertible
+    matrices preserving m.
 
     The search core's stabilizer-chain count (_ImageSearch.order) with the
     affine-solution rule and no mu condition; it verifies the Sp(s;t) order
     formula.
     """
-    if space.rank > COUNT_RANK_BOUND:
+    if len(gram) > COUNT_RANK_BOUND:
         raise ValueError(f"pairing-automorphism counting is bounded at rank <= {COUNT_RANK_BOUND}")
-    gram = list(space.gram)
-    return _ImageSearch(space.rank, src_gram=gram, tgt_gram=gram).order()
+    rows = list(gram)
+    return _ImageSearch(len(gram), src_gram=rows, tgt_gram=rows).order()
 
 
 def mu_zero_nonzero_count(s: int) -> int:

@@ -2,13 +2,15 @@
 
 The catalog is formula-driven: each family contributes one entry per
 admissible parameter tuple, carrying its rank, translation-subgroup rank,
-defect index, residual ranks and Automizer order.  A class's label model
-is its square map as a mu table, a SymplecticMetricSpace whose polarization
-need not be bilinear, with mu = 1 exactly on the s1 involutions.  A family
-whose label model is an orthogonal product of standard blocks states those
-blocks in its builder, and every stored number is recounted from the model;
-every other family is formula-only.  No Lie-theoretic computation happens
-anywhere.
+defect index, residual ranks and automizer.  The automizer is stated once,
+as named factors: each factor helper pairs one group's order formula with
+its name, and the joins multiply the orders and join the names.  A class's
+label model is its square map as a mu table, a SymplecticMetricSpace whose
+polarization need not be bilinear, with mu = 1 exactly on the s1
+involutions.  A family whose label model is an orthogonal product of
+standard blocks states those blocks in its builder, and every stored number
+is recounted from the model; every other family is formula-only.  No
+Lie-theoretic computation happens anywhere.
 
 Entry counts per type are (4, 12, 51, 78, 66).
 """
@@ -34,13 +36,67 @@ from .sms import (
 
 LIE_TYPES = ("G2", "F4", "E6", "E7", "E8")
 
-def hom_order(a: int, b: int) -> int:
-    return 1 << (a * b)
+Automizer = tuple[int, str]  # (order, description)
 
 
 def p_order(r: int, s: int) -> int:
     """|P(r,s,F2)|: invertible blockwise upper triangular (r,s) matrices."""
     return gl_order(r) * gl_order(s) * (1 << (r * s))
+
+
+# --- automizer factors: one helper per named group, one join per product
+
+
+def _gl(n: int) -> Automizer:
+    return gl_order(n), f"GL({n},F2)"
+
+
+def _p(r: int, s: int) -> Automizer:
+    return p_order(r, s), f"P({r},{s},F2)"
+
+
+def _f2(m: int) -> Automizer:
+    return 1 << m, f"F2^{m}"
+
+
+def _hom(a: int, b: int) -> Automizer:
+    return 1 << a * b, f"Hom(F2^{a},F2^{b})"
+
+
+def _sp(s: int) -> Automizer:
+    return sp_order(s), f"Sp({s})"
+
+
+def _sp_metric(s: int, e: int, d: int) -> Automizer:
+    return sp_metric_order(s, e, d), f"Sp({s};{e},{d})"
+
+
+def _sp_vector(s: int, t: int) -> Automizer:
+    return sp_vector_order(s, t), f"Sp({s};{t})"
+
+
+def _sp_full(e: int, d: int, r: int, s: int) -> Automizer:
+    return sp_full_order(e, d, r, s), f"Sp({r},{s};{e},{d})"
+
+
+def _join(a: Automizer, sep: str, b: Automizer) -> Automizer:
+    """The product of the orders; each name holding a space is parenthesized."""
+    (a_order, a_desc), (b_order, b_desc) = a, b
+    if " " in a_desc:
+        a_desc = f"({a_desc})"
+    if " " in b_desc:
+        b_desc = f"({b_desc})"
+    return a_order * b_order, a_desc + sep + b_desc
+
+
+def _semi(a: Automizer, b: Automizer) -> Automizer:
+    """a : b, a semidirect product."""
+    return _join(a, " : ", b)
+
+
+def _times(a: Automizer, b: Automizer) -> Automizer:
+    """a x b, a direct product."""
+    return _join(a, " x ", b)
 
 
 def _block(bits: list[int]) -> tuple[int, int]:
@@ -97,15 +153,16 @@ class GraphInvariant(_Value):
 
 
 class FamilyEntry(_Value):
-    """One catalog class; blocks lists its label model's orthogonal factors as
-    standard (rank, mu table) blocks, and is None for a formula-only entry.
-    bilinear predicts whether the polarization of the label table is
-    bilinear (None: no prediction; stated for E8).  blocks and bilinear are
-    neither compared nor shown."""
+    """One catalog class; automizer is its automizer group's (order,
+    description), stated once by its builder as named factors.  blocks lists
+    its label model's orthogonal factors as standard (rank, mu table)
+    blocks, and is None for a formula-only entry.  bilinear predicts whether
+    the polarization of the label table is bilinear (None: no prediction;
+    stated for E8).  blocks and bilinear are neither compared nor shown."""
 
     _fields = (
         "lie_type", "family", "params", "rank", "rank_a", "defe",
-        "automizer_order", "automizer_desc", "defe_is_convention", "res", "res2",
+        "automizer", "defe_is_convention", "res", "res2",
     )
     __slots__ = _fields + ("blocks", "bilinear")
     lie_type: str
@@ -114,8 +171,7 @@ class FamilyEntry(_Value):
     rank: int
     rank_a: int
     defe: Optional[int]
-    automizer_order: int
-    automizer_desc: str
+    automizer: Automizer
     defe_is_convention: bool
     res: Optional[int]
     res2: Optional[int]
@@ -130,8 +186,7 @@ class FamilyEntry(_Value):
         rank: int,
         rank_a: int,
         defe: Optional[int],
-        automizer_order: int,
-        automizer_desc: str,
+        automizer: Automizer,
         defe_is_convention: bool = False,
         res: Optional[int] = None,
         res2: Optional[int] = None,
@@ -144,13 +199,20 @@ class FamilyEntry(_Value):
         _set(self, "rank", rank)
         _set(self, "rank_a", rank_a)
         _set(self, "defe", defe)
-        _set(self, "automizer_order", automizer_order)
-        _set(self, "automizer_desc", automizer_desc)
+        _set(self, "automizer", automizer)
         _set(self, "defe_is_convention", defe_is_convention)
         _set(self, "res", res)
         _set(self, "res2", res2)
         _set(self, "blocks", blocks)
         _set(self, "bilinear", bilinear)
+
+    @property
+    def automizer_order(self) -> int:
+        return self.automizer[0]
+
+    @property
+    def automizer_desc(self) -> str:
+        return self.automizer[1]
 
     def sort_key(self) -> tuple:
         return (self.family, self.params)
@@ -162,7 +224,7 @@ def _g2_entries() -> list[FamilyEntry]:
             "G2", "F_{r}", (r,),
             rank=r, rank_a=0,
             defe=2 - (1 << r), defe_is_convention=True,
-            automizer_order=gl_order(r), automizer_desc=f"GL({r},F2)",
+            automizer=_gl(r),
             blocks=(_block_b(r),),
         )
         for r in range(4)
@@ -178,7 +240,7 @@ def _f4_entries() -> list[FamilyEntry]:
                     "F4", "F_{r,s}", (r, s),
                     rank=r + s, rank_a=r,
                     defe=(1 << r) * (2 - (1 << s)), defe_is_convention=True,
-                    automizer_order=p_order(r, s), automizer_desc=f"P({r},{s},F2)",
+                    automizer=_p(r, s),
                     blocks=(_BLOCK_A,) * r + (_block_b(s),),
                 )
             )
@@ -194,15 +256,14 @@ def _e6_entries() -> list[FamilyEntry]:
                 FamilyEntry(
                     "E6", "F_{r,s}", (r, s),
                     rank=1 + r + s, rank_a=r, defe=defe,
-                    automizer_order=(1 << r) * p_order(r, s),
-                    automizer_desc=f"F2^{r} : P({r},{s},F2)",
+                    automizer=_semi(_f2(r), _p(r, s)),
                 )
             )
             out.append(
                 FamilyEntry(
                     "E6", "F'_{r,s}", (r, s),
                     rank=r + s, rank_a=r, defe=defe,
-                    automizer_order=p_order(r, s), automizer_desc=f"P({r},{s},F2)",
+                    automizer=_p(r, s),
                     blocks=(_BLOCK_A,) * r + (_block_b(s),),
                 )
             )
@@ -210,17 +271,12 @@ def _e6_entries() -> list[FamilyEntry]:
         for r in range(3):
             for s in range(3 - r):
                 defe = (1 - e) * (-1) ** d * (1 << (r + s + d))
-                inner = (
-                    f"Hom(F2^{e + 2 * d + 2 * s},F2^{r}) : "
-                    f"(GL({r},F2) x Sp({s};{e},{d}))"
-                )
-                sub_order = hom_order(e + 2 * d + 2 * s, r) * gl_order(r) * sp_metric_order(s, e, d)
+                inner = _semi(_hom(e + 2 * d + 2 * s, r), _times(_gl(r), _sp_metric(s, e, d)))
                 out.append(
                     FamilyEntry(
                         "E6", "F_{eps,delta,r,s}", (e, d, r, s),
                         rank=1 + e + 2 * d + r + 2 * s, rank_a=r, defe=defe,
-                        automizer_order=(1 << (r + 2 * s + e + 2 * d)) * sub_order,
-                        automizer_desc=f"F2^{r + 2 * s + e + 2 * d} : ({inner})",
+                        automizer=_semi(_f2(r + 2 * s + e + 2 * d), inner),
                     )
                 )
                 if s >= 1:
@@ -229,7 +285,7 @@ def _e6_entries() -> list[FamilyEntry]:
                         FamilyEntry(
                             "E6", "F'_{eps,delta,r,s}", (e, d, r, s),
                             rank=e + 2 * d + r + 2 * s, rank_a=r, defe=defe,
-                            automizer_order=sub_order, automizer_desc=inner,
+                            automizer=inner,
                             blocks=(_BLOCK_A,) * r + (_block_b(1),) * e + (_block_b(2),) * d
                             + (_BLOCK_C,) * s,
                         )
@@ -246,8 +302,7 @@ def _e7_entries() -> list[FamilyEntry]:
                     "E7", "F_{r,s}", (r, s),
                     rank=2 + r + s, rank_a=r,
                     defe=3 * (1 << r) * (2 - (1 << s)),
-                    automizer_order=hom_order(2, r) * gl_order(2) * p_order(r, s),
-                    automizer_desc=f"Hom(F2^2,F2^{r}) : (GL(2,F2) x P({r},{s},F2))",
+                    automizer=_semi(_hom(2, r), _times(_gl(2), _p(r, s))),
                 )
             )
             out.append(
@@ -255,8 +310,7 @@ def _e7_entries() -> list[FamilyEntry]:
                     "E7", "F'_{r,s}", (r, s),
                     rank=1 + r + s, rank_a=r,
                     defe=(1 << r) * (2 - (1 << s)),
-                    automizer_order=(1 << r) * p_order(r, s),
-                    automizer_desc=f"F2^{r} : P({r},{s},F2)",
+                    automizer=_semi(_f2(r), _p(r, s)),
                 )
             )
     for e, d in EPS_DELTA:
@@ -265,21 +319,12 @@ def _e7_entries() -> list[FamilyEntry]:
                 defe = (1 - e) * (-1) ** d * (1 << (r + s + d)) - (
                     1 << (1 + r + e + 2 * s + 2 * d)
                 )
-                inner = (
-                    f"Hom(F2^{e + 2 * d + 2 * s + 1},F2^{r}) : "
-                    f"(GL({r},F2) x Sp({d + s};{e}))"
-                )
-                sub_order = (
-                    hom_order(e + 2 * d + 2 * s + 1, r)
-                    * gl_order(r)
-                    * sp_vector_order(d + s, e)
-                )
+                inner = _semi(_hom(e + 2 * d + 2 * s + 1, r), _times(_gl(r), _sp_vector(d + s, e)))
                 out.append(
                     FamilyEntry(
                         "E7", "F_{eps,delta,r,s}", (e, d, r, s),
                         rank=2 + e + 2 * d + r + 2 * s, rank_a=r, defe=defe,
-                        automizer_order=(1 << (r + 2 * s + e + 2 * d + 1)) * sub_order,
-                        automizer_desc=f"F2^{r + 2 * s + e + 2 * d + 1} : ({inner})",
+                        automizer=_semi(_f2(r + 2 * s + e + 2 * d + 1), inner),
                     )
                 )
                 if s >= 1:
@@ -288,7 +333,7 @@ def _e7_entries() -> list[FamilyEntry]:
                             "E7", "F'_{eps,delta,r,s}", (e, d, r, s),
                             rank=1 + e + 2 * d + r + 2 * s, rank_a=r,
                             defe=(1 - e) * (-1) ** d * (1 << (r + s + d)),
-                            automizer_order=sub_order, automizer_desc=inner,
+                            automizer=inner,
                         )
                     )
     for r in range(4):
@@ -297,19 +342,14 @@ def _e7_entries() -> list[FamilyEntry]:
                 FamilyEntry(
                     "E7", "F''_{r,s}", (r, s),
                     rank=1 + r + 2 * s, rank_a=r, defe=None,
-                    automizer_order=(1 << (r + 2 * s)) * hom_order(2 * s, r) * gl_order(r) * sp_order(s),
-                    automizer_desc=(
-                        f"(F2^{r + 2 * s} : Hom(F2^{2 * s},F2^{r})) : "
-                        f"(GL({r},F2) x Sp({s}))"
-                    ),
+                    automizer=_semi(_semi(_f2(r + 2 * s), _hom(2 * s, r)), _times(_gl(r), _sp(s))),
                 )
             )
             out.append(
                 FamilyEntry(
                     "E7", "F'''_{r,s}", (r, s),
                     rank=r + 2 * s, rank_a=r, defe=None,
-                    automizer_order=hom_order(2 * s, r) * gl_order(r) * sp_order(s),
-                    automizer_desc=f"Hom(F2^{2 * s},F2^{r}) : (GL({r},F2) x Sp({s}))",
+                    automizer=_semi(_hom(2 * s, r), _times(_gl(r), _sp(s))),
                 )
             )
     for r in range(4):
@@ -317,8 +357,7 @@ def _e7_entries() -> list[FamilyEntry]:
             FamilyEntry(
                 "E7", "F'_{r}", (r,),
                 rank=2 + r, rank_a=r, defe=None,
-                automizer_order=hom_order(2, r) * gl_order(r) * gl_order(2),
-                automizer_desc=f"Hom(F2^2,F2^{r}) : (GL({r},F2) x GL(2,F2))",
+                automizer=_semi(_hom(2, r), _times(_gl(r), _gl(2))),
             )
         )
     for r in range(3):
@@ -326,7 +365,7 @@ def _e7_entries() -> list[FamilyEntry]:
             FamilyEntry(
                 "E7", "F''_{r}", (r,),
                 rank=3 + r, rank_a=r, defe=None,
-                automizer_order=p_order(r, 3), automizer_desc=f"P({r},3,F2)",
+                automizer=_p(r, 3),
             )
         )
     return out
@@ -341,26 +380,15 @@ def _e8_entries() -> list[FamilyEntry]:
     out = []
     for r in range(3):
         for s in range(4):
-            if s <= 2:
-                order = (
-                    hom_order(3 + s, r) * gl_order(r) * gl_order(s) * gl_order(3)
-                )
-                desc = (
-                    f"Hom(F2^{3 + s},F2^{r}) : "
-                    f"(GL({r},F2) x (GL({s},F2) x GL(3,F2)))"
-                )
-            else:
-                order = hom_order(6, r) * gl_order(r) * gl_order(3) ** 2 * 2
-                desc = (
-                    f"Hom(F2^6,F2^{r}) : "
-                    f"(GL({r},F2) x ((GL(3,F2) x GL(3,F2)) : S2))"
-                )
+            gl_pair = _times(_gl(s), _gl(3))
+            if s == 3:  # the two GL(3,F2) factors may be swapped
+                gl_pair = _semi(gl_pair, (2, "S2"))
             out.append(
                 FamilyEntry(
                     "E8", "F_{r,s}", (r, s),
                     rank=3 + r + s, rank_a=r,
                     defe=3 * (1 << (r + 1)) * ((1 << s) - 2),
-                    automizer_order=order, automizer_desc=desc, res=0, res2=2,
+                    automizer=_semi(_hom(3 + s, r), _times(_gl(r), gl_pair)), res=0, res2=2,
                     blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(3)), bilinear=False,
                 )
             )
@@ -372,8 +400,7 @@ def _e8_entries() -> list[FamilyEntry]:
                     "E8", "F'_{r,s}", (r, s),
                     rank=2 + r + s, rank_a=r,
                     defe=(1 << (r + 1)) * ((1 << s) - 2),
-                    automizer_order=sp_full_order(e, d, r, s),
-                    automizer_desc=f"Sp({r},{s};{e},{d})",
+                    automizer=_sp_full(e, d, r, s),
                     res=0, res2=1,
                     blocks=(_BLOCK_A,) * r + (_block_b(s), _block_b(2)), bilinear=True,
                 )
@@ -389,9 +416,7 @@ def _e8_entries() -> list[FamilyEntry]:
                         "E8", "F_{eps,delta,r,s}", (e, d, r, s),
                         rank=3 + e + 2 * d + r + 2 * s, rank_a=r,
                         defe=defe_tail + (1 << (e + r + 2 * d + 2 * s)),
-                        automizer_order=(1 << (r + 2 * s + e + 2 * d + 2))
-                        * sp_full_order(e2, d2, r, s2),
-                        automizer_desc=f"F2^{r + 2 * s + e + 2 * d + 2} : Sp({r},{s2};{e2},{d2})",
+                        automizer=_semi(_f2(r + 2 * s + e + 2 * d + 2), _sp_full(e2, d2, r, s2)),
                         res=1, res2=2, bilinear=False,
                     )
                 )
@@ -401,8 +426,7 @@ def _e8_entries() -> list[FamilyEntry]:
                             "E8", "F'_{eps,delta,r,s}", (e, d, r, s),
                             rank=2 + e + 2 * d + r + 2 * s, rank_a=r,
                             defe=defe_tail,
-                            automizer_order=sp_full_order(e2, d2, r, s2),
-                            automizer_desc=f"Sp({r},{s2};{e2},{d2})",
+                            automizer=_sp_full(e2, d2, r, s2),
                             res=0, res2=1,
                             blocks=(_BLOCK_A,) * r + (_BLOCK_C,) * s + (_block_b(1),) * e
                             + (_block_b(2),) * (1 + d),
@@ -418,11 +442,7 @@ def _e8_entries() -> list[FamilyEntry]:
                     "E8", "F''_{r,s}", (r, s),
                     rank=r + s, rank_a=r,
                     defe=(1 << r) * block_defe[s], defe_is_convention=True,
-                    automizer_order=hom_order(s - 1, r + 1) * (1 << r) * gl_order(r) * gl_order(s - 1),
-                    automizer_desc=(
-                        f"Hom(F2^{s - 1},F2^{r + 1}) : "
-                        f"((F2^{r} : GL({r},F2)) x GL({s - 1},F2))"
-                    ),
+                    automizer=_semi(_hom(s - 1, r + 1), _times(_semi(_f2(r), _gl(r)), _gl(s - 1))),
                     blocks=(_BLOCK_A,) * r + (piece[s],), bilinear=s != 3,
                 )
             )
@@ -432,7 +452,7 @@ def _e8_entries() -> list[FamilyEntry]:
                 "E8", "F'_{r}", (r,),
                 rank=r, rank_a=r,
                 defe=1 << r, defe_is_convention=True,
-                automizer_order=gl_order(r), automizer_desc=f"GL({r},F2)",
+                automizer=_gl(r),
                 blocks=(_BLOCK_A,) * r, bilinear=True,
             )
         )

@@ -1,4 +1,4 @@
-"""Symplectic vector and metric spaces over GF(2).
+"""Symplectic metric spaces over GF(2).
 
 A metric space is a pair (V, mu) where mu: V -> GF(2) vanishes at 0 and its
 polarization m(x, y) = mu(x) + mu(y) + mu(x+y) is bilinear.  The mu-table is
@@ -66,28 +66,6 @@ def admissible_tuples(max_rank: int) -> Iterator[InvariantTuple]:
         for r in range(room + 1):
             for s in range((room - r) // 2 + 1):
                 yield InvariantTuple(eps, delta, r, s)
-
-
-class SymplecticVectorSpace(_Value):
-    """(V, m) without a quadratic refinement: a symmetric zero-diagonal Gram.
-
-    gram[i] is row i as a word: bit j is m(e_i, e_j).
-    """
-
-    __slots__ = _fields = ("rank", "gram")
-    rank: int
-    gram: tuple[int, ...]
-
-    def __init__(self, rank: int, gram: tuple[int, ...]) -> None:
-        if len(gram) != rank or any(row < 0 or row >> rank for row in gram):
-            raise ValueError("Gram matrix shape mismatch")
-        for i, row in enumerate(gram):
-            if row >> i & 1:
-                raise ValueError("Gram diagonal must be zero")
-            if any((row >> j & 1) != (gram[j] >> i & 1) for j in range(i)):
-                raise ValueError("Gram matrix must be symmetric")
-        _set(self, "rank", rank)
-        _set(self, "gram", gram)
 
 
 class SymplecticMetricSpace(_Value):

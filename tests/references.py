@@ -6,10 +6,13 @@ slow enough that only the tests call it.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import re
+from math import factorial
+from typing import Iterator, Sequence, Union
 
-from sympf2.catalog import GraphInvariant
-from sympf2.f2core import F2Matrix, _add_constraint, _span, _System, rank
+from sympf2.autgrp import sp_full_order, sp_metric_order, sp_order, sp_vector_order
+from sympf2.catalog import GraphInvariant, p_order
+from sympf2.f2core import F2Matrix, _add_constraint, _span, _System, gl_order, rank
 from sympf2.matgrp import UNIT_MUL, ProjectiveElement, unit_conj
 from sympf2.sms import SymplecticMetricSpace, _unpack
 
@@ -111,6 +114,82 @@ def edges(graph: GraphInvariant) -> frozenset[frozenset[int]]:
         for a, mask in zip(graph.vertices, graph.neighbours)
         for b in graph.vertices if mask >> b & 1
     )
+
+
+# --- automizer descriptions: parsed and evaluated, the reference for the catalog's factors
+#
+# A description is a named factor or two operands joined by " : " or " x ";
+# an operand whose text holds a space is parenthesized.  A parse is a factor
+# string or a triple (left, join, right).
+
+AutomizerTree = Union[str, tuple["AutomizerTree", str, "AutomizerTree"]]
+
+_JOINS = (" : ", " x ")
+
+# each named factor, its digits and its order formula; Sp(s;t) and Sp(s;e,d)
+# differ by the comma
+_FACTOR_ORDERS = (
+    (r"GL\((\d+),F2\)", gl_order),
+    (r"P\((\d+),(\d+),F2\)", p_order),
+    (r"F2\^(\d+)", lambda m: 1 << m),
+    (r"Hom\(F2\^(\d+),F2\^(\d+)\)", lambda a, b: 1 << a * b),
+    (r"Sp\((\d+)\)", sp_order),
+    (r"Sp\((\d+);(\d+),(\d+)\)", sp_metric_order),
+    (r"Sp\((\d+);(\d+)\)", sp_vector_order),
+    (r"Sp\((\d+),(\d+);(\d+),(\d+)\)", lambda r, s, e, d: sp_full_order(e, d, r, s)),
+    (r"S(\d+)", factorial),
+)
+
+
+def parse_automizer(desc: str) -> AutomizerTree:
+    """The parse of a whole description; ValueError if text is left over."""
+    tree, rest = _parse_join(desc)
+    if rest:
+        raise ValueError(f"unparsed tail {rest!r} in {desc!r}")
+    return tree
+
+
+def _parse_join(text: str) -> tuple[AutomizerTree, str]:
+    left, text = _parse_operand(text)
+    for join in _JOINS:
+        if text.startswith(join):
+            right, text = _parse_operand(text[len(join):])
+            return (left, join, right), text
+    return left, text
+
+
+def _parse_operand(text: str) -> tuple[AutomizerTree, str]:
+    if text.startswith("("):
+        tree, rest = _parse_join(text[1:])
+        if not rest.startswith(")"):
+            raise ValueError(f"unclosed parenthesis before {rest!r}")
+        return tree, rest[1:]
+    # a name, then at most one parenthesized argument list
+    found = re.match(r"[^ ()]+(\([^()]*\))?", text)
+    if found is None:
+        raise ValueError(f"no factor at {text!r}")
+    return found.group(), text[found.end():]
+
+
+def automizer_value(tree: AutomizerTree) -> int:
+    """The group order: joins multiply, each factor by its formula."""
+    if isinstance(tree, tuple):
+        left, _, right = tree
+        return automizer_value(left) * automizer_value(right)
+    for pattern, formula in _FACTOR_ORDERS:
+        found = re.fullmatch(pattern, tree)
+        if found is not None:
+            return formula(*map(int, found.groups()))
+    raise ValueError(f"unknown factor {tree!r}")
+
+
+def render_automizer(tree: AutomizerTree) -> str:
+    """The description again, each operand holding a space parenthesized."""
+    if not isinstance(tree, tuple):
+        return tree
+    left, join, right = tree
+    operands = (render_automizer(left), render_automizer(right))
+    return join.join(f"({t})" if " " in t else t for t in operands)
 
 
 def unit_mul(a: int, b: int) -> int:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympf2 import catalog, verify
-from sympf2.autgrp import count_automorphisms
+from sympf2.autgrp import count_automorphisms, sp_metric_order
 from sympf2.catalog import (
     EXPECTED_COUNTS,
     FamilyEntry,
@@ -26,7 +26,14 @@ from sympf2.catalog import (
 )
 from sympf2.sms import InvariantTuple, SymplecticMetricSpace, _coordinates, canonical, validate
 
-from references import count_label_automorphisms, edges, labels
+from references import (
+    automizer_value,
+    count_label_automorphisms,
+    edges,
+    labels,
+    parse_automizer,
+    render_automizer,
+)
 from test_sms import _translate
 
 
@@ -69,6 +76,24 @@ def test_automizer_order_examples():
     assert by_key("G2", "F_{r}", (3,)).automizer_order == 168
     g2_orders = [e.automizer_order for e in enumerate_type("G2")]
     assert g2_orders == [1, 1, 6, 168]
+    # a left-nested shape, a doubly nested one, and Sp(s;t), which is not Sp(s;e,d)
+    e = by_key("E7", "F''_{r,s}", (1, 1))
+    assert e.automizer == (192, "(F2^3 : Hom(F2^2,F2^1)) : (GL(1,F2) x Sp(1))")
+    e = by_key("E8", "F_{r,s}", (1, 3))
+    assert e.automizer == (
+        3612672, "Hom(F2^6,F2^1) : (GL(1,F2) x ((GL(3,F2) x GL(3,F2)) : S2))"
+    )
+    e = by_key("E7", "F'_{eps,delta,r,s}", (1, 0, 0, 1))
+    assert e.automizer == (24, "Hom(F2^4,F2^0) : (GL(0,F2) x Sp(1;1))")
+    assert sp_metric_order(1, 1, 0) == 6
+
+
+def test_automizer_descriptions_evaluate_to_the_stored_orders():
+    # the independent parse: joins multiply, each named factor by its formula
+    for e in enumerate_all():
+        tree = parse_automizer(e.automizer_desc)
+        assert automizer_value(tree) == e.automizer_order, e
+        assert render_automizer(tree) == e.automizer_desc, e
 
 
 def test_label_model_examples():
@@ -197,8 +222,8 @@ def test_distinctness_audit_reports_a_parity_tie(monkeypatch):
     i = next(i for i, e in enumerate(entries) if e.family == "F'_{eps,delta,r,s}")
     e = entries[i]
     b = FamilyEntry(
-        e.lie_type, e.family, e.params, a.rank, a.rank_a, a.defe, e.automizer_order,
-        e.automizer_desc, e.defe_is_convention, e.res, e.res2, e.blocks,
+        e.lie_type, e.family, e.params, a.rank, a.rank_a, a.defe, e.automizer,
+        e.defe_is_convention, e.res, e.res2, e.blocks,
     )
     planted = entries[:i] + [b] + entries[i + 1:]
     monkeypatch.setattr(catalog, "enumerate_type", lambda lie_type: planted)

@@ -88,7 +88,7 @@ def test_fields_the_benchmark_reads():
 def _entry(**changes):
     fields = dict(
         lie_type="E8", family="F_{r}", params=(1,), rank=1, rank_a=0, defe=0,
-        automizer_order=1, automizer_desc="GL(1,F2)", blocks=((1, 2),),
+        automizer=(1, "GL(1,F2)"), blocks=((1, 2),),
     )
     return catalog.FamilyEntry(**{**fields, **changes})
 
@@ -117,9 +117,6 @@ _VALUES = {
         None,
     ),
     sms.InvariantTuple: (lambda: sms.InvariantTuple(0, 0, 1, 1), sms.InvariantTuple(0, 1, 1, 1), None),
-    sms.SymplecticVectorSpace: (
-        lambda: sms.SymplecticVectorSpace(2, (2, 1)), sms.SymplecticVectorSpace(2, (0, 0)), None
-    ),
     sms.SymplecticMetricSpace: (
         lambda: sms.SymplecticMetricSpace(1, 2), sms.SymplecticMetricSpace(1, 0), None
     ),
