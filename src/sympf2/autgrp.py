@@ -22,7 +22,6 @@ from .sms import (
     InvariantTuple,
     SymplecticMetricSpace,
     _analyze,
-    _unpack,
     canonical,
 )
 
@@ -337,9 +336,9 @@ def _close(points: list[int], mark: bytearray, flag: int, tables: list[array], n
 
 def _space_search(source: SymplecticMetricSpace, target: SymplecticMetricSpace) -> _ImageSearch:
     """The search for maps source -> target, after one validation of each."""
-    src = _unpack(source.rank, source.table), _analyze(source)
-    tgt = src if target is source else (_unpack(target.rank, target.table), _analyze(target))
-    (src_mu, (_, src_gram, _, _)), (tgt_mu, (_, tgt_gram, tgt_ker, _)) = src, tgt
+    src = _analyze(source)
+    tgt = src if target is source else _analyze(target)
+    (_, src_mu, src_gram, _, _), (_, tgt_mu, tgt_gram, tgt_ker, _) = src, tgt
     return _ImageSearch(source.rank, src_mu, tgt_mu, src_gram, tgt_gram, tgt_ker)
 
 

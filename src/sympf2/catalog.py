@@ -683,14 +683,16 @@ def distinctness_audit(lie_type: str) -> tuple[bool, tuple[str, ...], tuple[tupl
         # parity argument: no (rank, rank_A, defe) tie between F'_{r',s'}
         # and F'_{eps,delta,r,s} can exist at all
         fam2, fam4 = "F'_{r,s}", "F'_{eps,delta,r,s}"
+        clean = True
         for pair in ties:
             params = {e.family: e.params for e in pair}
             if params.keys() == {fam2, fam4}:
-                ok = False
+                ok = clean = False
                 lines.append(
                     f"PARITY VIOLATION: {params[fam2]} vs {params[fam4]} not separated"
                 )
-        lines.append("parity check: no F'_{r,s} vs F'_{eps,delta,r,s} tie exists")
+        if clean:
+            lines.append("parity check: no F'_{r,s} vs F'_{eps,delta,r,s} tie exists")
 
     collisions = tuple((f"{a.family}{a.params}", f"{b.family}{b.params}") for a, b in ties)
     return ok, tuple(lines), collisions

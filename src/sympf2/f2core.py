@@ -184,15 +184,6 @@ def _eliminate(rows: Sequence[int]) -> _System:
     return system
 
 
-def _echelonize(row_bits: list[int]) -> list[int]:
-    """Reduced row-echelon form of a list of row words; zero rows dropped.
-
-    Pivots taken at the lowest set bit, rows sorted by pivot.  The result is
-    the unique canonical basis of the row space.
-    """
-    return [row for row, _, _ in sorted(_eliminate(row_bits)[0], key=lambda p: p[2])]
-
-
 def _span(vectors: Sequence[int]) -> list[int]:
     """All subset sums: entry v is the XOR of vectors[i] over the set bits i of v."""
     table = [0]

@@ -17,7 +17,7 @@ import functools
 import json
 from typing import Iterator, Optional
 
-from .f2core import F2Matrix, _echelonize, _eliminate, _set, _solutions, _span, _Value
+from .f2core import F2Matrix, _eliminate, _set, _solutions, _span, _Value
 
 MAX_RANK = 16  # a rank-16 mu-table has 2^16 bits
 
@@ -123,8 +123,9 @@ def _unpack(k: int, table: int) -> bytes:
     return format(table, f"0{1 << k}b")[::-1].encode().translate(_BITS)
 
 
-def _gram_rows(space: SymplecticMetricSpace) -> list[int]:
-    """The Gram rows as words (bit j of row i is m(e_i, e_j)), from one unpacking of the table."""
+def _gram_rows(space: SymplecticMetricSpace) -> tuple[bytes, list[int]]:
+    """(mu, gram) from one unpacking of the table: byte v of mu is mu(v), and
+    bit j of gram[i] is m(e_i, e_j)."""
     k = space.rank
     mu = _unpack(k, space.table)
 
@@ -132,7 +133,7 @@ def _gram_rows(space: SymplecticMetricSpace) -> list[int]:
         return sum([mu[x ^ 1 << j] << j for j in range(k)])
 
     basis, ones = shifted(0), (1 << k) - 1
-    return [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] else 0) for i in range(k)]
+    return mu, [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] else 0) for i in range(k)]
 
 
 @functools.cache
@@ -183,16 +184,16 @@ def _translates(k: int, table: int) -> Iterator[tuple[int, int]]:
 _VALID = "valid symplectic metric space"
 
 
-def _validity(space: SymplecticMetricSpace, gram: list[int]) -> str:
-    """validate's message for a space whose Gram rows are gram.
+def _validity(space: SymplecticMetricSpace, mu: bytes, gram: list[int]) -> str:
+    """validate's message for a space whose table unpacks to mu and whose Gram rows are gram.
 
     The polarization is bilinear exactly when mu is the quadratic form
     mu(v) = sum_i v_i mu(e_i) + sum_{i<j} v_i v_j m(e_i, e_j), which
     _table_from_basis_data builds from the basis values and the Gram matrix.
     """
-    if space.mu(0):
+    if mu[0]:
         return "mu(0) must be 0"
-    basis_mu = [space.mu(1 << i) for i in range(space.rank)]
+    basis_mu = [mu[1 << i] for i in range(space.rank)]
     if _table_from_basis_data(space.rank, basis_mu, gram) != space.table:
         return "polarization of mu is not bilinear"
     return _VALID
@@ -200,41 +201,29 @@ def _validity(space: SymplecticMetricSpace, gram: list[int]) -> str:
 
 def validate(space: SymplecticMetricSpace) -> tuple[bool, str]:
     """Check mu(0) = 0 and that the polarization is bilinear."""
-    reason = _validity(space, _gram_rows(space))
+    reason = _validity(space, *_gram_rows(space))
     return reason == _VALID, reason
 
 
 def require_valid(space: SymplecticMetricSpace) -> list[int]:
     """The Gram rows of a valid space (bit j of row i is m(e_i, e_j)); raises otherwise."""
-    rows = _gram_rows(space)
-    reason = _validity(space, rows)
+    mu, rows = _gram_rows(space)
+    reason = _validity(space, mu, rows)
     if reason != _VALID:
         raise ValueError(f"not a symplectic metric space: {reason}")
     return rows
 
 
-def _split_kernel(space: SymplecticMetricSpace, ker: list[int]) -> tuple[list[int], Optional[int]]:
-    """(a basis of A_V, the least v in ker m with mu(v) = 1, or None if none).
+def _split_kernel(mu: bytes, ker: list[int]) -> tuple[list[int], Optional[int]]:
+    """(a basis of A_V, a v in ker m with mu(v) = 1, or None if none).
 
-    mu is linear on ker m with basis ker, so with odd its basis vectors of
-    mu 1, A_V is spanned by the others and odd[0] + odd[i], and the vectors
-    of mu 1 form the coset odd[0] + A_V.  Its least element is odd[0]
-    reduced, from the top bit down, by a basis of A_V with distinct top bits.
+    mu is linear on ker m with basis ker.  With z the first basis vector of
+    mu 1, A_V is spanned by the basis vectors of mu 0 and by z + v for the
+    other basis vectors v of mu 1; the vectors of mu 1 form the coset z + A_V.
     """
-    odd = [v for v in ker if space.mu(v)]
-    zeros = [v for v in ker if not space.mu(v)] + [odd[0] ^ v for v in odd[1:]]
-    if not odd:
-        return zeros, None
-    tops: list[int] = []  # distinct top bits, in decreasing order
-    for v in zeros:
-        for b in tops:
-            v = min(v, v ^ b)
-        if v:
-            tops = sorted(tops + [v], reverse=True)
-    z = odd[0]
-    for b in tops:
-        z = min(z, z ^ b)
-    return zeros, z
+    odd = [v for v in ker if mu[v]]
+    z = odd[0] if odd else None
+    return [v for v in ker if not mu[v]] + [z ^ v for v in odd[1:]], z
 
 
 def defect(space: SymplecticMetricSpace) -> int:
@@ -244,25 +233,26 @@ def defect(space: SymplecticMetricSpace) -> int:
 
 def _analyze(
     space: SymplecticMetricSpace, strict: bool = True
-) -> tuple[str, list[int], Optional[list[int]], Optional[InvariantTuple]]:
-    """(reason, gram, ker, inv): validate once, then read ker m and
+) -> tuple[str, bytes, list[int], Optional[list[int]], Optional[InvariantTuple]]:
+    """(reason, mu, gram, ker, inv): validate once, then read ker m and
     (eps, delta, r, s) off the same Gram rows.
 
-    reason is validate's message; bit j of gram[i] is m(e_i, e_j); ker is a
-    basis of ker m and inv the invariant tuple, both None for an invalid space.
+    reason is validate's message; byte v of mu is mu(v), from the one
+    unpacking of the table; bit j of gram[i] is m(e_i, e_j); ker is a basis
+    of ker m and inv the invariant tuple, both None for an invalid space.
     An invalid space raises ValueError as require_valid does, or with
     strict=False gives validate's reason.  mu is linear on ker m, so it is
     nonzero there (eps = 1) exactly when it is nonzero on a basis vector.
     """
-    rows = _gram_rows(space)
-    reason = _validity(space, rows)
+    mu, rows = _gram_rows(space)
+    reason = _validity(space, mu, rows)
     if reason != _VALID:
         if strict:
             raise ValueError(f"not a symplectic metric space: {reason}")
-        return reason, rows, None, None
+        return reason, mu, rows, None, None
     ker = _solutions(_eliminate(rows), 0, space.rank)[1]
     d = len(ker)
-    eps = 1 if any(space.mu(v) for v in ker) else 0
+    eps = 1 if any(mu[v] for v in ker) else 0
     t = (space.rank - d) // 2
     if eps:
         delta = 0
@@ -277,11 +267,11 @@ def _analyze(
             delta = 0
         else:
             raise AssertionError("descended form is not nondegenerate")
-    return reason, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta)
+    return reason, mu, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta)
 
 
 def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
-    return _analyze(space)[3]
+    return _analyze(space)[4]
 
 
 def canonical(t: InvariantTuple) -> SymplecticMetricSpace:
@@ -327,60 +317,64 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     then the eps vector, then hyperbolic pairs with mu normalized to (0, 0)
     on each pair, the unique (1, 1) pair (if any) routed to the delta slot.
     """
-    _, gram, ker, inv = _analyze(space)
+    _, mu, gram, ker, inv = _analyze(space)
     k = space.rank
-    trans, z = _split_kernel(space, ker)
-    fixed = _echelonize(trans) + ([z] if inv.eps else [])
+    trans, z = _split_kernel(mu, ker)
+    fixed = trans + ([z] if inv.eps else [])
     pairs: list[tuple[int, int]] = []
+
+    def m(x: int, y: int) -> int:
+        return mu[x] ^ mu[y] ^ mu[x ^ y]
 
     def pairings(x: int) -> int:  # bit i is m(e_i, x)
         return sum(((g & x).bit_count() & 1) << i for i, g in enumerate(gram))
 
     def clear_cross_pairings(v: int) -> int:
         for e, f in pairs:
-            v ^= (space.m(v, f) * e) ^ (space.m(v, e) * f)
+            v ^= (m(v, f) * e) ^ (m(v, e) * f)
         return v
 
-    while len(fixed) + 2 * len(pairs) < k:
-        # The least vector outside a subspace is a basis vector e_i, since
-        # every smaller vector is a sum of smaller basis vectors; so is the
-        # least v with m(x, v) = 1.  And e_i lies in a subspace exactly when
-        # it is a row of the subspace's reduced echelon basis.
-        spanned = set(_echelonize(fixed + [c for p in pairs for c in p]))
-        x = clear_cross_pairings(next(1 << i for i in range(k) if 1 << i not in spanned))
-        # x is now orthogonal to every earlier pair, so correcting y below
-        # cannot disturb m(x, y).
+    for i in range(k):
+        # x is e_i cleared against the pairs so far, so orthogonal to them.
+        # It is radical exactly when e_i lies in ker m + span(pairs), as every
+        # earlier e_j does; otherwise x starts the next pair, and correcting y
+        # below cannot disturb m(x, y).  The walk stops at the last pair.
+        x = clear_cross_pairings(1 << i)
         row = pairings(x)
+        if not row:
+            continue
         y = clear_cross_pairings(row & -row)
-        if space.m(x, y) != 1:
+        if m(x, y) != 1:
             raise AssertionError("pair reduction lost the pairing")
         # Normalize the mu pattern on the pair to (0, 0) when possible.
-        if space.mu(x) == 1 and space.mu(y) == 0:
+        if mu[x] == 1 and mu[y] == 0:
             x, y = y, x
-        if space.mu(x) == 0 and space.mu(y) == 1:
+        if mu[x] == 0 and mu[y] == 1:
             y ^= x
-        if space.mu(x) == 1 and z is not None:
+        if mu[x] == 1 and z is not None:
             # eps = 1 absorbs a (1, 1) pair: x + z has mu 0.
             x ^= z
-            if space.mu(y) == 1:
+            if mu[y] == 1:
                 y ^= x
         pairs.append((x, y))
+        if len(fixed) + 2 * len(pairs) == k:
+            break
 
-    ones = [p for p in pairs if space.mu(p[0])]
-    zeros = [p for p in pairs if not space.mu(p[0])]
+    ones = [p for p in pairs if mu[p[0]]]
+    zeros = [p for p in pairs if not mu[p[0]]]
     while len(ones) >= 2:
         # Two (1, 1) pairs combine into two (0, 0) pairs.
         (e1, f1), (e2, f2) = ones.pop(), ones.pop()
         a = e1 ^ e2
         p1 = (a, a ^ f1)
         u, w = e2, f1 ^ f2
-        if space.mu(u) == 1 and space.mu(w) == 0:
+        if mu[u] == 1 and mu[w] == 0:
             u, w = w, u
-        if space.mu(w) == 1:
+        if mu[w] == 1:
             w ^= u
         p2 = (u, w)
         for p in (p1, p2):
-            if space.m(*p) != 1 or space.mu(p[0]) or space.mu(p[1]):
+            if m(*p) != 1 or mu[p[0]] or mu[p[1]]:
                 raise AssertionError("pair combination failed")
         zeros.extend([p1, p2])
     if len(ones) != inv.delta:
@@ -395,7 +389,7 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
         sum(((p & b).bit_count() & 1) << j for j, b in enumerate(ordered))
         for p in map(pairings, ordered)
     ]
-    basis_mu = [space.mu(b) for b in ordered]
+    basis_mu = [mu[b] for b in ordered]
     if not t.is_invertible() or _table_from_basis_data(k, basis_mu, gram_rows) != canonical(inv).table:
         raise AssertionError("constructed basis change does not canonicalize")
     return t
@@ -412,7 +406,7 @@ def census(k: int):
     classes: dict[InvariantTuple, int] = {}
     for table in range(0, 1 << (1 << k), 2):
         space = SymplecticMetricSpace(k, table)
-        inv = _analyze(space, strict=False)[3]
+        inv = _analyze(space, strict=False)[4]
         if inv is not None:
             valid.append(space)
             classes[inv] = classes.get(inv, 0) + 1

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence, Union
 
 from sympf2.autgrp import sp_full_order, sp_metric_order, sp_order, sp_vector_order
 from sympf2.catalog import GraphInvariant, p_order
-from sympf2.f2core import F2Matrix, _add_constraint, _span, _System, gl_order, rank
+from sympf2.f2core import F2Matrix, _add_constraint, _eliminate, _span, _System, gl_order, rank
 from sympf2.matgrp import UNIT_MUL, ProjectiveElement, unit_conj
 from sympf2.sms import SymplecticMetricSpace, _unpack
 
@@ -83,6 +83,15 @@ def inverse(m: F2Matrix) -> F2Matrix:
         system = _add_constraint(system, row, 1 << i)
     pivots, _ = system
     return F2Matrix.from_row_bits([c for _, c, _ in sorted(pivots, key=lambda p: p[2])], m.rows)
+
+
+def echelonize(row_bits: list[int]) -> list[int]:
+    """Reduced row-echelon form of a list of row words; zero rows dropped.
+
+    Pivots taken at the lowest set bit, rows sorted by pivot.  The result is
+    the unique canonical basis of the row space.
+    """
+    return [row for row, _, _ in sorted(_eliminate(row_bits)[0], key=lambda p: p[2])]
 
 
 def labels(model: SymplecticMetricSpace) -> tuple[str, ...]:

@@ -199,13 +199,17 @@ def test_graph_example_one_seven():
     assert len(edges(g)) == 7
 
 
+PARITY_CLEAN = "parity check: no F'_{r,s} vs F'_{eps,delta,r,s} tie exists"
+
+
 def test_distinctness_audit():
     for lt in catalog.LIE_TYPES:
         ok, lines, _ = distinctness_audit(lt)
         assert ok, lines
     # the only E8 numeric ties pair the Res=1 family against the Res=0 one,
     # so residual ranks resolve all of them
-    _, _, e8_collisions = distinctness_audit("E8")
+    _, e8_lines, e8_collisions = distinctness_audit("E8")
+    assert PARITY_CLEAN in e8_lines
     assert len(e8_collisions) == 4
     assert all(
         "F_{eps,delta,r,s}" in a or "F_{eps,delta,r,s}" in b
@@ -230,6 +234,7 @@ def test_distinctness_audit_reports_a_parity_tie(monkeypatch):
     ok, lines, collisions = distinctness_audit("E8")
     assert not ok
     assert f"PARITY VIOLATION: {a.params} vs {b.params} not separated" in lines
+    assert PARITY_CLEAN not in lines
     assert (f"{b.family}{b.params}", f"{a.family}{a.params}") in collisions
 
 

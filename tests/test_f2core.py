@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from sympf2.f2core import (
     F2Matrix,
     _add_constraint,
-    _echelonize,
     _eliminate,
     _solutions,
     _span,
@@ -13,7 +12,7 @@ from sympf2.f2core import (
     rank,
 )
 
-from references import enumerate_gl, identity, inverse, product
+from references import echelonize, enumerate_gl, identity, inverse, product
 
 
 def kernel_basis(rows, cols):
@@ -111,10 +110,10 @@ def test_matrix_product_and_inverse():
 
 
 def test_subspace_canonical_form():
-    s1 = _echelonize([0b011, 0b110])
-    assert s1 == _echelonize([0b101, 0b011]) == [0b101, 0b110]
-    assert _echelonize(s1 + [0b110]) == s1
-    assert _echelonize(s1 + [0b001]) != s1
+    s1 = echelonize([0b011, 0b110])
+    assert s1 == echelonize([0b101, 0b011]) == [0b101, 0b110]
+    assert echelonize(s1 + [0b110]) == s1
+    assert echelonize(s1 + [0b001]) != s1
 
 
 @given(matrices)
@@ -141,12 +140,12 @@ def test_inverse_exactly_when_full_rank(m):
 @given(matrices, st.data())
 def test_spanned_by_ignores_order_and_sums(m, data):
     rows = m.row_bits()
-    base = _echelonize(rows)
+    base = echelonize(rows)
     order = data.draw(st.permutations(rows))
-    assert _echelonize(order) == base
+    assert echelonize(order) == base
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(rows) - 1))
-    assert _echelonize(rows + [rows[i] ^ rows[j]]) == base
+    assert echelonize(rows + [rows[i] ^ rows[j]]) == base
 
 
 @given(st.lists(st.integers(0, (1 << 9) - 1), max_size=6))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sympf2 import cli, matgrp, sms
 from sympf2.autgrp import count_automorphisms
-from sympf2.f2core import F2Matrix, _echelonize, _span
+from sympf2.f2core import F2Matrix, _span
 from sympf2.sms import (
     MAX_RANK,
     InvariantTuple,
@@ -33,7 +33,7 @@ from sympf2.sms import (
     validate,
 )
 
-from references import enumerate_gl
+from references import echelonize, enumerate_gl
 
 
 def space_of(mu):
@@ -98,14 +98,15 @@ def test_rank3_parity_rule():
 
 def translation_basis(space):
     """A basis of A_V = {x in ker m : mu(x) = 0}."""
-    return _split_kernel(space, _analyze(space)[2])[0]
+    _, mu, _, ker, _ = _analyze(space)
+    return _split_kernel(mu, ker)[0]
 
 
 def test_kernel_examples():
-    assert _analyze(HYPERBOLIC)[2] == []
-    assert len(_analyze(SymplecticMetricSpace(3, 0))[2]) == 3
+    assert _analyze(HYPERBOLIC)[3] == []
+    assert len(_analyze(SymplecticMetricSpace(3, 0))[3]) == 3
     v110 = canonical(InvariantTuple(0, 0, 1, 1))
-    assert _analyze(v110)[2] == [0b001]
+    assert _analyze(v110)[3] == [0b001]
 
 
 def test_translation_subgroup_examples():
@@ -113,7 +114,7 @@ def test_translation_subgroup_examples():
     z_only = canonical(InvariantTuple(1, 0, 0, 0))
     assert translation_basis(z_only) == []
     v210 = canonical(InvariantTuple(0, 0, 2, 1))
-    assert len(_echelonize(translation_basis(v210))) == 2
+    assert len(echelonize(translation_basis(v210))) == 2
 
 
 def test_translation_inside_kernel():
@@ -122,8 +123,8 @@ def test_translation_inside_kernel():
             continue
         space = canonical(InvariantTuple(eps, delta, r, s))
         a = translation_basis(space)
-        ker = _analyze(space)[2]
-        assert _echelonize(ker + a) == _echelonize(ker)
+        ker = _analyze(space)[3]
+        assert echelonize(ker + a) == echelonize(ker)
         assert not any(space.mu(v) for v in a)
 
 
@@ -244,13 +245,12 @@ def test_transport_invariance_random(t, moves):
 
 
 def test_isomorphism_to_canonical_is_identity_on_canonical():
-    for eps, delta, r, s in itertools.product((0, 1), (0, 1), range(3), range(3)):
-        if eps and delta:
-            continue
-        t = InvariantTuple(eps, delta, r, s)
+    tuples = list(sms.admissible_tuples(MAX_RANK))
+    assert len(tuples) == 217
+    for t in tuples:
         space = canonical(t)
         got = isomorphism_to_canonical(space)
-        assert got.row_bits() == [1 << i for i in range(space.rank)]
+        assert got.row_bits() == [1 << i for i in range(space.rank)], t
 
 
 def test_isomorphism_to_canonical_permuted_hyperbolic():
@@ -282,7 +282,10 @@ def tuples_of_rank(k):
     ]
 
 
-@pytest.mark.parametrize("k", range(4, 14))
+WITNESS_RANKS = range(4, MAX_RANK + 1)
+
+
+@pytest.mark.parametrize("k", WITNESS_RANKS)
 def test_witness_canonicalizes_after_seeded_basis_changes(k):
     # the full transported table is the reference for the witness's own
     # check, which rebuilds that table from the pairings of the new basis
@@ -294,8 +297,8 @@ def test_witness_canonicalizes_after_seeded_basis_changes(k):
 
 
 def test_witness_tuples_include_large_radicals():
-    big = [t for k in range(4, 14) for t in tuples_of_rank(k) if t.eps and t.r + t.eps >= 8]
-    assert InvariantTuple(1, 0, 11, 0) in big and len(big) == 12
+    big = [t for k in WITNESS_RANKS for t in tuples_of_rank(k) if t.eps and t.r + t.eps >= 8]
+    assert {InvariantTuple(1, 0, 11, 0), InvariantTuple(1, 0, 15, 0)} <= set(big) and len(big) == 25
 
 
 @st.composite
@@ -386,7 +389,7 @@ def test_word_parallel_build_matches_recurrence(data):
     # a symmetric zero-diagonal Gram polarizes back to itself
     space = SymplecticMetricSpace(k, table)
     assert validate(space)[0]
-    assert _gram_rows(space) == rows
+    assert _gram_rows(space) == (_unpack(k, table), rows)
     assert [space.mu(1 << i) for i in range(k)] == basis_mu
 
 
@@ -437,7 +440,8 @@ def test_validate_every_single_bit_flip_rank6(t, moves):
 ))
 def test_gram_is_the_pairing_of_basis_vectors(space):
     k = space.rank
-    gram = _gram_rows(space)
+    mu, gram = _gram_rows(space)
+    assert list(mu) == [space.mu(v) for v in range(1 << k)]
     assert len(gram) == k and all(0 <= row < 1 << k for row in gram)
     assert all((gram[i] >> j & 1) == space.m(1 << i, 1 << j) for i in range(k) for j in range(k))
 
