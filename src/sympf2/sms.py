@@ -35,7 +35,7 @@ class InvariantTuple(_Value):
         if eps not in (0, 1) or delta not in (0, 1):
             raise ValueError("eps and delta must be 0 or 1")
         if eps and delta:
-            raise ValueError("invalid tuple: eps = 1 forces delta = 0")
+            raise ValueError("eps = 1 forces delta = 0")
         if r < 0 or s < 0:
             raise ValueError("r and s must be nonnegative")
         _set(self, "eps", eps)
@@ -438,12 +438,22 @@ def census(k: int):
 # index v's binary expansion gives coordinates, LSB = basis vector 1).
 
 
+class _BitLiterals(dict):
+    """JSON integer literals to ints: "0" and "1" by lookup, any other by int()."""
+
+    __missing__ = int
+
+
+_BIT_LITERALS = _BitLiterals({"0": 0, "1": 1})
+
+
 def to_mu_table_json(space: SymplecticMetricSpace) -> str:
     return json.dumps({"rank": space.rank, "mu": space.mu_list()}, indent=None)
 
 
 def parse_mu_table(text: str) -> SymplecticMetricSpace:
-    doc = json.loads(text)
+    # json.loads, not a prebuilt decoder: it is what refuses a leading BOM
+    doc = json.loads(text, parse_int=_BIT_LITERALS.__getitem__)
     if not isinstance(doc, dict) or "rank" not in doc or "mu" not in doc:
         raise ValueError("mu-table document needs fields 'rank' and 'mu'")
     rank_field, mu = doc["rank"], doc["mu"]

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sympf2 import autgrp, catalog, cli, matgrp
+from sympf2 import autgrp, catalog, cli, matgrp, sms
 from sympf2.autgrp import sp_full_order
 from sympf2.cli import main
-from sympf2.sms import admissible_tuples
+from sympf2.sms import MAX_RANK, admissible_tuples
 import references
 from test_matgrp import MODES, inverse_commutator, reference_extract
+from test_sms import _random_invertible, tuples_of_rank
 
 
 def run(capsys, *argv):
@@ -61,6 +62,37 @@ def test_classify_deeply_nested_json_is_a_parse_error(tmp_path, capsys, flag):
     code, out, err = run(capsys, "classify", flag, str(path))
     assert (code, out) == (2, "")
     assert err == f"parse error in {path}: nesting too deep\n"
+
+
+def test_classify_mu_table_with_a_bom_is_a_parse_error(tmp_path, capsys):
+    # json.loads refuses the BOM that open(..., encoding="utf-8") keeps
+    text = "\ufeff" + json.dumps({"rank": 1, "mu": [0, 1]})
+    path = tmp_path / "bom.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    code, out, err = run(capsys, "classify", "--mu-table", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"parse error in {path} at line {exc.value.lineno}, "
+        f"column {exc.value.colno}: {exc.value.msg}\n"
+    )
+
+
+def test_classify_mu_table_with_a_huge_literal(tmp_path, capsys):
+    # int()'s digit limit (Python >= 3.11) refuses the literal in json.loads;
+    # without a limit the value decodes and is not a bit
+    text = '{"rank": 0, "mu": [' + "1" * 5000 + "]}"
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    try:
+        json.loads(text)
+        reason = "mu values must be 0 or 1"
+    except ValueError as exc:
+        reason = str(exc)
+    code, out, err = run(capsys, "classify", "--mu-table", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"invalid mu-table document: {reason}\n"
 
 
 def test_classify_generators_gamma0(tmp_path, capsys):
@@ -242,10 +274,11 @@ def test_canonical_round_trips_through_classify(tmp_path, capsys):
     assert "defe: -2" in out
 
 
-def test_canonical_rejects_bad_tuple(capsys):
-    code, _, err = run(capsys, "canonical", "--eps", "1", "--delta", "1")
-    assert code == 2
-    assert "invalid" in err
+@pytest.mark.parametrize("command", ["canonical", "aut"])
+def test_canonical_rejects_bad_tuple(capsys, command):
+    code, out, err = run(capsys, command, "--eps", "1", "--delta", "1")
+    assert (code, out) == (2, "")
+    assert err == "invalid invariant tuple: eps = 1 forces delta = 0\n"
 
 
 @pytest.mark.parametrize("argv", [["--r", "17"], ["--r", "30", "--s", "5"], ["--r", "10000000000"]])
@@ -492,6 +525,26 @@ def test_golden_output(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[argv]
 
 
+_GOLDEN_CLASSIFY = "48a9b359c58d8fa372ad960d421e9ee74e782458bb2c4f352afbcb6bacbf2950"
+
+
+def test_golden_output_classify_mu_tables(tmp_path, capsys):
+    # one seeded valid table per rank 0..MAX_RANK and its one-bit flip
+    rng = random.Random(28)
+    digest = hashlib.sha256()
+    for k in range(MAX_RANK + 1):
+        t = rng.choice(tuples_of_rank(k))
+        mu = sms.transport(sms.canonical(t), _random_invertible(rng, k)).mu_list()
+        flipped = list(mu)
+        flipped[rng.randrange(1 << k)] ^= 1
+        for name, bits in (("valid", mu), ("flipped", flipped)):
+            path = tmp_path / f"{name}-{k}.json"
+            path.write_text(json.dumps({"rank": k, "mu": bits}))
+            code, out, err = run(capsys, "classify", "--mu-table", str(path))
+            digest.update(f"{code}\n{out}\0{err}\0".encode())
+    assert digest.hexdigest() == _GOLDEN_CLASSIFY
+
+
 def test_verify_reports_a_planted_failure(capsys, monkeypatch):
     monkeypatch.setitem(catalog.EXPECTED_COUNTS, "G2", 5)
     code, out, err = run(capsys, "verify", "--suite", "counts")
@@ -514,6 +567,39 @@ _MU_DOCS = st.integers(0, 4).flatmap(
         {"rank": st.just(k), "mu": st.lists(st.integers(0, 1), min_size=1 << k, max_size=1 << k)}
     )
 ) | st.fixed_dictionaries({}, optional={"rank": st.integers(-2, 5) | _JSON, "mu": _BITS | _JSON})
+_LITERALS = (
+    _JSON_SCALARS.map(json.dumps)
+    | st.integers(-(10**30), 10**30).map(str)
+    | st.sampled_from(["-0", "0", "1", "-1", "10", '"0"', '"1"'])
+    | st.sampled_from(["0.0", "-0.0", "1.0", "1e3", "-1E-2"])
+)
+_JSON_TEXTS = st.recursive(
+    _LITERALS,
+    lambda inner: st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]")
+    | st.lists(st.tuples(st.text(max_size=3).map(json.dumps), inner), max_size=3).map(
+        lambda pairs: "{" + ",".join(f"{key}: {value}" for key, value in pairs) + "}"
+    ),
+    max_leaves=12,
+)
+
+
+def _typed(value):
+    """value with every leaf replaced by its type and repr, so -0.0 != 0 != False."""
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    return type(value), repr(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_JSON_TEXTS)
+def test_bit_literal_decode_equals_plain_json(text):
+    # the mu-table decoder's literal table changes no value and no type
+    decoded = json.loads(text, parse_int=sms._BIT_LITERALS.__getitem__)
+    assert _typed(decoded) == _typed(json.loads(text))
+
+
 _UNITS = st.sampled_from(["1", "-1", "i", "-i", "j", "-j", "k", "-k", "x"]) | _JSON
 _GENERATOR = st.fixed_dictionaries(
     {},
