@@ -26,7 +26,7 @@ from .sms import (
 )
 
 COUNT_RANK_BOUND = MAX_RANK  # stabilizer-chain counts
-ENUMERATION_RANK_BOUND = 8  # listing every isomorphism or automorphism
+ENUMERATION_RANK_BOUND = 8  # listing every automorphism
 
 
 def sp_order(s: int) -> int:
@@ -73,36 +73,35 @@ def sp_vector_order(s: int, t: int) -> int:
 
 
 class _ImageSearch:
-    """The one backtracking core: basis images w_j = T e_j of maps source -> target.
+    """The one backtracking core: basis images w_j = T e_j of the automorphisms T of a space.
 
     Level j picks w_j outside span(w_0..w_{j-1}) by one of two rules:
 
-    * Affine-solution rule (Gram matrices given): m(w_j, w_i) = m(e_j, e_i)
-      for i < j.  Every isometry T maps span(e_0..e_j) & ker m_source onto
-      span(w_0..w_j) & ker m_target, so the candidates keep how the prefix
-      meets the radical; this is what makes the search prune hard.  If
-      e_j has a partner, a v in span(e_0..e_{j-1}) with e_j + v radical
-      (found once, in __init__), then w_j + T v must be radical: the
-      candidates are the coset T v + ker m_target, and each of them meets
-      every pairing condition, since m(w_j, w_i) = m(T v, w_i) = m(v, e_i)
-      = m(e_j, e_i) for i < j.  Otherwise the pairings are a linear system
-      in w_j, and a radical w_j is dropped, since e_j = T^-1 w_j would then
-      be radical, with partner 0.  Both cuts hold for every leaf, so they
-      remove dead ends only.
-      With mu tables given, w_j must also have mu(w_j) = mu(e_j); since
+    * Affine-solution rule (Gram matrix given): m(w_j, w_i) = m(e_j, e_i)
+      for i < j.  Every automorphism T maps span(e_0..e_j) & ker m onto
+      span(w_0..w_j) & ker m, so the candidates keep how the prefix meets
+      the radical; this is what makes the search prune hard.  If e_j has a
+      partner, a v in span(e_0..e_{j-1}) with e_j + v radical (found once,
+      in __init__), then w_j + T v must be radical: the candidates are the
+      coset T v + ker m, and each of them meets every pairing condition,
+      since m(w_j, w_i) = m(T v, w_i) = m(v, e_i) = m(e_j, e_i) for i < j.
+      Otherwise the pairings are a linear system in w_j, and a radical w_j
+      is dropped, since e_j = T^-1 w_j would then be radical, with partner
+      0.  Both cuts hold for every leaf, so they remove dead ends only.
+      With a mu table given, w_j must also have mu(w_j) = mu(e_j); since
       mu(x + y) = mu(x) + mu(y) + m(x, y), preserving m and mu on a basis
-      preserves mu everywhere.  Without mu tables only m is preserved.
-    * Span-check rule (mu tables only; mu need not be bilinear): w_j must
+      preserves mu everywhere.  Without a mu table only m is preserved.
+    * Span-check rule (mu table only; mu need not be bilinear): w_j must
       have mu(T v + w_j) = mu(v + e_j) for every v in span(e_0..e_{j-1}),
       where T v is already fixed by the earlier levels.
 
     tuples() enumerates every leaf, ascending by images.  order() counts the
-    automorphism group G of a space searched against itself with a
-    stabilizer chain (Sims 1970).  With w_i = e_i fixed for i < j, the
-    automorphisms extending that prefix form the pointwise stabilizer G_j,
-    and the level-j candidates that extend to at least one leaf are exactly
-    the orbit of e_j under G_j.  So |G| = |G_0| is the product over j of
-    these orbit sizes.  The argument needs no Witt-type extension theorem.
+    automorphism group G with a stabilizer chain (Sims 1970).  With w_i =
+    e_i fixed for i < j, the automorphisms extending that prefix form the
+    pointwise stabilizer G_j, and the level-j candidates that extend to at
+    least one leaf are exactly the orbit of e_j under G_j.  So |G| = |G_0|
+    is the product over j of these orbit sizes.  The argument needs no
+    Witt-type extension theorem.
 
     The levels run bottom-up, j = k-1 down to 0.  A level-j candidate gets
     one existence search that stops at its first leaf.  That leaf fixes
@@ -129,71 +128,67 @@ class _ImageSearch:
 
     The pairing systems are f2core _System values, grown by one
     _add_constraint per level and read with _solutions; the partners come
-    from one such pass over the source Gram rows, and the pairing table is
-    f2core's _span of the target Gram rows.  tgt_radical, a basis of
-    ker m_target, is solved from tgt_gram unless the caller has it.  Only
-    the span of the current images is kept here, pushed and popped with
-    the search.
+    from one such pass over the Gram rows, and the pairing table is
+    f2core's _span of them.  radical, a basis of ker m, is solved from gram
+    unless the caller has it.  Only the span of the current images is kept
+    here, pushed and popped with the search.
     """
 
     def __init__(
         self,
         rank: int,
-        src_mu: Optional[bytes] = None,
-        tgt_mu: Optional[bytes] = None,
-        src_gram: Optional[list[int]] = None,
-        tgt_gram: Optional[list[int]] = None,
-        tgt_radical: Optional[list[int]] = None,
+        mu: Optional[bytes] = None,
+        gram: Optional[list[int]] = None,
+        radical: Optional[list[int]] = None,
     ):
         self.k = k = rank
-        self.src_mu = src_mu
-        self.tgt_mu = tgt_mu
-        self.src_gram = src_gram
+        self.mu = mu
+        self.gram = gram
         self.images: list[int] = []
         # span[v] = T v for v in span(e_0..e_{j-1}); in_span marks the T v
         self.span = [0] * (1 << k)
         self.in_span = bytearray(1 << k)
         self.in_span[0] = 1
-        if src_gram is None:
+        if gram is None:
             self.by_mu: tuple[list[int], list[int]] = ([], [])
             for w in range(1, 1 << k):
-                self.by_mu[tgt_mu[w]].append(w)
+                self.by_mu[mu[w]].append(w)
         else:
             # systems[j]: m(w, images[i]) = m(e_j, e_i) for i < j, whose
-            # right-hand sides are the bits of src_gram[j]
+            # right-hand sides are the bits of gram[j]
             self.systems: list[_System] = [([], [])]
-            if tgt_radical is None:
-                tgt_radical = _solutions(_eliminate(tgt_gram), 0, k)[1]
-            self.tgt_radical = tgt_radical
-            # pairing[w] encodes x -> m_target(x, w) as a bit mask
-            self.pairing = _span(tgt_gram)
+            if radical is None:
+                radical = _solutions(_eliminate(gram), 0, k)[1]
+            self.radical = radical
+            # pairing[w] encodes x -> m(x, w) as a bit mask
+            self.pairing = _span(gram)
             # partners[j]: a v in span(e_0..e_{j-1}) with e_j + v radical, or
             # None.  Row j reduces to zero against the earlier rows exactly
             # when such a v exists, and its combo is then e_j + v.
             self.partners: list[Optional[int]] = []
             system: _System = ([], [])
-            for j, row in enumerate(src_gram):
+            for j, row in enumerate(gram):
                 found = len(system[1])
                 system = _add_constraint(system, row, 1 << j)
                 self.partners.append(system[1][-1] ^ 1 << j if len(system[1]) > found else None)
 
     def _candidates(self, j: int) -> Iterator[int]:
-        if self.src_gram is None:
+        if self.gram is None:
             return self._span_candidates(j)
         return self._affine_candidates(j)
 
     def _affine_candidates(self, j: int) -> Iterator[int]:
         v = self.partners[j]
         if v is not None:
-            # the partner coset T v + ker m_target, whose pairings hold already
-            particular, hom_basis, pairing = self.span[v], self.tgt_radical, None
+            # the partner coset T v + ker m, whose pairings hold already
+            particular, hom_basis, pairing = self.span[v], self.radical, None
         else:
-            particular, hom_basis = _solutions(self.systems[-1], self.src_gram[j], self.k)
+            particular, hom_basis = _solutions(self.systems[-1], self.gram[j], self.k)
             if particular is None:
                 return
             pairing = self.pairing
-        mu = self.tgt_mu
-        want = self.src_mu[1 << j] if mu is not None else 0
+        mu = self.mu
+        want = mu[1 << j] if mu is not None else 0
         in_span = self.in_span
         w = particular
         gray = 0
@@ -207,15 +202,14 @@ class _ImageSearch:
 
     def _span_candidates(self, j: int) -> Iterator[int]:
         half = 1 << j
-        src_mu = self.src_mu
-        tgt_mu = self.tgt_mu
+        mu = self.mu
         span = self.span
         in_span = self.in_span
-        for w in self.by_mu[src_mu[half]]:
+        for w in self.by_mu[mu[half]]:
             if in_span[w]:
                 continue
             for v in range(1, half):
-                if tgt_mu[span[v] ^ w] != src_mu[half | v]:
+                if mu[span[v] ^ w] != mu[half | v]:
                     break
             else:
                 yield w
@@ -229,7 +223,7 @@ class _ImageSearch:
             x = span[v] ^ w
             span[half | v] = x
             in_span[x] = 1
-        if self.src_gram is not None:
+        if self.gram is not None:
             self.systems.append(_add_constraint(self.systems[-1], self.pairing[w], half))
 
     def _pop(self) -> None:
@@ -239,7 +233,7 @@ class _ImageSearch:
         in_span = self.in_span
         for v in range(half, 2 * half):
             in_span[span[v]] = 0
-        if self.src_gram is not None:
+        if self.gram is not None:
             self.systems.pop()
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
@@ -273,7 +267,7 @@ class _ImageSearch:
         return leaf
 
     def _chain(self) -> tuple[list[list[int]], list[list[tuple[int, ...]]]]:
-        """(orbits, generators) by level, for source = target.
+        """(orbits, generators) by level.
 
         orbits[j] is the orbit of e_j under the generators of levels >= j,
         e_j first; generators[j] holds the leaves kept at level j, each the
@@ -311,7 +305,7 @@ class _ImageSearch:
         return orbits, kept
 
     def order(self) -> int:
-        """|Aut| for source = target, as the product of the orbit sizes."""
+        """|Aut|, the product of the orbit sizes."""
         return prod(len(orbit) for orbit in self._chain()[0])
 
 
@@ -334,31 +328,19 @@ def _close(points: list[int], mark: bytearray, flag: int, tables: list[array], n
                 append(x)
 
 
-def _space_search(source: SymplecticMetricSpace, target: SymplecticMetricSpace) -> _ImageSearch:
-    """The search for maps source -> target, after one validation of each."""
-    src = _analyze(source)
-    tgt = src if target is source else _analyze(target)
-    (_, src_mu, src_gram, _, _), (_, tgt_mu, tgt_gram, tgt_ker, _) = src, tgt
-    return _ImageSearch(source.rank, src_mu, tgt_mu, src_gram, tgt_gram, tgt_ker)
-
-
-def enumerate_isomorphisms(
-    source: SymplecticMetricSpace, target: SymplecticMetricSpace
-) -> Iterator[F2Matrix]:
-    """All invertible T with target.mu(T v) = source.mu(v), ascending by images."""
-    if source.rank > ENUMERATION_RANK_BOUND:
-        raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
-    search = _space_search(source, target)
-    if source.rank != target.rank:
-        return
-    for images in search.tuples():
-        # images are the columns of T
-        yield F2Matrix.from_row_bits(list(images), source.rank).transpose()
+def _space_search(space: SymplecticMetricSpace) -> _ImageSearch:
+    """The automorphism search of space, after one validation."""
+    _, mu, gram, ker, _ = _analyze(space)
+    return _ImageSearch(space.rank, mu, gram, ker)
 
 
 def enumerate_automorphisms(space: SymplecticMetricSpace) -> Iterator[F2Matrix]:
-    """Every mu-preserving invertible matrix, each exactly once, sorted."""
-    yield from enumerate_isomorphisms(space, space)
+    """Every mu-preserving invertible matrix, each exactly once, ascending by images."""
+    if space.rank > ENUMERATION_RANK_BOUND:
+        raise ValueError(f"enumeration is bounded at rank <= {ENUMERATION_RANK_BOUND}")
+    for images in _space_search(space).tuples():
+        # images are the columns of T
+        yield F2Matrix.from_row_bits(list(images), space.rank).transpose()
 
 
 def count_automorphisms(space: SymplecticMetricSpace) -> int:
@@ -369,7 +351,7 @@ def count_automorphisms(space: SymplecticMetricSpace) -> int:
     search finds and searches once per orbit; the tests compare its count
     with the leaf enumeration and with one existence search per candidate.
     """
-    return _space_search(space, space).order()
+    return _space_search(space).order()
 
 
 def plain_symplectic_space(s: int, t: int) -> tuple[int, ...]:
@@ -393,8 +375,7 @@ def count_pairing_automorphisms(gram: tuple[int, ...]) -> int:
     """
     if len(gram) > COUNT_RANK_BOUND:
         raise ValueError(f"pairing-automorphism counting is bounded at rank <= {COUNT_RANK_BOUND}")
-    rows = list(gram)
-    return _ImageSearch(len(gram), src_gram=rows, tgt_gram=rows).order()
+    return _ImageSearch(len(gram), gram=list(gram)).order()
 
 
 def mu_zero_nonzero_count(s: int) -> int:

@@ -20,14 +20,18 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .autgrp import _ImageSearch, sp_full_order, sp_metric_order, sp_order, sp_vector_order
 from .f2core import _set, _Value, gl_order
 from .sms import (
+    _BLOCK_A,
+    _BLOCK_C,
+    _BLOCK_D,
     EPS_DELTA,
     SymplecticMetricSpace,
-    _pack,
+    _block_b,
+    _orthogonal_product,
     _translates,
     _unpack,
     defect,
@@ -97,33 +101,6 @@ def _semi(a: Automizer, b: Automizer) -> Automizer:
 def _times(a: Automizer, b: Automizer) -> Automizer:
     """a x b, a direct product."""
     return _join(a, " x ", b)
-
-
-def _block(bits: list[int]) -> tuple[int, int]:
-    """(rank, mu table) from an explicit 0/1 list."""
-    return len(bits).bit_length() - 1, _pack(bits)
-
-
-# Standard blocks: A (one s2), B_s (all nonzero s1), C (a Klein four with
-# tags s1, s2, s2), D (rank 3 with exactly one s1).
-_BLOCK_A = _block([0, 0])
-_BLOCK_C = _block([0, 0, 0, 1])
-_BLOCK_D = _block([0, 1, 0, 0, 0, 0, 0, 0])
-
-
-def _block_b(s: int) -> tuple[int, int]:
-    return s, ((1 << (1 << s)) - 1) & ~1
-
-
-def _orthogonal_product(blocks: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Concatenate blocks; mu is the sum of the block values."""
-    rank, table = 0, 0
-    for brank, btable in blocks:
-        # the entries with block coordinates hi are table, complemented where mu(hi) = 1
-        ones = (1 << (1 << rank)) - 1
-        table = sum((table ^ ones * (btable >> hi & 1)) << (hi << rank) for hi in range(1 << brank))
-        rank += brank
-    return rank, table
 
 
 class GraphInvariant(_Value):
@@ -627,7 +604,7 @@ def count_mu_automorphisms(model: SymplecticMetricSpace) -> int:
     """
     k = model.rank
     mu = _unpack(k, model.table)
-    return _ImageSearch(k, src_mu=mu, tgt_mu=mu).order()
+    return _ImageSearch(k, mu=mu).order()
 
 
 # --- distinctness audit ---------------------------------------------------------

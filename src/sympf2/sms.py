@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .f2core import F2Matrix, _eliminate, _set, _solutions, _span, _Value
 
@@ -153,7 +153,8 @@ def _table_from_basis_data(k: int, basis_mu: list[int], gram_rows: list[int]) ->
     That is the XOR over i of C_i & (mu(e_i) ALL ^ XOR_{j>i, g_ij=1} C_j),
     O(k^2) operations on 2^k-bit ints.  Only the upper triangle of g is
     read, so mu polarizes back to g only if g is symmetric with zero
-    diagonal: _gram_rows gives such a g when mu(0) = 0, and canonical() builds one.
+    diagonal: _gram_rows gives such a g when mu(0) = 0, and so does the
+    witness's Gram matrix of its new basis.
     """
     coords = _coordinates(k)
     ones = (1 << (1 << k)) - 1
@@ -274,24 +275,47 @@ def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
     return _analyze(space)[4]
 
 
+def _block(bits: list[int]) -> tuple[int, int]:
+    """(rank, mu table) from an explicit 0/1 list."""
+    return len(bits).bit_length() - 1, _pack(bits)
+
+
+# Standard blocks, as catalog label models tag them: A (one s2), B_s (all
+# nonzero s1), C (a Klein four with tags s1, s2, s2), D (rank 3 with exactly
+# one s1); s1 is mu = 1 and s2 is mu = 0.
+_BLOCK_A = _block([0, 0])
+_BLOCK_C = _block([0, 0, 0, 1])
+_BLOCK_D = _block([0, 1, 0, 0, 0, 0, 0, 0])
+
+
+def _block_b(s: int) -> tuple[int, int]:
+    return s, ((1 << (1 << s)) - 1) & ~1
+
+
+def _orthogonal_product(blocks: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Concatenate blocks; mu is the sum of the block values."""
+    rank, table = 0, 0
+    for brank, btable in blocks:
+        # the entries with block coordinates hi are table, complemented where mu(hi) = 1
+        size = 1 << rank
+        ones = (1 << size) - 1
+        product = 0
+        for hi in range(1 << brank):
+            product |= (table ^ ones if btable >> hi & 1 else table) << hi * size
+        rank, table = rank + brank, product
+    return rank, table
+
+
 def canonical(t: InvariantTuple) -> SymplecticMetricSpace:
-    """The canonical model with basis layout (A^r | eps | delta-pair | s-pairs)."""
-    k = t.ambient_rank
-    if k > MAX_RANK:
-        raise ValueError(f"ambient rank {k} outside supported range 0..{MAX_RANK}")
-    basis_mu = [0] * k
-    gram_rows = [0] * k
-    pos = t.r
-    if t.eps:
-        basis_mu[pos] = 1
-        pos += 1
-    pairs = ([1] if t.delta else []) + [0] * t.s
-    for mu_pair in pairs:
-        basis_mu[pos] = basis_mu[pos + 1] = mu_pair
-        gram_rows[pos] |= 1 << (pos + 1)
-        gram_rows[pos + 1] |= 1 << pos
-        pos += 2
-    return SymplecticMetricSpace(k, _table_from_basis_data(k, basis_mu, gram_rows))
+    """The canonical model, the orthogonal product A^r | B_1^eps | B_2^delta | C^s.
+
+    B_1 is the eps vector, B_2 the hyperbolic pair with mu = 1 on all three
+    nonzero vectors, and C a hyperbolic pair with mu = 0 on its basis.
+    """
+    if t.ambient_rank > MAX_RANK:
+        raise ValueError(f"ambient rank {t.ambient_rank} outside supported range 0..{MAX_RANK}")
+    blocks = (_BLOCK_A,) * t.r + (_block_b(1),) * t.eps + (_block_b(2),) * t.delta + (_BLOCK_C,) * t.s
+    return SymplecticMetricSpace(*_orthogonal_product(blocks))
 
 
 def transport(space: SymplecticMetricSpace, t: F2Matrix) -> SymplecticMetricSpace:

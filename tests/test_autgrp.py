@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -12,7 +13,6 @@ from sympf2.autgrp import (
     count_automorphisms,
     count_pairing_automorphisms,
     enumerate_automorphisms,
-    enumerate_isomorphisms,
     mu_zero_nonzero_count,
     plain_symplectic_space,
     sp_full_order,
@@ -21,7 +21,7 @@ from sympf2.autgrp import (
     sp_vector_order,
 )
 from sympf2.catalog import build_label_model, enumerate_all, p_order
-from sympf2.f2core import F2Matrix, _eliminate, _solutions, gl_order
+from sympf2.f2core import F2Matrix, _eliminate, _solutions, _span, gl_order
 from sympf2.sms import (
     MAX_RANK,
     InvariantTuple,
@@ -29,7 +29,10 @@ from sympf2.sms import (
     _unpack,
     admissible_tuples,
     canonical,
+    is_isomorphic,
+    isomorphism_to_canonical,
     transport,
+    validate,
 )
 from sympf2.verify import verify_comparisons
 
@@ -156,7 +159,7 @@ def test_order_matches_reference_on_canonical_tuples():
     checked = 0
     for t in admissible_tuples(7):
         space = canonical(t)
-        assert _space_search(space, space).order() == _reference_order(_space_search(space, space)), t
+        assert _space_search(space).order() == _reference_order(_space_search(space)), t
         checked += 1
     assert checked == 48
 
@@ -170,7 +173,7 @@ def test_order_matches_reference_after_basis_change():
         space = canonical(t)
         for _ in range(3):
             moved = transport(space, _random_invertible(rng, space.rank))
-            assert _space_search(moved, moved).order() == _reference_order(_space_search(moved, moved)), t
+            assert _space_search(moved).order() == _reference_order(_space_search(moved)), t
             checked += 1
     assert checked == 3 * 36
 
@@ -182,8 +185,8 @@ def test_order_matches_reference_on_label_models():
         if model is None:
             continue
         mu = _unpack(model.rank, model.table)
-        order = _ImageSearch(model.rank, src_mu=mu, tgt_mu=mu).order()
-        assert order == _reference_order(_ImageSearch(model.rank, src_mu=mu, tgt_mu=mu)), e
+        order = _ImageSearch(model.rank, mu=mu).order()
+        assert order == _reference_order(_ImageSearch(model.rank, mu=mu)), e
         checked += 1
     assert checked == 85
 
@@ -235,7 +238,7 @@ def test_chain_certifies_metric_orders():
             return all(space.mu(_images(gen, v)) == space.mu(v) for v in range(1 << space.rank))
 
         _check_certificate(
-            _space_search(space, space), preserves, sp_full_order(t.eps, t.delta, t.r, t.s)
+            _space_search(space), preserves, sp_full_order(t.eps, t.delta, t.r, t.s)
         )
 
 
@@ -254,7 +257,7 @@ def test_chain_certifies_pairing_orders():
                 )
 
             _check_certificate(
-                _ImageSearch(k, src_gram=gram, tgt_gram=gram), preserves, sp_vector_order(s, t)
+                _ImageSearch(k, gram=gram), preserves, sp_vector_order(s, t)
             )
 
 
@@ -265,8 +268,8 @@ def test_orbit_stabilizer_order_matches_leaf_count():
         if (t.eps, t.delta, t.r) == (0, 0, 5):
             continue
         space = canonical(t)
-        order = _space_search(space, space).order()
-        assert order == _leaf_count(_space_search(space, space)), t
+        order = _space_search(space).order()
+        assert order == _leaf_count(_space_search(space)), t
         assert order == sp_full_order(t.eps, t.delta, t.r, t.s), t
         checked += 1
     assert checked == 26
@@ -284,8 +287,8 @@ def test_orbit_stabilizer_order_matches_leaf_count_after_basis_change():
         space = canonical(t)
         for _ in range(3):
             moved = transport(space, _random_invertible(rng, space.rank))
-            assert _space_search(moved, moved).order() == order, t
-            assert _leaf_count(_space_search(moved, moved)) == order, t
+            assert _space_search(moved).order() == order, t
+            assert _leaf_count(_space_search(moved)) == order, t
             checked += 1
     assert checked == 3 * 28
 
@@ -310,6 +313,7 @@ def test_count_after_basis_change_reaches_enumeration_rank_bound():
     assert time.perf_counter() - start < 5.0
 
 
+@functools.cache
 def _gl_columns(k):
     """Every invertible k x k matrix over GF(2) as its column words, ascending."""
     out = []
@@ -331,10 +335,22 @@ def _pairs(gram, x, y):
     return bin(_images(gram, x) & y).count("1") % 2
 
 
+def _preserving(gl, mu):
+    """The column tuples in gl whose matrices preserve the table mu, in gl's order.
+
+    The basis images rule out most matrices before the table is built.
+    """
+    return [
+        c for c in gl
+        if all(mu[w] == mu[1 << i] for i, w in enumerate(c))
+        and bytes(mu[x] for x in _span(c)) == mu
+    ]
+
+
 def test_isomorphisms_match_gl_brute_force():
-    # the search between two basis changes of one space against every
-    # invertible matrix, at rank <= 4: a candidate rule that drops a leaf
-    # or lets a non-isometry through fails here, whatever order() says
+    # the search on a basis change of each space against every invertible
+    # matrix, at rank <= 4: a candidate rule that drops a leaf or lets a
+    # non-isometry through fails here, whatever order() says
     rng = random.Random(11)
     checked = 0
     for k in range(1, 5):
@@ -342,24 +358,44 @@ def test_isomorphisms_match_gl_brute_force():
         for t in admissible_tuples(k):
             if t.ambient_rank != k:
                 continue
-            a, b = (transport(canonical(t), _random_invertible(rng, k)) for _ in range(2))
-            mu_a, mu_b = a.mu_list(), b.mu_list()
-            brute = [c for c in gl if all(mu_b[_images(c, v)] == mu_a[v] for v in range(1 << k))]
-            assert [tuple(m.column_bits()) for m in enumerate_isomorphisms(a, b)] == brute, t
+            a = transport(canonical(t), _random_invertible(rng, k))
+            brute = _preserving(gl, _unpack(k, a.table))
+            assert [tuple(m.column_bits()) for m in enumerate_automorphisms(a)] == brute, t
             checked += 1
         for s in range(k // 2 + 1):
             gram = list(plain_symplectic_space(s, k - 2 * s))
-            ga, gb = (
-                [sum(_pairs(gram, c[i], c[j]) << j for j in range(k)) for i in range(k)]
-                for c in (_random_invertible(rng, k).column_bits() for _ in range(2))
-            )
+            b = _random_invertible(rng, k).column_bits()
+            ga = [sum(_pairs(gram, b[i], b[j]) << j for j in range(k)) for i in range(k)]
             brute = [
                 c for c in gl
-                if all(_pairs(gb, c[i], c[j]) == ga[i] >> j & 1 for i in range(k) for j in range(k))
+                if all(_pairs(ga, c[i], c[j]) == ga[i] >> j & 1 for i in range(k) for j in range(k))
             ]
-            assert list(_ImageSearch(k, src_gram=ga, tgt_gram=gb).tuples()) == brute, (s, k)
+            assert list(_ImageSearch(k, gram=ga).tuples()) == brute, (s, k)
             checked += 1
     assert checked == 18 + 8
+
+
+def test_span_check_leaves_match_gl_brute_force():
+    # the span-check rule lists exactly the matrices preserving each label
+    # model's table, bilinear or not, at rank <= 4, and each seeded table
+    models = {}
+    for e in enumerate_all():
+        model = build_label_model(e)
+        if model is not None and model.rank <= 4:
+            models[model.rank, model.table] = model
+    assert len(models) == 28
+    assert sum(not validate(model)[0] for model in models.values()) == 5
+    for (k, table), model in sorted(models.items()):
+        mu = _unpack(k, table)
+        assert list(_ImageSearch(k, mu=mu).tuples()) == _preserving(_gl_columns(k), mu), model
+    # seeded tables with mu(0) = 0 and little symmetry: on a quadratic or a
+    # highly symmetric table, a check that skips some v can still list the
+    # right leaves
+    rng = random.Random(29)
+    for k in (3, 4):
+        for _ in range(4):
+            mu = bytes([0, *(rng.getrandbits(1) for _ in range((1 << k) - 1))])
+            assert list(_ImageSearch(k, mu=mu).tuples()) == _preserving(_gl_columns(k), mu), mu
 
 
 def test_count_reaches_enumeration_rank_bound():
@@ -407,7 +443,7 @@ def test_counts_above_enumeration_rank_bound():
             return all(space.mu(_images(gen, v)) == space.mu(v) for v in range(1 << space.rank))
 
         _check_certificate(
-            _space_search(space, space), preserves, sp_full_order(t.eps, t.delta, t.r, t.s)
+            _space_search(space), preserves, sp_full_order(t.eps, t.delta, t.r, t.s)
         )
     assert time.perf_counter() - start < 15.0
 
@@ -433,7 +469,7 @@ def test_table_closure_matches_bit_loop(monkeypatch):
     for t in (InvariantTuple(0, 0, 3, 2), InvariantTuple(1, 0, 2, 2), InvariantTuple(0, 1, 1, 2)):
         spaces += [transport(canonical(t), _random_invertible(rng, t.ambient_rank)) for _ in range(2)]
     assert len(spaces) == 61 + 6
-    by_tables = [_space_search(space, space)._chain() for space in spaces]
+    by_tables = [_space_search(space)._chain() for space in spaces]
 
     def close(points, mark, flag, tables, new):
         # a table's entries at the basis vectors are its generator's basis images
@@ -442,32 +478,36 @@ def test_table_closure_matches_bit_loop(monkeypatch):
 
     monkeypatch.setattr("sympf2.autgrp._close", close)
     for space, chain in zip(spaces, by_tables):
-        assert _space_search(space, space)._chain() == chain, space
+        assert _space_search(space)._chain() == chain, space
 
 
 def test_isomorphism_search_between_transported_spaces():
+    # the explicit map space -> moved from the two canonical witnesses:
+    # transport(x, T_x) is the canonical model for either x, so
+    # T = T_space T_moved^-1 pulls `space` back to `moved`
     space = canonical(InvariantTuple(0, 1, 0, 1))
     moved = transport(space, F2Matrix.from_row_bits([0b0011, 0b0010, 0b0100, 0b1001], 4))
-    # T carries `moved` coordinates into `space` coordinates, so pulling
-    # `space` back along T recovers `moved`.
-    t = next(enumerate_isomorphisms(moved, space))
+    t = product(isomorphism_to_canonical(space), inverse(isomorphism_to_canonical(moved)))
     assert transport(space, t).table == moved.table
+
+
+def _isomorphic_by_brute_force(a, b):
+    """Whether some invertible T has b.mu(T v) = a.mu(v) for every v."""
+    mu_a, mu_b = _unpack(a.rank, a.table), _unpack(b.rank, b.table)
+    return a.rank == b.rank and any(
+        bytes(mu_b[x] for x in _span(c)) == mu_a for c in _gl_columns(a.rank)
+    )
 
 
 def test_no_isomorphism_between_different_classes():
     a = canonical(InvariantTuple(0, 0, 0, 1))
     b = canonical(InvariantTuple(0, 1, 0, 0))
-    assert list(enumerate_isomorphisms(a, b)) == []
+    assert not _isomorphic_by_brute_force(a, b)
 
 
 def test_is_isomorphic_matches_bijection_search():
-    # invariant equality against the explicit search, exhaustively at rank
-    # <= 2 and across class representatives plus a sample at rank 3
-    from sympf2.sms import is_isomorphic, validate
-
-    def found(a, b):
-        return next(enumerate_isomorphisms(a, b), None) is not None
-
+    # invariant equality against a search over GL(k, 2), exhaustively at
+    # rank <= 2 and across class representatives plus a sample at rank 3
     for k in (1, 2):
         spaces = [
             SymplecticMetricSpace(k, table)
@@ -476,7 +516,7 @@ def test_is_isomorphic_matches_bijection_search():
         ]
         for a in spaces:
             for b in spaces:
-                assert is_isomorphic(a, b) == found(a, b)
+                assert is_isomorphic(a, b) == _isomorphic_by_brute_force(a, b)
 
     rank3 = [
         SymplecticMetricSpace(3, table)
@@ -485,7 +525,7 @@ def test_is_isomorphic_matches_bijection_search():
     ]
     for a in rank3[::7]:
         for b in rank3[::9]:
-            assert is_isomorphic(a, b) == found(a, b)
+            assert is_isomorphic(a, b) == _isomorphic_by_brute_force(a, b)
 
 
 def test_vanishing_count_identity():
@@ -524,8 +564,8 @@ def test_rank_zero_group_is_trivial():
 def test_plain_symplectic_orders_by_enumeration(s, t):
     gram = plain_symplectic_space(s, t)
     rows = list(gram)
-    leaves = _leaf_count(_ImageSearch(len(rows), src_gram=rows, tgt_gram=rows))
-    reference = _reference_order(_ImageSearch(len(rows), src_gram=rows, tgt_gram=rows))
+    leaves = _leaf_count(_ImageSearch(len(rows), gram=rows))
+    reference = _reference_order(_ImageSearch(len(rows), gram=rows))
     assert count_pairing_automorphisms(gram) == leaves == reference == sp_vector_order(s, t)
 
 
