@@ -5,24 +5,28 @@ the other: it counts a group along a stabilizer chain built from the
 automorphisms it finds, up to rank COUNT_RANK_BOUND, or lists every element,
 up to rank ENUMERATION_RANK_BOUND.
 The test suite confirms they agree.  Orders are plain Python ints, so there
-is no overflow caveat anywhere.  The search's linear algebra (the pairing
-systems and the span tables) is f2core's one elimination routine and span
-table; this module holds no elimination of its own.
+is no overflow caveat anywhere.  The search's linear algebra is f2core's
+one elimination routine (the partner pass) and span table (the image
+tables); the pairing conditions are whole-table masks, and this module
+holds no elimination of its own.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from math import prod
 from typing import Iterator, Optional
 
-from .f2core import F2Matrix, _add_constraint, _eliminate, _solutions, _span, _System, gl_order
+from .f2core import F2Matrix, _add_constraint, _span, _System, gl_order
 from .sms import (
+    _BITS,
     MAX_RANK,
     InvariantTuple,
     SymplecticMetricSpace,
-    _analyze,
+    _coordinates,
     canonical,
+    require_valid,
 )
 
 COUNT_RANK_BOUND = MAX_RANK  # stabilizer-chain counts
@@ -75,25 +79,12 @@ def sp_vector_order(s: int, t: int) -> int:
 class _ImageSearch:
     """The one backtracking core: basis images w_j = T e_j of the automorphisms T of a space.
 
-    Level j picks w_j outside span(w_0..w_{j-1}) by one of two rules:
-
-    * Affine-solution rule (Gram matrix given): m(w_j, w_i) = m(e_j, e_i)
-      for i < j.  Every automorphism T maps span(e_0..e_j) & ker m onto
-      span(w_0..w_j) & ker m, so the candidates keep how the prefix meets
-      the radical; this is what makes the search prune hard.  If e_j has a
-      partner, a v in span(e_0..e_{j-1}) with e_j + v radical (found once,
-      in __init__), then w_j + T v must be radical: the candidates are the
-      coset T v + ker m, and each of them meets every pairing condition,
-      since m(w_j, w_i) = m(T v, w_i) = m(v, e_i) = m(e_j, e_i) for i < j.
-      Otherwise the pairings are a linear system in w_j, and a radical w_j
-      is dropped, since e_j = T^-1 w_j would then be radical, with partner
-      0.  Both cuts hold for every leaf, so they remove dead ends only.
-      With a mu table given, w_j must also have mu(w_j) = mu(e_j); since
-      mu(x + y) = mu(x) + mu(y) + m(x, y), preserving m and mu on a basis
-      preserves mu everywhere.  Without a mu table only m is preserved.
-    * Span-check rule (mu table only; mu need not be bilinear): w_j must
-      have mu(T v + w_j) = mu(v + e_j) for every v in span(e_0..e_{j-1}),
-      where T v is already fixed by the earlier levels.
+    Level j picks w_j outside span(w_0..w_{j-1}).  A subclass holds the
+    rule: _candidates(j) lists the level-j candidates for the prefix in
+    images, and _push and _pop grow and shrink the state the rule keeps
+    along the prefix.  _AffineSearch preserves the pairing m, and mu as
+    well when it is given a table; _SpanSearch preserves a mu table that
+    need not be bilinear.
 
     tuples() enumerates every leaf, ascending by images.  order() counts the
     automorphism group G with a stabilizer chain (Sims 1970).  With w_i =
@@ -125,116 +116,11 @@ class _ImageSearch:
     table is an array('H'), 2 bytes an entry, which holds every word up to
     rank 16: counting V_{16,0;0,0} (135 tables) peaks at about 75 MB RSS,
     against about 360 MB with list tables.
-
-    The pairing systems are f2core _System values, grown by one
-    _add_constraint per level and read with _solutions; the partners come
-    from one such pass over the Gram rows, and the pairing table is
-    f2core's _span of them.  radical, a basis of ker m, is solved from gram
-    unless the caller has it.  Only the span of the current images is kept
-    here, pushed and popped with the search.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        mu: Optional[bytes] = None,
-        gram: Optional[list[int]] = None,
-        radical: Optional[list[int]] = None,
-    ):
-        self.k = k = rank
-        self.mu = mu
-        self.gram = gram
+    def __init__(self, rank: int):
+        self.k = rank
         self.images: list[int] = []
-        # span[v] = T v for v in span(e_0..e_{j-1}); in_span marks the T v
-        self.span = [0] * (1 << k)
-        self.in_span = bytearray(1 << k)
-        self.in_span[0] = 1
-        if gram is None:
-            self.by_mu: tuple[list[int], list[int]] = ([], [])
-            for w in range(1, 1 << k):
-                self.by_mu[mu[w]].append(w)
-        else:
-            # systems[j]: m(w, images[i]) = m(e_j, e_i) for i < j, whose
-            # right-hand sides are the bits of gram[j]
-            self.systems: list[_System] = [([], [])]
-            if radical is None:
-                radical = _solutions(_eliminate(gram), 0, k)[1]
-            self.radical = radical
-            # pairing[w] encodes x -> m(x, w) as a bit mask
-            self.pairing = _span(gram)
-            # partners[j]: a v in span(e_0..e_{j-1}) with e_j + v radical, or
-            # None.  Row j reduces to zero against the earlier rows exactly
-            # when such a v exists, and its combo is then e_j + v.
-            self.partners: list[Optional[int]] = []
-            system: _System = ([], [])
-            for j, row in enumerate(gram):
-                found = len(system[1])
-                system = _add_constraint(system, row, 1 << j)
-                self.partners.append(system[1][-1] ^ 1 << j if len(system[1]) > found else None)
-
-    def _candidates(self, j: int) -> Iterator[int]:
-        if self.gram is None:
-            return self._span_candidates(j)
-        return self._affine_candidates(j)
-
-    def _affine_candidates(self, j: int) -> Iterator[int]:
-        v = self.partners[j]
-        if v is not None:
-            # the partner coset T v + ker m, whose pairings hold already
-            particular, hom_basis, pairing = self.span[v], self.radical, None
-        else:
-            particular, hom_basis = _solutions(self.systems[-1], self.gram[j], self.k)
-            if particular is None:
-                return
-            pairing = self.pairing
-        mu = self.mu
-        want = mu[1 << j] if mu is not None else 0
-        in_span = self.in_span
-        w = particular
-        gray = 0
-        for step in range(1 << len(hom_basis)):
-            if step:
-                nxt = step ^ (step >> 1)
-                w ^= hom_basis[(gray ^ nxt).bit_length() - 1]
-                gray = nxt
-            if not in_span[w] and (mu is None or mu[w] == want) and (pairing is None or pairing[w]):
-                yield w
-
-    def _span_candidates(self, j: int) -> Iterator[int]:
-        half = 1 << j
-        mu = self.mu
-        span = self.span
-        in_span = self.in_span
-        for w in self.by_mu[mu[half]]:
-            if in_span[w]:
-                continue
-            for v in range(1, half):
-                if mu[span[v] ^ w] != mu[half | v]:
-                    break
-            else:
-                yield w
-
-    def _push(self, w: int) -> None:
-        half = 1 << len(self.images)
-        self.images.append(w)
-        span = self.span
-        in_span = self.in_span
-        for v in range(half):
-            x = span[v] ^ w
-            span[half | v] = x
-            in_span[x] = 1
-        if self.gram is not None:
-            self.systems.append(_add_constraint(self.systems[-1], self.pairing[w], half))
-
-    def _pop(self) -> None:
-        self.images.pop()
-        half = 1 << len(self.images)
-        span = self.span
-        in_span = self.in_span
-        for v in range(half, 2 * half):
-            in_span[span[v]] = 0
-        if self.gram is not None:
-            self.systems.pop()
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         """Every leaf (w_0, .., w_{k-1}), ascending."""
@@ -309,6 +195,194 @@ class _ImageSearch:
         return prod(len(orbit) for orbit in self._chain()[0])
 
 
+class _AffineSearch(_ImageSearch):
+    """The affine-solution rule, on 2^k-bit table masks: bit x of a mask marks the word x.
+
+    w_j must have m(w_j, w_i) = m(e_j, e_i) for i < j.  Every automorphism
+    T maps span(e_0..e_j) & ker m onto span(w_0..w_j) & ker m, so the
+    candidates keep how the prefix meets the radical; this is what makes
+    the search prune hard.  If e_j has a partner, a v in span(e_0..e_{j-1})
+    with e_j + v radical, then w_j + T v must be radical: the candidates
+    are the coset T v + ker m, and each of them meets every pairing
+    condition, since m(w_j, w_i) = m(T v, w_i) = m(v, e_i) = m(e_j, e_i)
+    for i < j.  Otherwise a radical w_j is dropped, since e_j = T^-1 w_j
+    would then be radical, with partner 0.  Both cuts hold for every leaf,
+    so they remove dead ends only.  With a mu table given, w_j must also
+    have mu(w_j) = mu(e_j); since mu(x + y) = mu(x) + mu(y) + m(x, y),
+    preserving m and mu on a basis preserves mu everywhere.  Without a mu
+    table only m is preserved.
+
+    No system is solved per level: the candidates are a few whole-table
+    int operations on the masks C_c of sms._coordinates, read out
+    ascending from the mask's binary digits (by itertools.compress, or by
+    str.find when at most one word in eight is set).  func[b] =
+    {x : m(x, e_b) = 1} is the XOR of C_c over the bits c of gram[b],
+    F(w) = {x : m(x, w) = 1} the XOR of func[b] over the bits b of w, and
+    ker m the words that no func[b] marks.  The
+    level-j candidates are the words with mu(x) = mu(e_j) outside the span
+    mask S of the prefix that lie in ker m moved by T v, at a partner
+    level, or else outside ker m and, for each i < j, in F(w_i) or its
+    complement as bit i of gram[j] says.  A push appends S | (S moved by w)
+    and F(w); moving a mask by w takes one block swap per set bit of w, as
+    in sms._translates.  A pop drops both.
+
+    The partners come from one pass of f2core's elimination over the Gram
+    rows: row j reduces to zero against the earlier rows exactly when e_j
+    has a partner, and its combo is then e_j + v.  ker m is read off the
+    func masks, so the space needs no analysis pass beyond its validation.
+    """
+
+    def __init__(self, rank: int, gram: list[int], table: Optional[int] = None):
+        super().__init__(rank)
+        self.gram = gram
+        self.coords = coords = _coordinates(rank)
+        self.points = range(1 << rank)
+        self.digits = f"0{1 << rank}b"
+        ones = (1 << (1 << rank)) - 1
+        # func[b] = {x : m(x, e_b) = 1}; ker m is what no func[b] marks
+        self.func: list[int] = []
+        nonradical = 0
+        for row in gram:
+            f = 0
+            for c in range(rank):
+                if row >> c & 1:
+                    f ^= coords[c]
+            self.func.append(f)
+            nonradical |= f
+        self.kernel = ones ^ nonradical
+        # partners[j]: the bits of a v in span(e_0..e_{j-1}) with e_j + v
+        # radical, or None
+        self.partners: list[Optional[list[int]]] = []
+        system: _System = ([], [])
+        for j, row in enumerate(gram):
+            found = len(system[1])
+            system = _add_constraint(system, row, 1 << j)
+            v = system[1][-1] ^ 1 << j if len(system[1]) > found else None
+            self.partners.append(None if v is None else [i for i in range(j) if v >> i & 1])
+        # base[j]: the words with mu(x) = mu(e_j), outside ker m unless e_j
+        # has a partner
+        if table is None:  # pairing only: every word has the wanted value
+            by_mu, table = (ones, ones), 0
+        else:
+            by_mu = (ones ^ table, table)
+        self.base = [
+            by_mu[table >> (1 << j) & 1] & (ones if partner is not None else nonradical)
+            for j, partner in enumerate(self.partners)
+        ]
+        self.spans = [1]  # the span mask S of the prefix, pushed and popped with it
+        self.pairings: list[int] = []  # F(w_i) for the images w_i
+
+    def _candidates(self, j: int) -> Iterator[int]:
+        mask = self.base[j] & ~self.spans[-1]
+        partner = self.partners[j]
+        if partner is not None:
+            # the partner coset T v + ker m, whose pairings hold already
+            tv = 0
+            for i in partner:
+                tv ^= self.images[i]
+            mask &= _moved(self.coords, self.kernel, tv)
+        else:
+            row = self.gram[j]
+            for i, f in enumerate(self.pairings):
+                mask &= f if row >> i & 1 else ~f
+        if not mask:  # a dead end, common deep in a failing search
+            return iter(())
+        digits = format(mask, self.digits)[::-1]
+        if mask.bit_count() << 3 < len(digits):
+            # few words: finding each "1" beats stepping through all 2^k
+            return _ones(digits)
+        return compress(self.points, digits.encode().translate(_BITS))
+
+    def _push(self, w: int) -> None:
+        self.images.append(w)
+        coords, func = self.coords, self.func
+        span = moved = self.spans[-1]
+        pairing = 0
+        while w:
+            h = w & -w
+            b = h.bit_length() - 1
+            c = coords[b]
+            moved = (moved & c) >> h | (moved << h) & c
+            pairing ^= func[b]
+            w ^= h
+        self.spans.append(span | moved)
+        self.pairings.append(pairing)
+
+    def _pop(self) -> None:
+        self.images.pop()
+        self.spans.pop()
+        self.pairings.pop()
+
+
+def _moved(coords: tuple[int, ...], mask: int, w: int) -> int:
+    """The mask of x + w over the words x that mask marks, by one block swap per set bit of w."""
+    while w:
+        h = w & -w
+        c = coords[h.bit_length() - 1]
+        mask = (mask & c) >> h | (mask << h) & c
+        w ^= h
+    return mask
+
+
+def _ones(digits: str) -> Iterator[int]:
+    """The positions of "1" in digits, ascending."""
+    x = digits.find("1")
+    while x >= 0:
+        yield x
+        x = digits.find("1", x + 1)
+
+
+class _SpanSearch(_ImageSearch):
+    """The span-check rule, for a mu table (byte v is mu(v)) that need not be bilinear.
+
+    w_j must have mu(T v + w_j) = mu(v + e_j) for every v in
+    span(e_0..e_{j-1}), where T v is already fixed by the earlier levels.
+    """
+
+    def __init__(self, rank: int, mu: bytes):
+        super().__init__(rank)
+        self.mu = mu
+        # span[v] = T v for v in span(e_0..e_{j-1}); in_span marks the T v
+        self.span = [0] * (1 << rank)
+        self.in_span = bytearray(1 << rank)
+        self.in_span[0] = 1
+        self.by_mu: tuple[list[int], list[int]] = ([], [])
+        for w in range(1, 1 << rank):
+            self.by_mu[mu[w]].append(w)
+
+    def _candidates(self, j: int) -> Iterator[int]:
+        half = 1 << j
+        mu = self.mu
+        span = self.span
+        in_span = self.in_span
+        for w in self.by_mu[mu[half]]:
+            if in_span[w]:
+                continue
+            for v in range(1, half):
+                if mu[span[v] ^ w] != mu[half | v]:
+                    break
+            else:
+                yield w
+
+    def _push(self, w: int) -> None:
+        half = 1 << len(self.images)
+        self.images.append(w)
+        span = self.span
+        in_span = self.in_span
+        for v in range(half):
+            x = span[v] ^ w
+            span[half | v] = x
+            in_span[x] = 1
+
+    def _pop(self) -> None:
+        self.images.pop()
+        half = 1 << len(self.images)
+        span = self.span
+        in_span = self.in_span
+        for v in range(half, 2 * half):
+            in_span[span[v]] = 0
+
+
 def _close(points: list[int], mark: bytearray, flag: int, tables: list[array], new: int) -> None:
     """Close points, each marked flag, under the generators by marking and appending images.
 
@@ -328,10 +402,9 @@ def _close(points: list[int], mark: bytearray, flag: int, tables: list[array], n
                 append(x)
 
 
-def _space_search(space: SymplecticMetricSpace) -> _ImageSearch:
+def _space_search(space: SymplecticMetricSpace) -> _AffineSearch:
     """The automorphism search of space, after one validation."""
-    _, mu, gram, ker, _ = _analyze(space)
-    return _ImageSearch(space.rank, mu, gram, ker)
+    return _AffineSearch(space.rank, require_valid(space), space.table)
 
 
 def enumerate_automorphisms(space: SymplecticMetricSpace) -> Iterator[F2Matrix]:
@@ -371,11 +444,18 @@ def count_pairing_automorphisms(gram: tuple[int, ...]) -> int:
 
     The search core's stabilizer-chain count (_ImageSearch.order) with the
     affine-solution rule and no mu condition; it verifies the Sp(s;t) order
-    formula.
+    formula.  Rows that are not an alternating matrix raise ValueError.
     """
-    if len(gram) > COUNT_RANK_BOUND:
+    k = len(gram)
+    if k > COUNT_RANK_BOUND:
         raise ValueError(f"pairing-automorphism counting is bounded at rank <= {COUNT_RANK_BOUND}")
-    return _ImageSearch(len(gram), gram=list(gram)).order()
+    if any(type(row) is not int or row < 0 or row >> k for row in gram):
+        raise ValueError(f"each Gram row must be an int in 0..{(1 << k) - 1}")
+    if any(row >> j & 1 != gram[j] >> i & 1 for i, row in enumerate(gram) for j in range(i)):
+        raise ValueError("Gram rows are not symmetric")
+    if any(row >> i & 1 for i, row in enumerate(gram)):
+        raise ValueError("Gram rows have a nonzero diagonal")
+    return _AffineSearch(k, list(gram)).order()
 
 
 def mu_zero_nonzero_count(s: int) -> int:

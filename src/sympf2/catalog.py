@@ -22,7 +22,7 @@ import io
 import itertools
 from typing import Callable, Optional, Sequence
 
-from .autgrp import _ImageSearch, sp_full_order, sp_metric_order, sp_order, sp_vector_order
+from .autgrp import _SpanSearch, sp_full_order, sp_metric_order, sp_order, sp_vector_order
 from .f2core import _set, _Value, gl_order
 from .sms import (
     _BLOCK_A,
@@ -595,7 +595,7 @@ def _classify_graph(neighbours: Sequence[int]) -> tuple[str, Optional[tuple[int,
 def count_mu_automorphisms(model: SymplecticMetricSpace) -> int:
     """Invertible matrices preserving the mu table, counted by search.
 
-    The autgrp search core's stabilizer-chain count (_ImageSearch.order:
+    The autgrp search core's stabilizer-chain count (_SpanSearch.order:
     one existence search per orbit, each automorphism found kept as a
     generator) with the span-check rule, so non-bilinear tables work too.
     Labels are functions of mu, so this is also the group preserving the
@@ -604,7 +604,7 @@ def count_mu_automorphisms(model: SymplecticMetricSpace) -> int:
     """
     k = model.rank
     mu = _unpack(k, model.table)
-    return _ImageSearch(k, mu=mu).order()
+    return _SpanSearch(k, mu).order()
 
 
 # --- distinctness audit ---------------------------------------------------------

@@ -128,8 +128,8 @@ class F2Matrix(_Value):
 # combo & rhs for any right-hand-side vector rhs.  The dependencies are the
 # combos of added constraints that reduced to zero; a zero combo constrains
 # nothing and is not kept.  This is the package's one elimination routine:
-# the automorphism search grows and drops such systems level by level, and
-# everything else builds one with _eliminate.
+# the automorphism search grows one over the Gram rows to find each basis
+# vector's partner, and everything else builds one with _eliminate.
 _System = tuple[list[tuple[int, int, int]], list[int]]
 
 

@@ -8,11 +8,20 @@ from __future__ import annotations
 
 import re
 from math import factorial
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from sympf2.autgrp import sp_full_order, sp_metric_order, sp_order, sp_vector_order
 from sympf2.catalog import GraphInvariant, p_order
-from sympf2.f2core import F2Matrix, _add_constraint, _eliminate, _span, _System, gl_order, rank
+from sympf2.f2core import (
+    F2Matrix,
+    _add_constraint,
+    _eliminate,
+    _solutions,
+    _span,
+    _System,
+    gl_order,
+    rank,
+)
 from sympf2.matgrp import UNIT_MUL, ProjectiveElement, unit_conj
 from sympf2.sms import SymplecticMetricSpace, _unpack
 
@@ -361,3 +370,48 @@ def close_by_bits(
                 mark[x] = flag
                 points.append(x)
         i += 1
+
+
+def affine_candidates(gram: Sequence[int], mu: Optional[bytes], images: Sequence[int]) -> Iterator[int]:
+    """autgrp._AffineSearch's candidates at level j = len(images), by solving
+    the pairing conditions and walking the solutions in Gray-code order.
+
+    The partner of e_j comes from an elimination of the Gram rows 0..j with
+    combos; a partner level walks T v + ker m, with ker m solved from the
+    whole Gram matrix, and any other level the solutions w of m(w, w_i) =
+    m(e_j, e_i), i < j, that are not radical.  Either way w must lie
+    outside span(images) and, given mu (byte v is mu(v)), have mu(w) =
+    mu(e_j).  Each pairing x -> m(x, w) is a bit mask, entry w of the
+    _span of the Gram rows.
+    """
+    k, j = len(gram), len(images)
+    pairing = _span(gram)
+    partner: _System = ([], [])
+    for i, row in enumerate(gram[: j + 1]):
+        found = len(partner[1])
+        partner = _add_constraint(partner, row, 1 << i)
+    span = _span(images)
+    if len(partner[1]) > found:
+        # the combo of row j is e_j + v, with v its partner
+        particular = span[partner[1][-1] ^ 1 << j]
+        hom_basis = _solutions(_eliminate(gram), 0, k)[1]
+        radical_ok = True
+    else:
+        system: _System = ([], [])
+        for i, w in enumerate(images):
+            system = _add_constraint(system, pairing[w], 1 << i)
+        particular, hom_basis = _solutions(system, gram[j], k)
+        if particular is None:
+            return
+        radical_ok = False
+    in_span = set(span)
+    want = mu[1 << j] if mu is not None else 0
+    w = particular
+    gray = 0
+    for step in range(1 << len(hom_basis)):
+        if step:
+            nxt = step ^ (step >> 1)
+            w ^= hom_basis[(gray ^ nxt).bit_length() - 1]
+            gray = nxt
+        if w not in in_span and (mu is None or mu[w] == want) and (radical_ok or pairing[w]):
+            yield w

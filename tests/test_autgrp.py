@@ -8,7 +8,8 @@ import pytest
 from sympf2.autgrp import (
     COUNT_RANK_BOUND,
     ENUMERATION_RANK_BOUND,
-    _ImageSearch,
+    _AffineSearch,
+    _SpanSearch,
     _space_search,
     count_automorphisms,
     count_pairing_automorphisms,
@@ -36,7 +37,7 @@ from sympf2.sms import (
 )
 from sympf2.verify import verify_comparisons
 
-from references import close_by_bits, inverse, product
+from references import affine_candidates, close_by_bits, inverse, product
 
 
 def test_order_examples():
@@ -185,8 +186,8 @@ def test_order_matches_reference_on_label_models():
         if model is None:
             continue
         mu = _unpack(model.rank, model.table)
-        order = _ImageSearch(model.rank, mu=mu).order()
-        assert order == _reference_order(_ImageSearch(model.rank, mu=mu)), e
+        order = _SpanSearch(model.rank, mu).order()
+        assert order == _reference_order(_SpanSearch(model.rank, mu)), e
         checked += 1
     assert checked == 85
 
@@ -257,7 +258,7 @@ def test_chain_certifies_pairing_orders():
                 )
 
             _check_certificate(
-                _ImageSearch(k, gram=gram), preserves, sp_vector_order(s, t)
+                _AffineSearch(k, gram), preserves, sp_vector_order(s, t)
             )
 
 
@@ -370,7 +371,7 @@ def test_isomorphisms_match_gl_brute_force():
                 c for c in gl
                 if all(_pairs(ga, c[i], c[j]) == ga[i] >> j & 1 for i in range(k) for j in range(k))
             ]
-            assert list(_ImageSearch(k, gram=ga).tuples()) == brute, (s, k)
+            assert list(_AffineSearch(k, ga).tuples()) == brute, (s, k)
             checked += 1
     assert checked == 18 + 8
 
@@ -387,7 +388,7 @@ def test_span_check_leaves_match_gl_brute_force():
     assert sum(not validate(model)[0] for model in models.values()) == 5
     for (k, table), model in sorted(models.items()):
         mu = _unpack(k, table)
-        assert list(_ImageSearch(k, mu=mu).tuples()) == _preserving(_gl_columns(k), mu), model
+        assert list(_SpanSearch(k, mu).tuples()) == _preserving(_gl_columns(k), mu), model
     # seeded tables with mu(0) = 0 and little symmetry: on a quadratic or a
     # highly symmetric table, a check that skips some v can still list the
     # right leaves
@@ -395,7 +396,7 @@ def test_span_check_leaves_match_gl_brute_force():
     for k in (3, 4):
         for _ in range(4):
             mu = bytes([0, *(rng.getrandbits(1) for _ in range((1 << k) - 1))])
-            assert list(_ImageSearch(k, mu=mu).tuples()) == _preserving(_gl_columns(k), mu), mu
+            assert list(_SpanSearch(k, mu).tuples()) == _preserving(_gl_columns(k), mu), mu
 
 
 def test_count_reaches_enumeration_rank_bound():
@@ -455,7 +456,7 @@ def test_enumeration_rank_bound(monkeypatch):
     assert (ENUMERATION_RANK_BOUND, COUNT_RANK_BOUND) == (8, MAX_RANK)
     with pytest.raises(ValueError, match="enumeration is bounded at rank <= 8"):
         next(enumerate_automorphisms(canonical(InvariantTuple(0, 0, 9, 0))))
-    monkeypatch.setattr("sympf2.autgrp._ImageSearch", None)
+    monkeypatch.setattr("sympf2.autgrp._AffineSearch", None)
     with pytest.raises(ValueError, match="bounded at rank <= 16"):
         count_pairing_automorphisms(plain_symplectic_space(0, 17))
     with pytest.raises(ValueError, match="outside supported range"):
@@ -479,6 +480,63 @@ def test_table_closure_matches_bit_loop(monkeypatch):
     monkeypatch.setattr("sympf2.autgrp._close", close)
     for space, chain in zip(spaces, by_tables):
         assert _space_search(space)._chain() == chain, space
+
+
+def test_mask_candidates_match_gray_walk_reference():
+    # every _candidates call of a chain, at its own levels and in the _leaf
+    # descents, against the Gray walk over the solved pairing system that
+    # the table masks replaced: each canonical table of rank <= 8 and two
+    # seeded basis changes of it, and each pairing-only space of rank <= 8
+    rng = random.Random(30)
+    cases = []
+    for t in admissible_tuples(ENUMERATION_RANK_BOUND):
+        space = canonical(t)
+        for x in [space] + [transport(space, _random_invertible(rng, t.ambient_rank)) for _ in range(2)]:
+            cases.append((_space_search(x), _unpack(x.rank, x.table)))
+    for s in range(ENUMERATION_RANK_BOUND // 2 + 1):
+        for t in range(ENUMERATION_RANK_BOUND - 2 * s + 1):
+            gram = list(plain_symplectic_space(s, t))
+            cases.append((_AffineSearch(len(gram), gram), None))
+    assert len(cases) == 3 * 61 + 25
+    calls = levels = 0
+    for search, mu in cases:
+        candidates = search._candidates
+
+        def checked(j, search=search, mu=mu, candidates=candidates):
+            nonlocal calls
+            calls += 1
+            assert j == len(search.images)
+            got = list(candidates(j))
+            assert got == sorted(affine_candidates(search.gram, mu, search.images)), search.images
+            return iter(got)
+
+        search._candidates = checked
+        search._chain()
+        levels += search.k
+    # more calls than chain levels: the descents were checked too
+    assert calls > levels
+
+
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        ((2, 0), "Gram rows are not symmetric"),
+        ((5,), r"each Gram row must be an int in 0\.\.1$"),
+        ((1,), "Gram rows have a nonzero diagonal"),
+        ((-1,), r"each Gram row must be an int in 0\.\.1$"),
+        ((0b10, 0b01, 0b1000), r"each Gram row must be an int in 0\.\.7$"),
+        ((True,), r"each Gram row must be an int in 0\.\.1$"),
+        ((1.0,), r"each Gram row must be an int in 0\.\.1$"),
+        ((1,) * 17, "bounded at rank <= 16"),
+    ],
+    ids=["asymmetric", "row-too-wide", "diagonal", "negative-row", "row-past-rank",
+         "bool-row", "float-row", "rank-17"],
+)
+def test_pairing_count_rejects_rows_that_are_not_alternating(monkeypatch, gram, message):
+    # checked before any search is built; the rank bound comes first
+    monkeypatch.setattr("sympf2.autgrp._AffineSearch", None)
+    with pytest.raises(ValueError, match=message):
+        count_pairing_automorphisms(gram)
 
 
 def test_isomorphism_search_between_transported_spaces():
@@ -564,8 +622,8 @@ def test_rank_zero_group_is_trivial():
 def test_plain_symplectic_orders_by_enumeration(s, t):
     gram = plain_symplectic_space(s, t)
     rows = list(gram)
-    leaves = _leaf_count(_ImageSearch(len(rows), gram=rows))
-    reference = _reference_order(_ImageSearch(len(rows), gram=rows))
+    leaves = _leaf_count(_AffineSearch(len(rows), rows))
+    reference = _reference_order(_AffineSearch(len(rows), rows))
     assert count_pairing_automorphisms(gram) == leaves == reference == sp_vector_order(s, t)
 
 
