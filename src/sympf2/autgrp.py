@@ -6,9 +6,8 @@ automorphisms it finds, up to rank COUNT_RANK_BOUND, or lists every element,
 up to rank ENUMERATION_RANK_BOUND.
 The test suite confirms they agree.  Orders are plain Python ints, so there
 is no overflow caveat anywhere.  The search's linear algebra is f2core's
-one elimination routine (the partner pass) and span table (the image
-tables); the pairing conditions are whole-table masks, and this module
-holds no elimination of its own.
+span table (the image tables); the pairing conditions and the partners are
+read off whole-table masks, and the search does no elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from array import array
 from math import prod
 from typing import Iterator, Optional
 
-from .f2core import F2Matrix, _add_constraint, _span, _System, gl_order
+from .f2core import F2Matrix, _span, gl_order
 from .sms import (
     MAX_RANK,
     InvariantTuple,
@@ -223,10 +222,11 @@ class _AffineSearch(_ImageSearch):
     mask by w takes one block swap per set bit of w, as in
     sms._translates.  A pop drops both.
 
-    The partners come from one pass of f2core's elimination over the Gram
-    rows: row j reduces to zero against the earlier rows exactly when e_j
-    has a partner, and its combo is then e_j + v.  ker m is read off the
-    func masks, so the space needs no analysis pass beyond its validation.
+    ker m is read off the func masks, and the partners off ker m: e_j has
+    a partner exactly when ker m marks a word whose top set bit is j, and
+    the lowest such word is e_j + v for a valid v (v = 0 when e_j is
+    radical).  Every valid v gives the same coset T v + ker m.  So the
+    space needs no analysis pass beyond its validation.
     """
 
     def __init__(self, rank: int, gram: list[int], table: Optional[int] = None):
@@ -247,14 +247,12 @@ class _AffineSearch(_ImageSearch):
             nonradical |= f
         self.kernel = ones ^ nonradical
         # partners[j]: the bits of a v in span(e_0..e_{j-1}) with e_j + v
-        # radical, or None
+        # radical, or None; top marks the v with e_j + v in ker m
         self.partners: list[Optional[list[int]]] = []
-        system: _System = ([], [])
-        for j, row in enumerate(gram):
-            found = len(system[1])
-            system = _add_constraint(system, row, 1 << j)
-            v = system[1][-1] ^ 1 << j if len(system[1]) > found else None
-            self.partners.append(None if v is None else [i for i in range(j) if v >> i & 1])
+        for j in range(rank):
+            top = self.kernel >> (1 << j) & (1 << (1 << j)) - 1
+            v = (top & -top).bit_length() - 1
+            self.partners.append([i for i in range(j) if v >> i & 1] if top else None)
         # base[j]: the words with mu(x) = mu(e_j), outside ker m unless e_j
         # has a partner
         if table is None:  # pairing only: every word has the wanted value

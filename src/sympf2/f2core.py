@@ -8,7 +8,7 @@ and hashable, so values can be shared freely across threads.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 MAX_WIDTH = 64
 
@@ -121,67 +121,49 @@ class F2Matrix(_Value):
         return self.rows == self.cols and rank(self) == self.rows
 
 
-# A linear system over GF(2) in reduced echelon form, grown one constraint
-# parity(row & w) = rhs_i at a time: (pivots, dependencies).  Each pivot is
-# (row, combo, pivot bit), where the combo's bit i is set when constraint i
-# was added into the row, so the row's right-hand side is the parity of
-# combo & rhs for any right-hand-side vector rhs.  The dependencies are the
-# combos of added constraints that reduced to zero; a zero combo constrains
-# nothing and is not kept.  This is the package's one elimination routine:
-# the automorphism search grows one over the Gram rows to find each basis
-# vector's partner, and everything else builds one with _eliminate.
-_System = tuple[list[tuple[int, int, int]], list[int]]
+def _echelon(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The reduced echelon form of the row space of rows, as (row, pivot bit) pairs.
+
+    Each row is reduced against the pivots so far; a nonzero remainder
+    becomes a new pivot at its lowest set bit and is cleared from every
+    earlier row that holds that bit.  So no row holds another row's pivot
+    bit, and the pairs come in the order their rows first reduced to
+    nonzero.  This is the package's one elimination routine: rank counts
+    its pivots and _nullspace reads a kernel basis off them.
+    """
+    pivots: list[tuple[int, int]] = []
+    for row in rows:
+        for prow, pbit in pivots:
+            if row & pbit:
+                row ^= prow
+        if row:
+            pbit = row & -row
+            pivots = [(prow ^ row, q) if prow & pbit else (prow, q) for prow, q in pivots]
+            pivots.append((row, pbit))
+    return pivots
 
 
-def _add_constraint(system: _System, row: int, combo: int) -> _System:
-    pivots, deps = system
-    for prow, pcombo, pbit in pivots:
-        if row & pbit:
-            row ^= prow
-            combo ^= pcombo
-    if not row:
-        return pivots, deps + [combo] if combo else deps
-    pbit = row & -row
-    reduced = [
-        (prow ^ row, pcombo ^ combo, q) if prow & pbit else (prow, pcombo, q)
-        for prow, pcombo, q in pivots
-    ]
-    reduced.append((row, combo, pbit))
-    return reduced, deps
+def _nullspace(rows: Sequence[int], width: int) -> list[int]:
+    """A basis of {v in GF(2)^width : parity(row & v) = 0 for every row}.
 
-
-def _solutions(system: _System, rhs: int, width: int) -> tuple[Optional[int], list[int]]:
-    """(particular solution, homogeneous basis) over GF(2)^width for the
-    right-hand sides rhs, or (None, []) when inconsistent."""
-    pivots, deps = system
-    for combo in deps:
-        if (combo & rhs).bit_count() & 1:
-            return None, []
-    particular = 0
+    One vector per free bit b, ascending: e_b plus the pivot bit of every
+    reduced row that holds b.
+    """
+    pivots = _echelon(rows)
     pivot_mask = 0
-    for _, combo, pbit in pivots:
+    for _, pbit in pivots:
         pivot_mask |= pbit
-        if (combo & rhs).bit_count() & 1:
-            particular |= pbit
     basis = []
     for b in range(width):
         fb = 1 << b
         if fb & pivot_mask:
             continue
         v = fb
-        for row, _, pbit in pivots:
+        for row, pbit in pivots:
             if row & fb:
                 v |= pbit
         basis.append(v)
-    return particular, basis
-
-
-def _eliminate(rows: Sequence[int]) -> _System:
-    """The system of the constraints rows[i], every combo 0 (for rhs = 0)."""
-    system: _System = ([], [])
-    for row in rows:
-        system = _add_constraint(system, row, 0)
-    return system
+    return basis
 
 
 def _span(vectors: Sequence[int]) -> list[int]:
@@ -194,7 +176,7 @@ def _span(vectors: Sequence[int]) -> list[int]:
 
 def rank(m: F2Matrix) -> int:
     """Row rank over GF(2)."""
-    return len(_eliminate(m.row_bits())[0])
+    return len(_echelon(m.row_bits()))
 
 
 def gl_order(n: int) -> int:

@@ -17,7 +17,7 @@ import functools
 import json
 from typing import Iterable, Iterator, Optional
 
-from .f2core import F2Matrix, _eliminate, _set, _solutions, _span, _Value
+from .f2core import F2Matrix, _nullspace, _set, _span, _Value
 
 MAX_RANK = 16  # a rank-16 mu-table has 2^16 bits
 
@@ -251,7 +251,7 @@ def _analyze(
         if strict:
             raise ValueError(f"not a symplectic metric space: {reason}")
         return reason, mu, rows, None, None
-    ker = _solutions(_eliminate(rows), 0, space.rank)[1]
+    ker = _nullspace(rows, space.rank)
     d = len(ker)
     eps = 1 if any(mu[v] for v in ker) else 0
     t = (space.rank - d) // 2
@@ -434,24 +434,24 @@ def census(k: int):
         if inv is not None:
             valid.append(space)
             classes[inv] = classes.get(inv, 0) + 1
-    # orbit partition under basis transport, by closure over
-    # the elementary transvection generators of GL(k, 2)
-    gens = [
-        F2Matrix.from_row_bits([1 << a | (a == i) << j for a in range(k)], k)
-        for i in range(k) for j in range(k) if i != j
-    ]
+    # orbit partition under basis transport, by closure over the elementary
+    # transvections v -> v + v_j e_i of GL(k, 2); each moves a table by one
+    # block swap, as in _translates, on the entries with bit j set
+    coords = _coordinates(k)
+    swaps = [(coords[j], coords[i], 1 << i) for i in range(k) for j in range(k) if i != j]
     seen: set[int] = set()
     orbit_sizes = []
     for space in valid:
         if space.table in seen:
             continue
-        orbit, todo = {space.table}, [space]
+        orbit, todo = {space.table}, [space.table]
         while todo:
-            cur = todo.pop()
-            for g in gens:
-                moved = transport(cur, g)
-                if moved.table not in orbit:
-                    orbit.add(moved.table)
+            table = todo.pop()
+            for cj, ci, h in swaps:
+                x = table & cj
+                moved = table ^ x ^ ((x & ci) >> h | (x << h) & ci)
+                if moved not in orbit:
+                    orbit.add(moved)
                     todo.append(moved)
         seen |= orbit
         orbit_sizes.append(len(orbit))

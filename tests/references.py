@@ -12,18 +12,91 @@ from typing import Iterator, Optional, Sequence, Union
 
 from sympf2.autgrp import sp_full_order, sp_metric_order, sp_order, sp_vector_order
 from sympf2.catalog import GraphInvariant, p_order
-from sympf2.f2core import (
-    F2Matrix,
-    _add_constraint,
-    _eliminate,
-    _solutions,
-    _span,
-    _System,
-    gl_order,
-    rank,
-)
+from sympf2.f2core import F2Matrix, _span, gl_order, rank
 from sympf2.matgrp import UNIT_MUL, ProjectiveElement, unit_conj
 from sympf2.sms import SymplecticMetricSpace, _unpack
+
+
+# --- a linear-system solver with combos, the reference for f2core's echelon
+# routine; inverse, echelonize and affine_candidates solve with it, so they
+# share no elimination with the package
+#
+# A linear system over GF(2) in reduced echelon form, grown one constraint
+# parity(row & w) = rhs_i at a time: (pivots, dependencies).  Each pivot is
+# (row, combo, pivot bit), where the combo's bit i is set when constraint i
+# was added into the row, so the row's right-hand side is the parity of
+# combo & rhs for any right-hand-side vector rhs.  The dependencies are the
+# combos of added constraints that reduced to zero; a zero combo constrains
+# nothing and is not kept.
+
+System = tuple[list[tuple[int, int, int]], list[int]]
+
+
+def add_constraint(system: System, row: int, combo: int) -> System:
+    pivots, deps = system
+    for prow, pcombo, pbit in pivots:
+        if row & pbit:
+            row ^= prow
+            combo ^= pcombo
+    if not row:
+        return pivots, deps + [combo] if combo else deps
+    pbit = row & -row
+    reduced = [
+        (prow ^ row, pcombo ^ combo, q) if prow & pbit else (prow, pcombo, q)
+        for prow, pcombo, q in pivots
+    ]
+    reduced.append((row, combo, pbit))
+    return reduced, deps
+
+
+def solutions(system: System, rhs: int, width: int) -> tuple[Optional[int], list[int]]:
+    """(particular solution, homogeneous basis) over GF(2)^width for the
+    right-hand sides rhs, or (None, []) when inconsistent."""
+    pivots, deps = system
+    for combo in deps:
+        if (combo & rhs).bit_count() & 1:
+            return None, []
+    particular = 0
+    pivot_mask = 0
+    for _, combo, pbit in pivots:
+        pivot_mask |= pbit
+        if (combo & rhs).bit_count() & 1:
+            particular |= pbit
+    basis = []
+    for b in range(width):
+        fb = 1 << b
+        if fb & pivot_mask:
+            continue
+        v = fb
+        for row, _, pbit in pivots:
+            if row & fb:
+                v |= pbit
+        basis.append(v)
+    return particular, basis
+
+
+def eliminate(rows: Sequence[int]) -> System:
+    """The system of the constraints rows[i], every combo 0 (for rhs = 0)."""
+    system: System = ([], [])
+    for row in rows:
+        system = add_constraint(system, row, 0)
+    return system
+
+
+def partner_combos(gram: Sequence[int]) -> list[Optional[int]]:
+    """Entry j is e_j + v for a v in span(e_0..e_{j-1}) with e_j + v radical, or None.
+
+    Row j of the Gram matrix reduces to zero against rows 0..j-1 exactly
+    when e_j has such a partner v, and its combo is then e_j + v.
+    """
+    system: System = ([], [])
+    out: list[Optional[int]] = []
+    for j, row in enumerate(gram):
+        found = len(system[1])
+        system = add_constraint(system, row, 1 << j)
+        out.append(system[1][-1] if len(system[1]) > found else None)
+    return out
+
 
 GL_ENUMERATION_BOUND = 5
 
@@ -87,9 +160,9 @@ def inverse(m: F2Matrix) -> F2Matrix:
     if m.rows != m.cols or rank(m) != m.rows:
         raise ValueError("matrix is not invertible")
     # full rank leaves unit rows e_p = combo_p . m: the combos are the rows of m^-1
-    system: _System = ([], [])
+    system: System = ([], [])
     for i, row in enumerate(m.row_bits()):
-        system = _add_constraint(system, row, 1 << i)
+        system = add_constraint(system, row, 1 << i)
     pivots, _ = system
     return F2Matrix.from_row_bits([c for _, c, _ in sorted(pivots, key=lambda p: p[2])], m.rows)
 
@@ -100,7 +173,7 @@ def echelonize(row_bits: list[int]) -> list[int]:
     Pivots taken at the lowest set bit, rows sorted by pivot.  The result is
     the unique canonical basis of the row space.
     """
-    return [row for row, _, _ in sorted(_eliminate(row_bits)[0], key=lambda p: p[2])]
+    return [row for row, _, _ in sorted(eliminate(row_bits)[0], key=lambda p: p[2])]
 
 
 def labels(model: SymplecticMetricSpace) -> tuple[str, ...]:
@@ -386,21 +459,17 @@ def affine_candidates(gram: Sequence[int], mu: Optional[bytes], images: Sequence
     """
     k, j = len(gram), len(images)
     pairing = _span(gram)
-    partner: _System = ([], [])
-    for i, row in enumerate(gram[: j + 1]):
-        found = len(partner[1])
-        partner = _add_constraint(partner, row, 1 << i)
+    combo = partner_combos(gram)[j]
     span = _span(images)
-    if len(partner[1]) > found:
-        # the combo of row j is e_j + v, with v its partner
-        particular = span[partner[1][-1] ^ 1 << j]
-        hom_basis = _solutions(_eliminate(gram), 0, k)[1]
+    if combo is not None:
+        particular = span[combo ^ 1 << j]
+        hom_basis = solutions(eliminate(gram), 0, k)[1]
         radical_ok = True
     else:
-        system: _System = ([], [])
+        system: System = ([], [])
         for i, w in enumerate(images):
-            system = _add_constraint(system, pairing[w], 1 << i)
-        particular, hom_basis = _solutions(system, gram[j], k)
+            system = add_constraint(system, pairing[w], 1 << i)
+        particular, hom_basis = solutions(system, gram[j], k)
         if particular is None:
             return
         radical_ok = False

@@ -22,7 +22,7 @@ from sympf2.autgrp import (
     sp_vector_order,
 )
 from sympf2.catalog import build_label_model, enumerate_all, p_order
-from sympf2.f2core import F2Matrix, _eliminate, _solutions, _span, gl_order
+from sympf2.f2core import F2Matrix, _nullspace, _span, gl_order
 from sympf2.sms import (
     MAX_RANK,
     InvariantTuple,
@@ -37,7 +37,7 @@ from sympf2.sms import (
 )
 from sympf2.verify import verify_comparisons
 
-from references import affine_candidates, close_by_bits, inverse, product
+from references import affine_candidates, close_by_bits, inverse, partner_combos, product
 
 
 def test_order_examples():
@@ -482,11 +482,9 @@ def test_table_closure_matches_bit_loop(monkeypatch):
         assert _space_search(space)._chain() == chain, space
 
 
-def test_mask_candidates_match_gray_walk_reference():
-    # every _candidates call of a chain, at its own levels and in the _leaf
-    # descents, against the Gray walk over the solved pairing system that
-    # the table masks replaced: each canonical table of rank <= 8 and two
-    # seeded basis changes of it, and each pairing-only space of rank <= 8
+def _affine_cases():
+    """(search, mu bytes or None) for each canonical table of rank <= 8 and
+    two seeded basis changes of it, and each pairing-only space of rank <= 8."""
     rng = random.Random(30)
     cases = []
     for t in admissible_tuples(ENUMERATION_RANK_BOUND):
@@ -498,6 +496,14 @@ def test_mask_candidates_match_gray_walk_reference():
             gram = list(plain_symplectic_space(s, t))
             cases.append((_AffineSearch(len(gram), gram), None))
     assert len(cases) == 3 * 61 + 25
+    return cases
+
+
+def test_mask_candidates_match_gray_walk_reference():
+    # every _candidates call of a chain, at its own levels and in the _leaf
+    # descents, against the Gray walk over the solved pairing system that
+    # the table masks replaced
+    cases = _affine_cases()
     calls = levels = 0
     for search, mu in cases:
         candidates = search._candidates
@@ -515,6 +521,30 @@ def test_mask_candidates_match_gray_walk_reference():
         levels += search.k
     # more calls than chain levels: the descents were checked too
     assert calls > levels
+
+
+def test_partners_from_kernel_mask_match_reference_pass():
+    # _AffineSearch reads each partner off the kernel mask; the reference
+    # eliminates the Gram rows with combos.  A level has a partner under
+    # both or neither, and e_j + v is radical for the mask's v: the cases
+    # of the candidate test, V_{16,0;0,0} and V_{0,8;0,0}
+    searches = [search for search, _ in _affine_cases()]
+    for t in (InvariantTuple(0, 0, 16, 0), InvariantTuple(0, 0, 0, 8)):
+        searches.append(_space_search(canonical(t)))
+    with_partner = 0
+    for search in searches:
+        gram = search.gram
+        for j, (partner, combo) in enumerate(zip(search.partners, partner_combos(gram))):
+            assert (partner is None) == (combo is None), (gram, j)
+            if partner is None:
+                continue
+            with_partner += 1
+            assert partner == sorted(set(partner)) and all(i < j for i in partner)
+            pairing = gram[j]
+            for i in partner:
+                pairing ^= gram[i]
+            assert pairing == 0, (gram, j, partner)
+    assert with_partner > len(searches)
 
 
 @pytest.mark.parametrize(
@@ -630,4 +660,4 @@ def test_plain_symplectic_orders_by_enumeration(s, t):
 def test_plain_symplectic_space_shape():
     gram = plain_symplectic_space(2, 1)
     assert gram == (0b10, 0b01, 0b1000, 0b0100, 0)
-    assert len(_solutions(_eliminate(gram), 0, len(gram))[1]) == 1
+    assert len(_nullspace(gram, len(gram))) == 1

@@ -2,30 +2,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sympf2.f2core import (
-    F2Matrix,
-    _add_constraint,
-    _eliminate,
-    _solutions,
-    _span,
-    gl_order,
-    rank,
+from sympf2.f2core import F2Matrix, _echelon, _nullspace, _span, gl_order, rank
+
+from references import (
+    add_constraint,
+    echelonize,
+    eliminate,
+    enumerate_gl,
+    identity,
+    inverse,
+    product,
+    solutions,
 )
-
-from references import echelonize, enumerate_gl, identity, inverse, product
-
-
-def kernel_basis(rows, cols):
-    """A basis of {v : parity(row & v) = 0 for every row}."""
-    return _solutions(_eliminate(rows), 0, cols)[1]
 
 
 def solve(rows, rhs, cols):
-    """Some x with parity(rows[i] & x) = bit i of rhs, or None."""
+    """Some x with parity(rows[i] & x) = bit i of rhs, or None, by the reference solver."""
     system = ([], [])
     for i, row in enumerate(rows):
-        system = _add_constraint(system, row, 1 << i)
-    return _solutions(system, rhs, cols)[0]
+        system = add_constraint(system, row, 1 << i)
+    return solutions(system, rhs, cols)[0]
 
 
 def apply(rows, v):
@@ -40,10 +36,10 @@ def test_rank_examples():
 
 
 def test_nullspace_examples():
-    assert kernel_basis([0b001, 0b010, 0b100], 3) == []
-    assert kernel_basis([0, 0], 2) == [0b01, 0b10]
-    assert kernel_basis([0b10, 0b01], 2) == []
-    assert kernel_basis([0b011], 3) == [0b011, 0b100]
+    assert _nullspace([0b001, 0b010, 0b100], 3) == []
+    assert _nullspace([0, 0], 2) == [0b01, 0b10]
+    assert _nullspace([0b10, 0b01], 2) == []
+    assert _nullspace([0b011], 3) == [0b011, 0b100]
 
 
 def test_solve_examples():
@@ -63,13 +59,13 @@ matrices = st.integers(1, 7).flatmap(
 
 @given(matrices)
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m.row_bits(), m.cols)) == m.cols
+    assert rank(m) + len(_nullspace(m.row_bits(), m.cols)) == m.cols
 
 
 @given(matrices)
 def test_nullspace_vectors_annihilate(m):
     rows = m.row_bits()
-    basis = kernel_basis(rows, m.cols)
+    basis = _nullspace(rows, m.cols)
     for v in _span(basis):
         assert apply(rows, v) == 0
 
@@ -84,6 +80,23 @@ def test_solve_contract(m, raw):
     else:
         aug = F2Matrix.from_row_bits([r | (b >> i & 1) << m.cols for i, r in enumerate(rows)], m.cols + 1)
         assert rank(aug) == rank(m) + 1
+
+
+systems = st.integers(0, 16).flatmap(
+    lambda width: st.tuples(
+        st.lists(st.integers(0, (1 << width) - 1), max_size=20), st.just(width)
+    )
+)
+
+
+@given(systems)
+def test_echelon_and_nullspace_match_reference_solver(case):
+    # the pivots in the same order, and the same kernel basis in the same
+    # order, which isomorphism_to_canonical's witness is built from
+    rows, width = case
+    system = eliminate(rows)
+    assert _echelon(rows) == [(row, pbit) for row, _, pbit in system[0]]
+    assert _nullspace(rows, width) == solutions(system, 0, width)[1]
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 6), (3, 168)])
