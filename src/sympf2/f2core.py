@@ -105,14 +105,7 @@ class F2Matrix(_Value):
 
     def column_bits(self) -> list[int]:
         """Columns as words: bit i of column j is entry (i, j)."""
-        cols = [0] * self.cols
-        for i, r in enumerate(self.row_data):
-            b = r.bits
-            while b:
-                j = (b & -b).bit_length() - 1
-                cols[j] |= 1 << i
-                b &= b - 1
-        return cols
+        return _transpose(self.row_bits(), self.cols)
 
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_row_bits(self.column_bits(), self.rows)
@@ -172,6 +165,28 @@ def _span(vectors: Sequence[int]) -> list[int]:
     for w in vectors:
         table += [x ^ w for x in table]
     return table
+
+
+def _transpose(words: Sequence[int], width: int) -> list[int]:
+    """The width words whose bit i of word j is bit j of words[i]."""
+    out = [0] * width
+    for i, b in enumerate(words):
+        while b:
+            low = b & -b
+            out[low.bit_length() - 1] |= 1 << i
+            b ^= low
+    return out
+
+
+def _combine(vectors: Sequence[int], x: int) -> int:
+    """Entry x of _span(vectors), one XOR per set bit of x: as a matrix-vector
+    product, M x for the matrix whose column i is vectors[i]."""
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= vectors[low.bit_length() - 1]
+        x ^= low
+    return acc
 
 
 def rank(m: F2Matrix) -> int:

@@ -17,7 +17,7 @@ import functools
 import json
 from typing import Iterable, Iterator, Optional
 
-from .f2core import F2Matrix, _nullspace, _set, _span, _Value
+from .f2core import F2Matrix, _combine, _nullspace, _set, _span, _transpose, _Value
 
 MAX_RANK = 16  # a rank-16 mu-table has 2^16 bits
 
@@ -32,6 +32,8 @@ class InvariantTuple(_Value):
     s: int
 
     def __init__(self, eps: int, delta: int, r: int, s: int) -> None:
+        if type(eps) is not int or type(delta) is not int or type(r) is not int or type(s) is not int:
+            raise ValueError("eps, delta, r and s must be ints")  # type(), so a bool is refused too
         if eps not in (0, 1) or delta not in (0, 1):
             raise ValueError("eps and delta must be 0 or 1")
         if eps and delta:
@@ -76,6 +78,8 @@ class SymplecticMetricSpace(_Value):
     table: int
 
     def __init__(self, rank: int, table: int) -> None:
+        if type(rank) is not int or type(table) is not int:
+            raise ValueError("rank and mu-table must be ints")  # type(), so a bool is refused too
         if rank < 0 or rank > MAX_RANK:
             raise ValueError(f"rank outside supported range 0..{MAX_RANK}")
         if table < 0 or table >> (1 << rank):
@@ -350,9 +354,6 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     def m(x: int, y: int) -> int:
         return mu[x] ^ mu[y] ^ mu[x ^ y]
 
-    def pairings(x: int) -> int:  # bit i is m(e_i, x)
-        return sum(((g & x).bit_count() & 1) << i for i, g in enumerate(gram))
-
     def clear_cross_pairings(v: int) -> int:
         for e, f in pairs:
             v ^= (m(v, f) * e) ^ (m(v, e) * f)
@@ -364,7 +365,7 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
         # earlier e_j does; otherwise x starts the next pair, and correcting y
         # below cannot disturb m(x, y).  The walk stops at the last pair.
         x = clear_cross_pairings(1 << i)
-        row = pairings(x)
+        row = _combine(gram, x)  # bit j is m(e_j, x): G x, as G is symmetric
         if not row:
             continue
         y = clear_cross_pairings(row & -row)
@@ -406,13 +407,12 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
 
     ordered = fixed + [c for p in ones + zeros for c in p]
     # Columns of T are the constructed basis in the space's coordinates.
-    t = F2Matrix.from_row_bits(ordered, k).transpose()
+    rows = _transpose(ordered, k)
+    t = F2Matrix.from_row_bits(rows, k)
     # mu(T v) is the quadratic form with basis values mu(b_i) and pairings
     # m(b_i, b_j), so its table is transport(space, t).table in O(k^2) words.
-    gram_rows = [
-        sum(((p & b).bit_count() & 1) << j for j, b in enumerate(ordered))
-        for p in map(pairings, ordered)
-    ]
+    # Those pairings are T^t G T: row i is the rows of T combined by G b_i.
+    gram_rows = [_combine(rows, _combine(gram, b)) for b in ordered]
     basis_mu = [mu[b] for b in ordered]
     if not t.is_invertible() or _table_from_basis_data(k, basis_mu, gram_rows) != canonical(inv).table:
         raise AssertionError("constructed basis change does not canonicalize")

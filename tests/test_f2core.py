@@ -1,8 +1,10 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sympf2.f2core import F2Matrix, _echelon, _nullspace, _span, gl_order, rank
+from sympf2.f2core import F2Matrix, _combine, _echelon, _nullspace, _span, _transpose, gl_order, rank
 
 from references import (
     add_constraint,
@@ -97,6 +99,22 @@ def test_echelon_and_nullspace_match_reference_solver(case):
     system = eliminate(rows)
     assert _echelon(rows) == [(row, pbit) for row, _, pbit in system[0]]
     assert _nullspace(rows, width) == solutions(system, 0, width)[1]
+
+
+@given(systems)
+def test_combine_and_transpose_match_their_definitions(case):
+    # the witness's two products: G x and the rows of T, as word routines
+    vectors, width = case
+    table = _span(vectors)
+    # every x up to 13 vectors, then the lowest and highest 2^12: hypothesis
+    # draws many 20-vector lists, and 2^20 calls each would take seconds
+    edge = 1 << 12
+    for x in chain(range(min(len(table), edge)), range(max(edge, len(table) - edge), len(table))):
+        assert _combine(vectors, x) == table[x]
+    cols = _transpose(vectors, width)
+    assert len(cols) == width
+    assert all((cols[j] >> i & 1) == (v >> j & 1) for i, v in enumerate(vectors) for j in range(width))
+    assert _transpose(cols, len(vectors)) == vectors
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 6), (3, 168)])

@@ -176,6 +176,23 @@ def test_canonical_rejects_eps_delta_both():
         InvariantTuple(1, 1, 0, 0)
 
 
+def test_invariant_tuple_refuses_a_float_field():
+    # otherwise canonical() of it raises TypeError deep in the block product
+    with pytest.raises(ValueError, match="must be ints"):
+        InvariantTuple(0, 0, 1.5, 0)
+
+
+def test_space_refuses_a_bool_rank():
+    # True == 1, so a space of rank True would equal and hash like one of rank 1
+    with pytest.raises(ValueError, match="must be ints"):
+        SymplecticMetricSpace(True, 0)
+
+
+def test_space_refuses_a_float_table():
+    with pytest.raises(ValueError, match="must be ints"):
+        SymplecticMetricSpace(2, 1.5)
+
+
 def test_canonical_round_trip():
     for eps, delta, r, s in itertools.product((0, 1), (0, 1), range(5), range(4)):
         if eps and delta:
