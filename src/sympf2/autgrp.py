@@ -16,7 +16,7 @@ from array import array
 from math import prod
 from typing import Iterator, Optional
 
-from .f2core import F2Matrix, _span, gl_order
+from .f2core import F2Matrix, _combine, _span, gl_order
 from .sms import (
     MAX_RANK,
     InvariantTuple,
@@ -210,16 +210,19 @@ class _AffineSearch(_ImageSearch):
     table only m is preserved.
 
     No system is solved per level: the candidates are a few whole-table
-    int operations on the masks C_c of sms._coordinates, read out
-    ascending by str.find over the mask's binary digits.  func[b] =
-    {x : m(x, e_b) = 1} is the XOR of C_c over the bits c of gram[b],
-    F(w) = {x : m(x, w) = 1} the XOR of func[b] over the bits b of w, and
-    ker m the words that no func[b] marks.  The level-j candidates are
-    the words with mu(x) = mu(e_j) outside the span mask S of the prefix
-    that lie in ker m moved by T v, at a partner level, or else outside
-    ker m and, for each i < j, in F(w_i) or its complement as bit i of
-    gram[j] says.  A push appends S | (S moved by w) and F(w); moving a
-    mask by w takes one block swap per set bit of w, as in
+    int operations on 2^k-bit masks, read out ascending by str.find over
+    the mask's binary digits.  The search takes func and gram as given:
+    func[b] is the mask of {x : m(x, e_b) = 1}, which is the XOR of the
+    masks C_c of sms._coordinates over the bits c of gram[b], and bit c of
+    gram[b] is m(e_c, e_b).  sms.require_valid hands over both from the
+    validation pass, and count_pairing_automorphisms builds func from its
+    Gram rows.  F(w) = {x : m(x, w) = 1} is the XOR of func[b] over the
+    bits b of w, and ker m the words that no func[b] marks.  The level-j
+    candidates are the words with mu(x) = mu(e_j) outside the span mask S
+    of the prefix that lie in ker m moved by T v, at a partner level, or
+    else outside ker m and, for each i < j, in F(w_i) or its complement as
+    bit i of gram[j] says.  A push appends S | (S moved by w) and F(w);
+    moving a mask by w takes one block swap per set bit of w, as in
     sms._translates.  A pop drops both.
 
     ker m is read off the func masks, and the partners off ker m: e_j has
@@ -229,21 +232,16 @@ class _AffineSearch(_ImageSearch):
     space needs no analysis pass beyond its validation.
     """
 
-    def __init__(self, rank: int, gram: list[int], table: Optional[int] = None):
+    def __init__(self, rank: int, func: list[int], gram: list[int], table: Optional[int] = None):
         super().__init__(rank)
+        self.func = func
         self.gram = gram
-        self.coords = coords = _coordinates(rank)
+        self.coords = _coordinates(rank)
         self.digits = f"0{1 << rank}b"
         ones = (1 << (1 << rank)) - 1
-        # func[b] = {x : m(x, e_b) = 1}; ker m is what no func[b] marks
-        self.func: list[int] = []
+        # ker m is what no func[b] marks
         nonradical = 0
-        for row in gram:
-            f = 0
-            for c in range(rank):
-                if row >> c & 1:
-                    f ^= coords[c]
-            self.func.append(f)
+        for f in func:
             nonradical |= f
         self.kernel = ones ^ nonradical
         # partners[j]: the bits of a v in span(e_0..e_{j-1}) with e_j + v
@@ -393,7 +391,7 @@ def _close(points: list[int], mark: bytearray, flag: int, tables: list[array], n
 
 def _space_search(space: SymplecticMetricSpace) -> _AffineSearch:
     """The automorphism search of space, after one validation."""
-    return _AffineSearch(space.rank, require_valid(space), space.table)
+    return _AffineSearch(space.rank, *require_valid(space), space.table)
 
 
 def enumerate_automorphisms(space: SymplecticMetricSpace) -> Iterator[F2Matrix]:
@@ -444,7 +442,8 @@ def count_pairing_automorphisms(gram: tuple[int, ...]) -> int:
         raise ValueError("Gram rows are not symmetric")
     if any(row >> i & 1 for i, row in enumerate(gram)):
         raise ValueError("Gram rows have a nonzero diagonal")
-    return _AffineSearch(k, list(gram)).order()
+    coords = _coordinates(k)
+    return _AffineSearch(k, [_combine(coords, row) for row in gram], list(gram)).order()
 
 
 def mu_zero_nonzero_count(s: int) -> int:

@@ -24,7 +24,7 @@ AUT_LIST_CAP = 1 << 16  # aut --list: one line per automorphism
 
 
 def _classify_space(space: sms.SymplecticMetricSpace, out) -> int:
-    reason, _, _, _, inv = sms._analyze(space, strict=False)
+    reason, _, _, inv = sms._analyze(space, strict=False)
     print(f"valid: {'no' if inv is None else 'yes'}", file=out)
     if inv is None:
         print(f"reason: {reason}", file=out)

@@ -416,7 +416,7 @@ def _tabulate(basis: Sequence, squares: list[int], commutator: Callable) -> Symp
     if codes.translate(None, b"\0\4"):
         raise ValueError("scalar is not +-1; element has no mu value")
     space = SymplecticMetricSpace(len(basis), _pack(codes.replace(b"\4", b"\1")))
-    gram = require_valid(space)
+    _, gram = require_valid(space)
     for i, j in itertools.combinations(range(len(basis)), 2):
         if _mu_bit(commutator(basis[i], basis[j])) != gram[i] >> j & 1:
             raise ValueError("mu/m compatibility violation: modeling bug")

@@ -127,19 +127,6 @@ def _unpack(k: int, table: int) -> bytes:
     return format(table, f"0{1 << k}b")[::-1].encode().translate(_BITS)
 
 
-def _gram_rows(space: SymplecticMetricSpace) -> tuple[bytes, list[int]]:
-    """(mu, gram) from one unpacking of the table: byte v of mu is mu(v), and
-    bit j of gram[i] is m(e_i, e_j)."""
-    k = space.rank
-    mu = _unpack(k, space.table)
-
-    def shifted(x: int) -> int:  # bit j is mu(x + e_j)
-        return sum([mu[x ^ 1 << j] << j for j in range(k)])
-
-    basis, ones = shifted(0), (1 << k) - 1
-    return mu, [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] else 0) for i in range(k)]
-
-
 @functools.cache
 def _coordinates(k: int) -> tuple[int, ...]:
     """C_0..C_{k-1}, cached for k <= MAX_RANK: bit v of C_i is bit i of v.
@@ -157,8 +144,8 @@ def _table_from_basis_data(k: int, basis_mu: list[int], gram_rows: list[int]) ->
     That is the XOR over i of C_i & (mu(e_i) ALL ^ XOR_{j>i, g_ij=1} C_j),
     O(k^2) operations on 2^k-bit ints.  Only the upper triangle of g is
     read, so mu polarizes back to g only if g is symmetric with zero
-    diagonal: _gram_rows gives such a g when mu(0) = 0, and so does the
-    witness's Gram matrix of its new basis.
+    diagonal, as the Gram rows of a valid space (_pairings) and the
+    witness's Gram matrix of its new basis are.
     """
     coords = _coordinates(k)
     ones = (1 << (1 << k)) - 1
@@ -189,34 +176,69 @@ def _translates(k: int, table: int) -> Iterator[tuple[int, int]]:
 _VALID = "valid symplectic metric space"
 
 
-def _validity(space: SymplecticMetricSpace, mu: bytes, gram: list[int]) -> str:
-    """validate's message for a space whose table unpacks to mu and whose Gram rows are gram.
+@functools.cache
+def _basis_marks(k: int) -> tuple[tuple[int, int], ...]:
+    """(2^(2^j), 2^j) for j < k, cached for k <= MAX_RANK: the table bit of e_j, and e_j."""
+    return tuple((1 << (1 << j), 1 << j) for j in range(k))
 
-    The polarization is bilinear exactly when mu is the quadratic form
-    mu(v) = sum_i v_i mu(e_i) + sum_{i<j} v_i v_j m(e_i, e_j), which
-    _table_from_basis_data builds from the basis values and the Gram matrix.
+
+def _pairings(space: SymplecticMetricSpace) -> tuple[str, Optional[list[int]], Optional[list[int]]]:
+    """(reason, func, gram) in one pass over the basis, stopping at the first failure.
+
+    reason is validate's message.  For a valid space, func[b] is the mask
+    of {x : m(x, e_b) = 1} and bit j of gram[b] is m(e_j, e_b); both are
+    None for an invalid one.  A table has degree <= 2, so a bilinear
+    polarization, exactly when each derivative D_b(x) = mu(x) + mu(x + e_b)
+    is affine.  D_b is the table XOR its translate by e_b, the block swap
+    of _translates; it is unchanged by x -> x + e_b, so the pass keeps only
+    its half d on the words without bit b, which holds every e_j but e_b.
+    With mu(e_b) added, d(x) is m(x, e_b), and gram[b] is d read at the
+    basis words.  So the space is valid exactly when mu(0) = 0 and, for
+    every b, d agrees on that half with the linear mask
+    _combine(coordinates, gram[b]); that mask is func[b].
     """
-    if mu[0]:
-        return "mu(0) must be 0"
-    basis_mu = [mu[1 << i] for i in range(space.rank)]
-    if _table_from_basis_data(space.rank, basis_mu, gram) != space.table:
-        return "polarization of mu is not bilinear"
-    return _VALID
+    k, table = space.rank, space.table
+    if table & 1:
+        return "mu(0) must be 0", None, None
+    coords, marks = _coordinates(k), _basis_marks(k)
+    ones = (1 << (1 << k)) - 1
+    func, gram = [], []
+    for b, c in enumerate(coords):
+        low = ones ^ c
+        d = (table ^ table >> (1 << b)) & low
+        if table & marks[b][0]:
+            d ^= low
+        row = 0
+        for bit, e in marks:
+            if d & bit:
+                row |= e
+        f = _combine(coords, row)
+        if f & low != d:
+            return "polarization of mu is not bilinear", None, None
+        func.append(f)
+        gram.append(row)
+    return _VALID, func, gram
 
 
 def validate(space: SymplecticMetricSpace) -> tuple[bool, str]:
-    """Check mu(0) = 0 and that the polarization is bilinear."""
-    reason = _validity(space, *_gram_rows(space))
+    """Check mu(0) = 0 and that the polarization is bilinear: (verdict, message).
+
+    One _pairings pass, which stops at the first basis vector whose
+    derivative is not affine, so most invalid tables fail in one row.
+    """
+    reason = _pairings(space)[0]
     return reason == _VALID, reason
 
 
-def require_valid(space: SymplecticMetricSpace) -> list[int]:
-    """The Gram rows of a valid space (bit j of row i is m(e_i, e_j)); raises otherwise."""
-    mu, rows = _gram_rows(space)
-    reason = _validity(space, mu, rows)
+def require_valid(space: SymplecticMetricSpace) -> tuple[list[int], list[int]]:
+    """(func, gram) of a valid space, as _pairings gives them; raises ValueError otherwise.
+
+    func[b] is the mask of {x : m(x, e_b) = 1} and bit j of gram[b] is m(e_j, e_b).
+    """
+    reason, func, gram = _pairings(space)
     if reason != _VALID:
         raise ValueError(f"not a symplectic metric space: {reason}")
-    return rows
+    return func, gram
 
 
 def _split_kernel(mu: bytes, ker: list[int]) -> tuple[list[int], Optional[int]]:
@@ -238,26 +260,24 @@ def defect(space: SymplecticMetricSpace) -> int:
 
 def _analyze(
     space: SymplecticMetricSpace, strict: bool = True
-) -> tuple[str, bytes, list[int], Optional[list[int]], Optional[InvariantTuple]]:
-    """(reason, mu, gram, ker, inv): validate once, then read ker m and
-    (eps, delta, r, s) off the same Gram rows.
+) -> tuple[str, Optional[list[int]], Optional[list[int]], Optional[InvariantTuple]]:
+    """(reason, gram, ker, inv): validate once, then read ker m and
+    (eps, delta, r, s) off the Gram rows of the same _pairings pass.
 
-    reason is validate's message; byte v of mu is mu(v), from the one
-    unpacking of the table; bit j of gram[i] is m(e_i, e_j); ker is a basis
-    of ker m and inv the invariant tuple, both None for an invalid space.
-    An invalid space raises ValueError as require_valid does, or with
-    strict=False gives validate's reason.  mu is linear on ker m, so it is
-    nonzero there (eps = 1) exactly when it is nonzero on a basis vector.
+    reason is validate's message; bit j of gram[i] is m(e_i, e_j); ker is a
+    basis of ker m and inv the invariant tuple.  gram, ker and inv are None
+    for an invalid space, which raises ValueError as require_valid does, or
+    with strict=False gives validate's reason.  mu is linear on ker m, so it
+    is nonzero there (eps = 1) exactly when it is nonzero on a basis vector.
     """
-    mu, rows = _gram_rows(space)
-    reason = _validity(space, mu, rows)
-    if reason != _VALID:
+    reason, _, rows = _pairings(space)
+    if rows is None:
         if strict:
             raise ValueError(f"not a symplectic metric space: {reason}")
-        return reason, mu, rows, None, None
+        return reason, None, None, None
     ker = _nullspace(rows, space.rank)
     d = len(ker)
-    eps = 1 if any(mu[v] for v in ker) else 0
+    eps = 1 if any(space.table >> v & 1 for v in ker) else 0
     t = (space.rank - d) // 2
     if eps:
         delta = 0
@@ -272,11 +292,11 @@ def _analyze(
             delta = 0
         else:
             raise AssertionError("descended form is not nondegenerate")
-    return reason, mu, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta)
+    return reason, rows, ker, InvariantTuple(eps, delta, d - eps, t - delta)
 
 
 def invariants(space: SymplecticMetricSpace) -> InvariantTuple:
-    return _analyze(space)[4]
+    return _analyze(space)[3]
 
 
 def _block(bits: list[int]) -> tuple[int, int]:
@@ -345,8 +365,9 @@ def isomorphism_to_canonical(space: SymplecticMetricSpace) -> F2Matrix:
     then the eps vector, then hyperbolic pairs with mu normalized to (0, 0)
     on each pair, the unique (1, 1) pair (if any) routed to the delta slot.
     """
-    _, mu, gram, ker, inv = _analyze(space)
+    _, gram, ker, inv = _analyze(space)
     k = space.rank
+    mu = _unpack(k, space.table)
     trans, z = _split_kernel(mu, ker)
     fixed = trans + ([z] if inv.eps else [])
     pairs: list[tuple[int, int]] = []
@@ -430,7 +451,7 @@ def census(k: int):
     classes: dict[InvariantTuple, int] = {}
     for table in range(0, 1 << (1 << k), 2):
         space = SymplecticMetricSpace(k, table)
-        inv = _analyze(space, strict=False)[4]
+        inv = _analyze(space, strict=False)[3]
         if inv is not None:
             valid.append(space)
             classes[inv] = classes.get(inv, 0) + 1

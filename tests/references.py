@@ -14,7 +14,7 @@ from sympf2.autgrp import sp_full_order, sp_metric_order, sp_order, sp_vector_or
 from sympf2.catalog import GraphInvariant, p_order
 from sympf2.f2core import F2Matrix, _span, gl_order, rank
 from sympf2.matgrp import UNIT_MUL, ProjectiveElement, unit_conj
-from sympf2.sms import SymplecticMetricSpace, _unpack
+from sympf2.sms import SymplecticMetricSpace, _table_from_basis_data, _unpack
 
 
 # --- a linear-system solver with combos, the reference for f2core's echelon
@@ -96,6 +96,40 @@ def partner_combos(gram: Sequence[int]) -> list[Optional[int]]:
         system = add_constraint(system, row, 1 << j)
         out.append(system[1][-1] if len(system[1]) > found else None)
     return out
+
+
+# --- the validity check by unpacked bytes and a rebuilt quadratic form, the
+# reference for sms._pairings, which reads the same verdict and Gram rows off
+# one block swap per basis vector
+
+
+def gram_rows(space: SymplecticMetricSpace) -> tuple[bytes, list[int]]:
+    """(mu, gram) from one unpacking of the table: byte v of mu is mu(v), and
+    bit j of gram[i] is m(e_i, e_j)."""
+    k = space.rank
+    mu = _unpack(k, space.table)
+
+    def shifted(x: int) -> int:  # bit j is mu(x + e_j)
+        return sum([mu[x ^ 1 << j] << j for j in range(k)])
+
+    basis, ones = shifted(0), (1 << k) - 1
+    return mu, [shifted(1 << i) ^ basis ^ (ones if mu[1 << i] else 0) for i in range(k)]
+
+
+def validity(space: SymplecticMetricSpace) -> str:
+    """validate's message, from gram_rows.
+
+    The polarization is bilinear exactly when mu is the quadratic form
+    mu(v) = sum_i v_i mu(e_i) + sum_{i<j} v_i v_j m(e_i, e_j), which
+    _table_from_basis_data builds from the basis values and the Gram matrix.
+    """
+    mu, gram = gram_rows(space)
+    if mu[0]:
+        return "mu(0) must be 0"
+    basis_mu = [mu[1 << i] for i in range(space.rank)]
+    if _table_from_basis_data(space.rank, basis_mu, gram) != space.table:
+        return "polarization of mu is not bilinear"
+    return "valid symplectic metric space"
 
 
 GL_ENUMERATION_BOUND = 5

@@ -22,11 +22,12 @@ from sympf2.autgrp import (
     sp_vector_order,
 )
 from sympf2.catalog import build_label_model, enumerate_all, p_order
-from sympf2.f2core import F2Matrix, _nullspace, _span, gl_order
+from sympf2.f2core import F2Matrix, _combine, _nullspace, _span, gl_order
 from sympf2.sms import (
     MAX_RANK,
     InvariantTuple,
     SymplecticMetricSpace,
+    _coordinates,
     _unpack,
     admissible_tuples,
     canonical,
@@ -38,6 +39,13 @@ from sympf2.sms import (
 from sympf2.verify import verify_comparisons
 
 from references import affine_candidates, close_by_bits, inverse, partner_combos, product
+
+
+def _pairing_search(gram):
+    """The affine-rule search of a pairing-only space, its func masks built
+    from the Gram rows as count_pairing_automorphisms builds them."""
+    coords = _coordinates(len(gram))
+    return _AffineSearch(len(gram), [_combine(coords, row) for row in gram], list(gram))
 
 
 def test_order_examples():
@@ -258,7 +266,7 @@ def test_chain_certifies_pairing_orders():
                 )
 
             _check_certificate(
-                _AffineSearch(k, gram), preserves, sp_vector_order(s, t)
+                _pairing_search(gram), preserves, sp_vector_order(s, t)
             )
 
 
@@ -371,7 +379,7 @@ def test_isomorphisms_match_gl_brute_force():
                 c for c in gl
                 if all(_pairs(ga, c[i], c[j]) == ga[i] >> j & 1 for i in range(k) for j in range(k))
             ]
-            assert list(_AffineSearch(k, ga).tuples()) == brute, (s, k)
+            assert list(_pairing_search(ga).tuples()) == brute, (s, k)
             checked += 1
     assert checked == 18 + 8
 
@@ -494,7 +502,7 @@ def _affine_cases():
     for s in range(ENUMERATION_RANK_BOUND // 2 + 1):
         for t in range(ENUMERATION_RANK_BOUND - 2 * s + 1):
             gram = list(plain_symplectic_space(s, t))
-            cases.append((_AffineSearch(len(gram), gram), None))
+            cases.append((_pairing_search(gram), None))
     assert len(cases) == 3 * 61 + 25
     return cases
 
@@ -652,8 +660,8 @@ def test_rank_zero_group_is_trivial():
 def test_plain_symplectic_orders_by_enumeration(s, t):
     gram = plain_symplectic_space(s, t)
     rows = list(gram)
-    leaves = _leaf_count(_AffineSearch(len(rows), rows))
-    reference = _reference_order(_AffineSearch(len(rows), rows))
+    leaves = _leaf_count(_pairing_search(rows))
+    reference = _reference_order(_pairing_search(rows))
     assert count_pairing_automorphisms(gram) == leaves == reference == sp_vector_order(s, t)
 
 

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympf2 import cli, matgrp, sms
+from sympf2 import autgrp, cli, matgrp, sms
 from sympf2.autgrp import count_automorphisms
-from sympf2.f2core import F2Matrix, _span
+from sympf2.f2core import F2Matrix, _combine, _span
 from sympf2.sms import (
     MAX_RANK,
     InvariantTuple,
     SymplecticMetricSpace,
     _analyze,
     _coordinates,
-    _gram_rows,
     _pack,
+    _pairings,
     _split_kernel,
     _table_from_basis_data,
     _translates,
@@ -33,7 +33,7 @@ from sympf2.sms import (
     validate,
 )
 
-from references import echelonize, enumerate_gl
+from references import echelonize, enumerate_gl, gram_rows, validity
 
 
 def space_of(mu):
@@ -98,15 +98,15 @@ def test_rank3_parity_rule():
 
 def translation_basis(space):
     """A basis of A_V = {x in ker m : mu(x) = 0}."""
-    _, mu, _, ker, _ = _analyze(space)
-    return _split_kernel(mu, ker)[0]
+    ker = _analyze(space)[2]
+    return _split_kernel(_unpack(space.rank, space.table), ker)[0]
 
 
 def test_kernel_examples():
-    assert _analyze(HYPERBOLIC)[3] == []
-    assert len(_analyze(SymplecticMetricSpace(3, 0))[3]) == 3
+    assert _analyze(HYPERBOLIC)[2] == []
+    assert len(_analyze(SymplecticMetricSpace(3, 0))[2]) == 3
     v110 = canonical(InvariantTuple(0, 0, 1, 1))
-    assert _analyze(v110)[3] == [0b001]
+    assert _analyze(v110)[2] == [0b001]
 
 
 def test_translation_subgroup_examples():
@@ -123,7 +123,7 @@ def test_translation_inside_kernel():
             continue
         space = canonical(InvariantTuple(eps, delta, r, s))
         a = translation_basis(space)
-        ker = _analyze(space)[3]
+        ker = _analyze(space)[2]
         assert echelonize(ker + a) == echelonize(ker)
         assert not any(space.mu(v) for v in a)
 
@@ -406,7 +406,7 @@ def test_word_parallel_build_matches_recurrence(data):
     # a symmetric zero-diagonal Gram polarizes back to itself
     space = SymplecticMetricSpace(k, table)
     assert validate(space)[0]
-    assert _gram_rows(space) == (_unpack(k, table), rows)
+    assert _pairings(space)[2] == gram_rows(space)[1] == rows
     assert [space.mu(1 << i) for i in range(k)] == basis_mu
 
 
@@ -452,15 +452,58 @@ def test_validate_every_single_bit_flip_rank6(t, moves):
         assert validate(flipped)[0] == recurrence_validates(flipped)
 
 
+@given(basis_data(max_rank=6))
+def test_gram_is_the_pairing_of_basis_vectors(data):
+    # on a valid table, func[b] marks the x with m(x, e_b) = 1 and gram[i]
+    # holds m(e_i, e_j), and func[b] is the linear mask of gram[b]
+    k, basis_mu, rows = data
+    space = SymplecticMetricSpace(k, _table_from_basis_data(k, basis_mu, rows))
+    reason, func, gram = _pairings(space)
+    assert reason == "valid symplectic metric space"
+    assert len(func) == len(gram) == k and all(0 <= row < 1 << k for row in gram)
+    assert all((func[b] >> x & 1) == space.m(x, 1 << b) for b in range(k) for x in range(1 << k))
+    assert all((gram[i] >> j & 1) == space.m(1 << i, 1 << j) for i in range(k) for j in range(k))
+    assert func == [_combine(_coordinates(k), row) for row in gram]
+
+
 @given(st.integers(0, 6).flatmap(
     lambda k: st.builds(SymplecticMetricSpace, st.just(k), st.integers(0, (1 << (1 << k)) - 1))
 ))
-def test_gram_is_the_pairing_of_basis_vectors(space):
+def test_reference_gram_rows_are_the_pairing_of_basis_vectors(space):
     k = space.rank
-    mu, gram = _gram_rows(space)
+    mu, gram = gram_rows(space)
     assert list(mu) == [space.mu(v) for v in range(1 << k)]
     assert len(gram) == k and all(0 <= row < 1 << k for row in gram)
     assert all((gram[i] >> j & 1) == space.m(1 << i, 1 << j) for i in range(k) for j in range(k))
+
+
+def test_validate_matches_references_on_every_table_of_rank_le_4():
+    # the same verdict and reason as the reference check, and the same
+    # verdict as the recurrence, on all 2 + 4 + 16 + 256 + 65,536 tables
+    tables = 0
+    for k in range(5):
+        for table in range(1 << (1 << k)):
+            space = SymplecticMetricSpace(k, table)
+            ok, reason = validate(space)
+            assert reason == validity(space), space
+            assert ok == (reason == "valid symplectic metric space") == recurrence_validates(space), space
+            tables += 1
+    assert tables == 65_814
+
+
+@pytest.mark.parametrize("k", range(5, MAX_RANK + 1))
+def test_validate_matches_reference_on_seeded_flips(k):
+    # a rebased valid table of each rank 5..16 and seeded one-bit flips of
+    # it, bit 0 (mu(0) = 1) among them: the same verdict and reason as the
+    # reference check; a one-bit flip adds a term of degree k, so none is valid
+    rng = random.Random(33 + k)
+    t = rng.choice([t for t in sms.admissible_tuples(k) if t.ambient_rank == k])
+    space = _rebased(t, k)
+    assert validate(space) == (True, validity(space))
+    for v in [0] + rng.sample(range(1, 1 << k), 4):
+        flipped = SymplecticMetricSpace(k, space.table ^ 1 << v)
+        ok, reason = validate(flipped)
+        assert not ok and reason == validity(flipped), (t, v)
 
 
 def test_canonical_refuses_rank_above_bound():
@@ -537,7 +580,10 @@ def _rebased(t, seed):
 
 
 def test_one_gram_and_one_validity_check_per_call(monkeypatch, tmp_path):
+    # one _pairings pass gives the verdict and the Gram rows; a count hands
+    # that pass's func masks to the search and builds none of its own
     counts = collections.Counter()
+    passes = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -546,19 +592,26 @@ def test_one_gram_and_one_validity_check_per_call(monkeypatch, tmp_path):
 
         return wrapper
 
-    monkeypatch.setattr(sms, "_gram_rows", counted("gram", sms._gram_rows))
-    monkeypatch.setattr(sms, "_validity", counted("validity", sms._validity))
+    def pairings(space):
+        passes.append(pairings_of(space))
+        return passes[-1]
+
+    pairings_of = sms._pairings
+    monkeypatch.setattr(sms, "_pairings", counted("pairings", pairings))
+    # count_pairing_automorphisms' way of building func masks from Gram rows
+    monkeypatch.setattr(autgrp, "_combine", counted("autgrp._combine", autgrp._combine))
 
     def per_call(fn, *args):
         counts.clear()
         fn(*args)
         return dict(counts)
 
-    one_each = {"gram": 1, "validity": 1}
+    one_each = {"pairings": 1}
     for t in (InvariantTuple(0, 1, 2, 1), InvariantTuple(1, 0, 1, 2), InvariantTuple(0, 0, 2, 2)):
         space = _rebased(t, 5)
         assert per_call(sms.isomorphism_to_canonical, space) == one_each, t
-        assert per_call(count_automorphisms, space) == one_each, t
+        assert per_call(count_automorphisms, space) == one_each, t  # no autgrp._combine call
+        assert autgrp._space_search(space).func is passes[-1][1], t
         path = tmp_path / "space.json"
         path.write_text(to_mu_table_json(space))
         assert per_call(cli.main, ["classify", "--mu-table", str(path)]) == one_each, t
